@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from . import dicttrans, erasure
 from .reduce import run as run_program
 from .syntax import (
+    INT,
     Binop,
     Expr,
     FormalParam,
@@ -56,9 +57,7 @@ from .syntax import (
 
 FAMILIES = ("a", "b", "c", "d", "e")
 
-ANY = TypeApp("Any")
 BASE = TypeApp("Base")
-INT = TypeApp("int")
 
 
 @dataclass(frozen=True)

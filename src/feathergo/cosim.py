@@ -56,10 +56,6 @@ class NormalizeOverflow(Exception):
     pass
 
 
-def _show(e: Expr) -> str:
-    return show_expr(e)
-
-
 # ---------------------------------------------------------------------------
 # Redex classification
 
@@ -132,13 +128,14 @@ _CHILD_FIELDS = {
 }
 
 
-def _dict_contract(e: Expr, decls: Decls, info: TransInfo):
+def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
     """One dictionary-resolution contraction at this node, or None.
 
     Contractions never panic: dictionary field selects and self-asserts are
     total on the generated shapes, applicator calls substitute (possibly
     unevaluated) arguments linearly, and refinement only strengthens an
-    assert to the expression's own static type.
+    assert to the expression's own static type. ``types`` is an optional
+    side table of closed subterm types (see ``fg_typecheck_expr``).
     """
     if isinstance(e, FieldSel) and isinstance(e.recv, StructLit) and is_value(e.recv):
         dicty = e.recv.type.name in info.dict_structs or _is_reserved_field(e.fieldname)
@@ -167,7 +164,7 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo):
             return e.recv
         # assertion refinement: |- recv : u and u <: t strictly
         try:
-            u = fg_typecheck_expr(e.recv, {}, decls)
+            u = fg_typecheck_expr(e.recv, {}, decls, types=types)
         except CheckError:
             return None
         if (
@@ -181,13 +178,13 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo):
     return None
 
 
-def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo) -> list:
+def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo, types=None) -> list:
     """All positions (paths) where a dictionary-resolution step applies.
     A path is a tuple of (field, index) pairs, index None for scalars."""
     out = []
 
     def walk(node, path):
-        if _dict_contract(node, decls, info) is not None:
+        if _dict_contract(node, decls, info, types) is not None:
             out.append(path)
         for f in _CHILD_FIELDS.get(type(node), ()):
             child = getattr(node, f)
@@ -201,18 +198,18 @@ def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo) -> list:
     return out
 
 
-def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo) -> Expr:
+def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=None) -> Expr:
     if not path:
-        out = _dict_contract(e, decls, info)
+        out = _dict_contract(e, decls, info, types)
         if out is None:
             raise ValueError("no dictionary-resolution redex at path")
         return out
     (f, i), rest = path[0], path[1:]
     child = getattr(e, f)
     if i is None:
-        new = contract_dict_at(child, rest, decls, info)
+        new = contract_dict_at(child, rest, decls, info, types)
     else:
-        new = child[:i] + (contract_dict_at(child[i], rest, decls, info),) + child[i + 1:]
+        new = child[:i] + (contract_dict_at(child[i], rest, decls, info, types),) + child[i + 1:]
     return dataclasses.replace(e, **{f: new})
 
 
@@ -251,15 +248,19 @@ DEFAULT_NORMALIZE_BOUND = 10_000
 
 
 def dict_normalize(e: Expr, decls: Decls, info: TransInfo, bound: int = DEFAULT_NORMALIZE_BOUND):
-    """Exhaust dictionary resolution; returns (normal form, steps taken).
-    By confluence the normal form is unique; the bound guards against a
-    harness or translator bug and raises NormalizeOverflow on overflow."""
+    """Exhaust dictionary resolution, leftmost-outermost first; returns
+    (normal form, steps taken). By confluence the normal form is unique;
+    the bound guards against a harness or translator bug and raises
+    NormalizeOverflow on overflow. One type side table serves every scan:
+    subterms a contraction leaves in place keep their identity, so each
+    is typed once per normalisation."""
     steps = 0
+    types: dict = {}
     while True:
-        positions = dict_redex_positions(e, decls, info)
+        positions = dict_redex_positions(e, decls, info, types)
         if not positions:
             return e, steps
-        e = contract_dict_at(e, positions[0], decls, info)
+        e = contract_dict_at(e, positions[0], decls, info, types)
         steps += 1
         if steps > bound:
             raise NormalizeOverflow("no normal form within %d steps" % bound)
@@ -414,7 +415,7 @@ def check_correspondence(
             ""
             if matched
             else "index %d:\n  source (translated): %s\n  target:              %s"
-            % (i, _show(e_trans), _show(t_norm))
+            % (i, show_expr(e_trans), show_expr(t_norm))
         )
 
         src = fgg_step(e, sdecls)
@@ -422,7 +423,7 @@ def check_correspondence(
             agree = matched and is_value(t_norm)
             return CorrespondenceReport(
                 tuple(records),
-                Terminal("value", agree, _show(t_norm) if agree else mismatch),
+                Terminal("value", agree, show_expr(t_norm) if agree else mismatch),
                 mismatch,
             )
         if isinstance(src, PanicOutcome):

@@ -22,7 +22,7 @@ type-rep machinery and is only valid for assertion-free programs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
     ANY,
@@ -152,12 +152,14 @@ def max_formal(decl) -> int:
 @dataclass
 class Ctx:
     """Per-method translation context: type bounds, the dictionary map
-    (type parameter -> dictionary expression) and variable typing."""
+    (type parameter -> dictionary expression), variable typing, and the
+    type side table of the subterms typed so far under (delta; gamma)."""
 
     delta: dict
     eta: dict
     gamma: dict
     fg_types: dict  # var name -> concrete fg type name (receiver only)
+    types: dict = field(default_factory=dict)
 
 
 def _this(name: str = "this") -> Var:
@@ -360,7 +362,7 @@ class Translator:
     # -- expressions -----------------------------------------------------------
 
     def typeof(self, e: Expr, ctx: Ctx) -> Type:
-        return fgg_typecheck_expr(e, ctx.delta, ctx.gamma, self.decls)
+        return fgg_typecheck_expr(e, ctx.delta, ctx.gamma, self.decls, types=ctx.types)
 
     def translate_expr(self, e: Expr, ctx: Ctx):
         """Returns (translated expression, concrete fg type name or None).

@@ -58,14 +58,17 @@ class _Eraser:
         self.decls = Decls(program)
         self.warnings: list = []
 
-    def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):
-        """Returns (erased expression, concrete fg type name or None)."""
+    def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict, types=None):
+        """Returns (erased expression, concrete fg type name or None).
+        ``types`` is the type side table shared by one root's subterms."""
+        if types is None:
+            types = {}
 
         def rec(e):
-            return self.erase_expr(e, delta, gamma, fg_types)
+            return self.erase_expr(e, delta, gamma, fg_types, types)
 
         def typeof(e) -> Type:
-            return fgg_typecheck_expr(e, delta, gamma, self.decls)
+            return fgg_typecheck_expr(e, delta, gamma, self.decls, types=types)
 
         def asserted(te, fgname, want: str):
             if fgname == want:

@@ -57,10 +57,21 @@ BOTTOM = Bottom()
 
 
 class Decls:
-    """Indexed declaration tables for one program (plus builtins)."""
+    """Indexed declaration tables for one program (plus builtins).
+
+    Two memo tables, filled lazily, answer each subtyping question once per
+    program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``, and
+    ``fgg_sub`` maps ``(tau, sigma)`` to ``fgg_subtype`` under an empty
+    delta (a closed goal cannot depend on delta). Both rely on a ``Decls``
+    never being mutated after construction: build a new one for a new
+    program. The tables live on the instance, so checks of distinct
+    programs never share an entry.
+    """
 
     def __init__(self, program: Program):
         self.program = program
+        self.fg_sub: dict = {}
+        self.fgg_sub: dict = {}
         self.structs: dict = {s: StructDecl(s) for s in BUILTIN_STRUCTS}
         self.interfaces: dict = {}
         self.methods: dict = {}  # (recv_type, name) -> MethodDecl
@@ -155,12 +166,18 @@ def fg_methods(tname: str, decls: Decls) -> dict:
 
 def fg_subtype(t: str, u: str, decls: Decls) -> bool:
     """t <: u. A structure is implemented only by itself (<:s); an interface
-    by any type with at least its methods (<:i)."""
-    if decls.kind_of(u) == "interface":
-        need = fg_methods(u, decls)
-        have = fg_methods(t, decls)
-        return all(m in have and canon_sig(have[m]) == canon_sig(need[m]) for m in need)
-    return t == u
+    by any type with at least its methods (<:i). Memoised in ``decls``."""
+    key = (t, u)
+    ok = decls.fg_sub.get(key)
+    if ok is None:
+        if decls.kind_of(u) == "interface":
+            need = fg_methods(u, decls)
+            have = fg_methods(t, decls)
+            ok = all(m in have and canon_sig(have[m]) == canon_sig(need[m]) for m in need)
+        else:
+            ok = t == u
+        decls.fg_sub[key] = ok
+    return ok
 
 
 def _fg_wf(t: Type, decls: Decls) -> str:
@@ -171,8 +188,17 @@ def _fg_wf(t: Type, decls: Decls) -> str:
     return t.name
 
 
-def fg_typecheck_expr(e: Expr, gamma: dict, decls: Decls, expected=None, dialect: str = "extended"):
-    """Type an FG expression; returns a TypeApp (or BOTTOM for panic)."""
+def fg_typecheck_expr(
+    e: Expr, gamma: dict, decls: Decls, expected=None, dialect: str = "extended", types=None
+):
+    """Type an FG expression; returns a TypeApp (or BOTTOM for panic).
+
+    ``types``, if given, is a side table ``id(node) -> (node, type)`` for
+    one ``gamma``: it is read and filled wherever no type is expected, so
+    a caller that types overlapping subterms under the same environment
+    types each of them once. Holding the node keeps its id from being
+    reused while the table lives.
+    """
 
     def sub(t, u) -> bool:
         if isinstance(t, Bottom):
@@ -180,15 +206,21 @@ def fg_typecheck_expr(e: Expr, gamma: dict, decls: Decls, expected=None, dialect
         return fg_subtype(t.name, u.name, decls)
 
     def check(e, expected=None):
+        # one frame per node: the side table is consulted inline
+        memo = types is not None and expected is None
+        if memo:
+            hit = types.get(id(e))
+            if hit is not None:
+                return hit[1]
         if isinstance(e, Var):
             if e.name not in gamma:
                 raise CheckError("t-var: unknown variable %s" % e.name)
-            return gamma[e.name]
-        if isinstance(e, IntLit):
-            return TypeApp("int")
-        if isinstance(e, BoolLit):
-            return TypeApp("bool")
-        if isinstance(e, StructLit):
+            t = gamma[e.name]
+        elif isinstance(e, IntLit):
+            t = TypeApp("int")
+        elif isinstance(e, BoolLit):
+            t = TypeApp("bool")
+        elif isinstance(e, StructLit):
             name = _fg_wf(e.type, decls)
             if decls.kind_of(name) != "struct":
                 raise CheckError("t-literal: %s is not a struct" % name)
@@ -205,16 +237,18 @@ def fg_typecheck_expr(e: Expr, gamma: dict, decls: Decls, expected=None, dialect
                         "t-literal: field %s of %s needs %s, got %s"
                         % (f.name, name, print_type(f.type), print_type(ta))
                     )
-            return e.type
-        if isinstance(e, FieldSel):
+            t = e.type
+        elif isinstance(e, FieldSel):
             tr = check(e.recv)
             if isinstance(tr, Bottom) or decls.kind_of(tr.name) != "struct":
                 raise CheckError("t-field: selecting %s on non-struct" % e.fieldname)
             for f in decls.structs[tr.name].fields:
                 if f.name == e.fieldname:
-                    return f.type
-            raise CheckError("t-field: %s has no field %s" % (tr.name, e.fieldname))
-        if isinstance(e, MethodCall):
+                    t = f.type
+                    break
+            else:
+                raise CheckError("t-field: %s has no field %s" % (tr.name, e.fieldname))
+        elif isinstance(e, MethodCall):
             if e.targs:
                 raise CheckError("t-call: fg methods take no type arguments")
             tr = check(e.recv)
@@ -235,34 +269,34 @@ def fg_typecheck_expr(e: Expr, gamma: dict, decls: Decls, expected=None, dialect
                         "t-call: argument %s of %s.%s needs %s, got %s"
                         % (p.name, tr.name, e.name, print_type(p.type), print_type(ta))
                     )
-            return sig.ret
-        if isinstance(e, TypeAssert):
+            t = sig.ret
+        elif isinstance(e, TypeAssert):
             name = _fg_wf(e.type, decls)
             tr = check(e.recv)
-            if isinstance(tr, Bottom):
-                return e.type
-            if decls.kind_of(tr.name) == "struct":
-                return e.type  # t-stupid
-            if decls.kind_of(name) == "interface":
-                return e.type  # t-assert_I
-            if not fg_subtype(name, tr.name, decls):  # t-assert_S
+            t = e.type
+            # t-stupid on a struct receiver, t-assert_I on an interface target
+            if not (
+                isinstance(tr, Bottom)
+                or decls.kind_of(tr.name) == "struct"
+                or decls.kind_of(name) == "interface"
+                or fg_subtype(name, tr.name, decls)  # t-assert_S
+            ):
                 raise CheckError(
                     "t-assert_S: %s does not implement %s" % (name, tr.name)
                 )
-            return e.type
-        if isinstance(e, Binop):
+        elif isinstance(e, Binop):
             _extended(dialect, e)
             for side in (e.left, e.right):
                 ts = check(side)
                 if not (isinstance(ts, TypeApp) and ts.name == "int"):
                     raise CheckError("t-binop: operand of %s must be int" % e.op)
-            return TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
-        if isinstance(e, Neq):
+            t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
+        elif isinstance(e, Neq):
             _extended(dialect, e)
             check(e.left)
             check(e.right)
-            return TypeApp("bool")
-        if isinstance(e, If):
+            t = TypeApp("bool")
+        elif isinstance(e, If):
             _extended(dialect, e)
             tc = check(e.cond)
             if not (isinstance(tc, TypeApp) and tc.name == "bool"):
@@ -270,20 +304,23 @@ def fg_typecheck_expr(e: Expr, gamma: dict, decls: Decls, expected=None, dialect
             tt = check(e.then, expected)
             te = check(e.els, expected)
             try:
-                return _join(tt, te, expected, sub)
+                t = _join(tt, te, expected, sub)
             except CheckError:
-                cand = _fg_interface_join(tt, te, decls)
-                if cand is None:
+                t = _fg_interface_join(tt, te, decls)
+                if t is None:
                     raise
-                return cand
-        if isinstance(e, Seq):
+        elif isinstance(e, Seq):
             _extended(dialect, e)
             check(e.first)
-            return check(e.rest, expected)
-        if isinstance(e, Panic):
+            t = check(e.rest, expected)
+        elif isinstance(e, Panic):
             _extended(dialect, e)
-            return expected if expected is not None else BOTTOM
-        raise CheckError("unsupported expression %r" % type(e).__name__)
+            t = expected if expected is not None else BOTTOM
+        else:
+            raise CheckError("unsupported expression %r" % type(e).__name__)
+        if memo:
+            types[id(e)] = (e, t)
+        return t
 
     return check(e, expected)
 
@@ -434,33 +471,31 @@ def fgg_methods(tau: Type, delta: dict, decls: Decls) -> dict:
     return out
 
 
-def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls, _goals=None) -> bool:
-    """tau <: sigma under delta. Mutually recursive (F-bounded) goals are
-    memoised and answered coinductively on re-entry."""
+def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls) -> bool:
+    """tau <: sigma under delta. Closed goals (empty delta) are memoised in
+    ``decls``."""
     if isinstance(tau, Bottom):
         return True
     if tau == sigma:
         return True
     if isinstance(sigma, TypeApp) and decls.kind_of(sigma.name) == "interface":
-        goals = _goals if _goals is not None else set()
-        return _fgg_iface_sub(tau, sigma, delta, decls, goals)
+        if delta:
+            return _fgg_iface_sub(tau, sigma, delta, decls)
+        key = (tau, sigma)
+        ok = decls.fgg_sub.get(key)
+        if ok is None:
+            ok = decls.fgg_sub[key] = _fgg_iface_sub(tau, sigma, delta, decls)
+        return ok
     return False
 
 
-def _fgg_iface_sub(tau, sigma, delta, decls, goals) -> bool:
-    key = (tau, sigma)
-    if key in goals:
-        return True
-    goals.add(key)
+def _fgg_iface_sub(tau, sigma, delta, decls) -> bool:
     try:
         need = fgg_methods(sigma, delta, decls)
         have = fgg_methods(tau, delta, decls)
     except CheckError:
-        goals.discard(key)
         return False
-    ok = all(m in have and canon_sig(have[m]) == canon_sig(need[m]) for m in need)
-    goals.discard(key)
-    return ok
+    return all(m in have and canon_sig(have[m]) == canon_sig(need[m]) for m in need)
 
 
 def fgg_bounds_check(formal, actuals, delta: dict, decls: Decls, what: str) -> dict:
@@ -504,8 +539,12 @@ def fgg_bounds_of(tau: Type, delta: dict) -> Type:
 # FGG expressions
 
 
-def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected=None):
-    """Type an FGG expression under (delta; gamma); returns the derived type."""
+def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected=None, types=None):
+    """Type an FGG expression under (delta; gamma); returns the derived type.
+
+    ``types`` is an optional side table for one (delta; gamma), as for
+    ``fg_typecheck_expr``.
+    """
 
     def sub(t, u) -> bool:
         return fgg_subtype(t, u, delta, decls)
@@ -517,15 +556,21 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
         return decls.kind_of(t.name)
 
     def check(e, expected=None):
+        # one frame per node: the side table is consulted inline
+        memo = types is not None and expected is None
+        if memo:
+            hit = types.get(id(e))
+            if hit is not None:
+                return hit[1]
         if isinstance(e, Var):
             if e.name not in gamma:
                 raise CheckError("t-var: unknown variable %s" % e.name)
-            return gamma[e.name]
-        if isinstance(e, IntLit):
-            return TypeApp("int")
-        if isinstance(e, BoolLit):
-            return TypeApp("bool")
-        if isinstance(e, StructLit):
+            t = gamma[e.name]
+        elif isinstance(e, IntLit):
+            t = TypeApp("int")
+        elif isinstance(e, BoolLit):
+            t = TypeApp("bool")
+        elif isinstance(e, StructLit):
             if decls.kind_of(e.type.name) != "struct":
                 raise CheckError("t-literal: %s is not a struct" % print_type(e.type))
             fgg_wf(e.type, delta, decls)
@@ -544,8 +589,8 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
                         "t-literal: field %s of %s needs %s, got %s"
                         % (fname, print_type(e.type), print_type(ftype), print_type(ta))
                     )
-            return e.type
-        if isinstance(e, FieldSel):
+            t = e.type
+        elif isinstance(e, FieldSel):
             tr = check(e.recv)
             if kindish(tr) != "struct":
                 raise CheckError("t-field: selecting %s on non-struct %s" % (e.fieldname, print_type(tr)))
@@ -553,9 +598,11 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
             eta = {fp.name: a for fp, a in zip(d.formal, tr.args)}
             for f in d.fields:
                 if f.name == e.fieldname:
-                    return subst_type(f.type, eta)
-            raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
-        if isinstance(e, MethodCall):
+                    t = subst_type(f.type, eta)
+                    break
+            else:
+                raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
+        elif isinstance(e, MethodCall):
             tr = check(e.recv)
             if isinstance(tr, Bottom):
                 raise CheckError("t-call: call on panic")
@@ -581,54 +628,58 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
                         "t-call: argument %s of %s.%s: %s does not implement %s"
                         % (p.name, print_type(tr), e.name, print_type(ta), print_type(want))
                     )
-            return subst_type(sig.ret, eta)
-        if isinstance(e, TypeAssert):
+            t = subst_type(sig.ret, eta)
+        elif isinstance(e, TypeAssert):
             fgg_wf(e.type, delta, decls)
             tr = check(e.recv)
-            if isinstance(tr, Bottom):
-                return e.type
-            if kindish(tr) == "struct":
-                return e.type  # t-stupid
-            if kindish(e.type) in ("interface", "param"):
-                return e.type  # t-assert_I
-            bound = fgg_bounds_of(tr, delta)
-            if not sub(e.type, bound):  # t-assert_S
-                raise CheckError(
-                    "t-assert_S: %s does not implement %s"
-                    % (print_type(e.type), print_type(bound))
-                )
-            return e.type
-        if isinstance(e, Binop):
+            t = e.type
+            # t-stupid on a struct receiver, t-assert_I on an interface or
+            # parameter target, otherwise t-assert_S
+            if not (
+                isinstance(tr, Bottom)
+                or kindish(tr) == "struct"
+                or kindish(e.type) in ("interface", "param")
+            ):
+                bound = fgg_bounds_of(tr, delta)
+                if not sub(e.type, bound):
+                    raise CheckError(
+                        "t-assert_S: %s does not implement %s"
+                        % (print_type(e.type), print_type(bound))
+                    )
+        elif isinstance(e, Binop):
             for side in (e.left, e.right):
                 ts = check(side)
                 if ts != TypeApp("int"):
                     raise CheckError("t-binop: operand of %s must be int, got %s" % (e.op, print_type(ts)))
-            return TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
-        if isinstance(e, If):
+            t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
+        elif isinstance(e, If):
             tc = check(e.cond)
             if tc != TypeApp("bool"):
                 raise CheckError("t-if: condition must be bool, got %s" % print_type(tc))
             tt = check(e.then, expected)
             te = check(e.els, expected)
             try:
-                return _join(tt, te, expected, sub)
+                t = _join(tt, te, expected, sub)
             except CheckError:
                 # mid-reduction the branches may hold distinct struct values;
                 # join them at the least declared interface both implement
-                cand = _fgg_interface_join(tt, te, delta, decls)
-                if cand is None:
+                t = _fgg_interface_join(tt, te, delta, decls)
+                if t is None:
                     raise
-                return cand
-        if isinstance(e, Seq):
+        elif isinstance(e, Seq):
             check(e.first)
-            return check(e.rest, expected)
-        if isinstance(e, Neq):
+            t = check(e.rest, expected)
+        elif isinstance(e, Neq):
             check(e.left)
             check(e.right)
-            return TypeApp("bool")
-        if isinstance(e, Panic):
-            return expected if expected is not None else BOTTOM
-        raise CheckError("unsupported expression %r" % type(e).__name__)
+            t = TypeApp("bool")
+        elif isinstance(e, Panic):
+            t = expected if expected is not None else BOTTOM
+        else:
+            raise CheckError("unsupported expression %r" % type(e).__name__)
+        if memo:
+            types[id(e)] = (e, t)
+        return t
 
     return check(e, expected)
 

@@ -169,6 +169,29 @@ def _sampled_states(rng, with_positions=False):
     return pool
 
 
+def _reference_normalize(e, tdecls, info):
+    """Leftmost-outermost resolution from the table-free oracle functions."""
+    steps = 0
+    while True:
+        positions = dict_redex_positions(e, tdecls, info)
+        if not positions:
+            return e, steps
+        e = contract_dict_at(e, positions[0], tdecls, info)
+        steps += 1
+
+
+def test_dict_normalize_matches_table_free_reference_loop():
+    # the shared type side table changes neither the contraction order nor
+    # the result: same normal form (origin tags included) and step count
+    multi_step = 0
+    for s, info, tdecls in _sampled_states(random.Random(11)):
+        nf, steps = dict_normalize(s, tdecls, info)
+        ref, ref_steps = _reference_normalize(s, tdecls, info)
+        assert (repr(nf), steps) == (repr(ref), ref_steps), show_expr(s)
+        multi_step += steps > 1
+    assert multi_step > 100
+
+
 def test_dict_resolution_two_path_confluence():
     # randomized: contract two different positions first, then normalize;
     # the rejoined normal forms must be identical (1000 trials, with freshly

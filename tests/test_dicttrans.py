@@ -290,6 +290,56 @@ def test_box_translates_without_instance_discovery():
     assert fg_typecheck_program(out, "extended") == []
 
 
+def _id_chain(depth: int):
+    """``Box[int]{1}.Id().Id()...``, ``depth`` calls deep."""
+    return parse_fgg(
+        "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
+        "func (b Box[T]) Id() Box[T] { return b }\n"
+        "func main() { _ = Box[int]{1}" + ".Id()" * depth + " }\n"
+    )
+
+
+def test_receiver_chain_is_typed_once_per_translation_root(monkeypatch):
+    # every receiver is typed through the root's side table, so the checker
+    # looks up each call's method set once, not once per enclosing call
+    from feathergo import typecheck
+
+    depth = 60
+    program = _id_chain(depth)
+    tr = Translator(program)
+    lookups = []
+    real = typecheck.fgg_methods
+    monkeypatch.setattr(typecheck, "fgg_methods", lambda *a: lookups.append(a[0]) or real(*a))
+    ctx = Ctx({}, {}, {}, {})
+    tr.translate_expr(program.main, ctx)
+    # one lookup per inner call; the outermost call is never a receiver
+    assert lookups.count(TypeApp("Box", (TypeApp("int"),))) == depth - 1
+    assert len(ctx.types) == depth + 1  # the inner calls, the literal and its argument
+    assert all(id(node) == key for key, (node, _) in ctx.types.items())
+
+
+@pytest.mark.parametrize("name", ["c8", "chain200"])
+def test_side_tables_add_no_recursion_depth(name):
+    # the typecheckers consult their side tables inline, so a deep term
+    # needs no more frames than before: family c8 and a 200-deep chain
+    # still translate and typecheck at the interpreter's default limit
+    import sys
+
+    from feathergo.bench import BenchConfig, generate
+    from feathergo.typecheck import fg_typecheck_expr, fgg_typecheck_expr
+
+    program = generate(BenchConfig("c", 8)) if name == "c8" else _id_chain(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        fgg_typecheck_expr(program.main, {}, {}, Decls(program), types={})
+        out = translate_program(program)
+        assert fg_typecheck_program(out, "extended") == []
+        fg_typecheck_expr(out.main, {}, Decls(out), types={})
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_translated_output_reparses(typerep_out):
     from feathergo.parser import parse_fg
 

@@ -103,6 +103,45 @@ def test_fgg_subtype_reflexive_and_transitive_on_corpus(corpus_programs):
                 assert fgg_subtype(a, c, {}, decls), (name, a, b, c)
 
 
+# Two programs declaring the same type names with different method sets:
+# Box[int] and S implement I only where the methods are declared.
+_WITH_M = (
+    "package main\ntype Any interface {}\ntype I interface { M() int }\n"
+    "type S struct {}\nfunc (s S) M() int { return 1 }\n"
+    "type Box[T Any] struct { v T }\nfunc (b Box[T]) M() int { return 2 }\n"
+    "func main() { _ = S{} }\n"
+)
+_WITHOUT_M = (
+    "package main\ntype Any interface {}\ntype I interface { M() int }\n"
+    "type S struct {}\nfunc (s S) N() int { return 1 }\n"
+    "type Box[T Any] struct { v T }\nfunc (b Box[T]) N() int { return 2 }\n"
+    "func main() { _ = S{} }\n"
+)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["with-first", "without-first"])
+def test_subtyping_memo_tables_are_per_program(order):
+    programs = [parse_fgg(_WITH_M), parse_fgg(_WITHOUT_M)]
+    box_int = TypeApp("Box", (TypeApp("int"),))
+    for i in order:
+        decls = Decls(programs[i])
+        want = i == 0
+        for _ in range(2):  # the second answer comes from the memo table
+            assert fg_subtype("S", "I", decls) is want
+            assert fgg_subtype(box_int, TypeApp("I"), {}, decls) is want
+        assert decls.fg_sub[("S", "I")] is want
+        assert decls.fgg_sub[(box_int, TypeApp("I"))] is want
+
+
+def test_open_fgg_goals_are_not_memoised():
+    # a goal under a non-empty delta depends on delta's bounds
+    decls = Decls(load("fgg_list.fgg"))
+    ord_t = TypeApp("Ord", (TypeParam("T"),))
+    assert fgg_subtype(TypeParam("T"), ord_t, {"T": ord_t}, decls)
+    assert not fgg_subtype(TypeParam("T"), ord_t, {"T": TypeApp("Any")}, decls)
+    assert decls.fgg_sub == {}
+
+
 def _mentions_param(t) -> bool:
     if isinstance(t, TypeParam):
         return True
