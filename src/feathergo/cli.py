@@ -3,7 +3,7 @@
 Subcommands: parse, typecheck, run, translate, cosim, bench. Primary output
 goes to stdout, diagnostics to stderr as ``file:line:col: message`` (or JSON
 lines with ``--json``). Exit codes: 0 success, 1 diagnostics or
-correspondence mismatch, 2 usage error.
+correspondence mismatch, 2 usage error, 3 input nested too deeply.
 
 The dialect is detected from the file extension (.fg / .fgg) and can be
 overridden with ``--lang``; .fg files parse in the extended dialect by
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
         return ex.code if isinstance(ex.code, int) else 1
     except BrokenPipeError:
         return 0
+    except RecursionError:
+        print("%s: error: input nested too deeply" % getattr(args, "file", "feathergo"), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ The harness implements, as executable artifacts:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -37,18 +36,16 @@ from .reduce import (
     vtype,
 )
 from .syntax import (
-    show_expr,
-    Binop,
     Expr,
     FieldSel,
-    If,
     MethodCall,
-    Neq,
     Program,
-    Seq,
     StructLit,
     TypeApp,
     TypeAssert,
+    rebuild,
+    show_expr,
+    subexprs,
 )
 from .typecheck import CheckError, Decls, fg_subtype, fg_typecheck_expr
 
@@ -116,17 +113,6 @@ def classify(redex: Expr, info: TransInfo) -> str:
 # ---------------------------------------------------------------------------
 # Dictionary resolution (pre-congruence contraction + assertion refinement)
 
-_CHILD_FIELDS = {
-    FieldSel: ("recv",),
-    TypeAssert: ("recv",),
-    MethodCall: ("recv", "args"),
-    StructLit: ("args",),
-    Binop: ("left", "right"),
-    Neq: ("left", "right"),
-    If: ("cond", "then", "els"),
-    Seq: ("first", "rest"),
-}
-
 
 def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
     """One dictionary-resolution contraction at this node, or None.
@@ -179,38 +165,33 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
 
 
 def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo, types=None) -> list:
-    """All positions (paths) where a dictionary-resolution step applies.
-    A path is a tuple of (field, index) pairs, index None for scalars."""
+    """All positions (paths) where a dictionary-resolution step applies, in
+    preorder. A path is a tuple of indices into ``subexprs``, one per level
+    from the root down."""
     out = []
-
-    def walk(node, path):
+    stack = [(e, ())]
+    while stack:
+        node, path = stack.pop()
         if _dict_contract(node, decls, info, types) is not None:
             out.append(path)
-        for f in _CHILD_FIELDS.get(type(node), ()):
-            child = getattr(node, f)
-            if isinstance(child, tuple):
-                for i, c in enumerate(child):
-                    walk(c, path + ((f, i),))
-            else:
-                walk(child, path + ((f, None),))
-
-    walk(e, ())
+        kids = subexprs(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], path + (i,)))
     return out
 
 
 def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=None) -> Expr:
-    if not path:
-        out = _dict_contract(e, decls, info, types)
-        if out is None:
-            raise ValueError("no dictionary-resolution redex at path")
-        return out
-    (f, i), rest = path[0], path[1:]
-    child = getattr(e, f)
-    if i is None:
-        new = contract_dict_at(child, rest, decls, info, types)
-    else:
-        new = child[:i] + (contract_dict_at(child[i], rest, decls, info, types),) + child[i + 1:]
-    return dataclasses.replace(e, **{f: new})
+    spine = []
+    for i in path:
+        spine.append((e, i))
+        e = subexprs(e)[i]
+    out = _dict_contract(e, decls, info, types)
+    if out is None:
+        raise ValueError("no dictionary-resolution redex at path")
+    for parent, i in reversed(spine):
+        kids = subexprs(parent)
+        out = rebuild(parent, kids[:i] + (out,) + kids[i + 1:])
+    return out
 
 
 def settle(e: Expr, decls: Decls) -> Expr:
@@ -223,16 +204,7 @@ def settle(e: Expr, decls: Decls) -> Expr:
     comparison runs on settled forms. Only succeeding asserts are
     discharged: a failing one stays put and surfaces as a divergence.
     """
-    fields = _CHILD_FIELDS.get(type(e), ())
-    if fields:
-        updates = {}
-        for f in fields:
-            child = getattr(e, f)
-            if isinstance(child, tuple):
-                updates[f] = tuple(settle(c, decls) for c in child)
-            else:
-                updates[f] = settle(child, decls)
-        e = dataclasses.replace(e, **updates)
+    e = rebuild(e, [settle(k, decls) for k in subexprs(e)])
     while (
         isinstance(e, TypeAssert)
         and e.origin == "erase"

@@ -50,6 +50,7 @@ from .syntax import (
     TypeParam,
     Var,
     print_type,
+    walk,
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
@@ -176,7 +177,7 @@ class Translator:
             )
         self.program = program
         self.decls = Decls(program)
-        if not self.options.type_metadata and _has_assert(program):
+        if not self.options.type_metadata and any(isinstance(n, TypeAssert) for n in walk(program)):
             raise TranslationError(
                 "type metadata can only be disabled for assertion-free programs"
             )
@@ -644,23 +645,6 @@ class Translator:
             tuple(self.arities),
             tuple(self.inventory),
         )
-
-
-def _has_assert(program: Program) -> bool:
-    import dataclasses
-
-    def walk(node) -> bool:
-        if isinstance(node, TypeAssert):
-            return True
-        if dataclasses.is_dataclass(node):
-            return any(
-                walk(getattr(node, f.name)) for f in dataclasses.fields(node) if f.name != "origin"
-            )
-        if isinstance(node, tuple):
-            return any(walk(x) for x in node)
-        return False
-
-    return walk(program)
 
 
 def translate_program(program: Program, options: TransOptions | None = None) -> Program:

@@ -33,6 +33,7 @@ from .syntax import (
     TypeAssert,
     TypeParam,
     Var,
+    walk,
 )
 from .typecheck import (
     Decls,
@@ -136,9 +137,7 @@ class _Eraser:
         return MethodDecl(d.recv_name, d.recv_type, (), d.name, sig, body)
 
     def erase_program(self) -> Program:
-        from .dicttrans import _has_assert
-
-        if _has_assert(self.program):
+        if any(isinstance(n, TypeAssert) for n in walk(self.program)):
             self.warnings.append(
                 "program contains type assertions; erasure does not preserve assertion behaviour"
             )

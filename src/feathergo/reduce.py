@@ -38,6 +38,8 @@ from .syntax import (
     Var,
     print_expr,
     print_type,
+    rebuild,
+    subexprs,
 )
 from .typecheck import Decls, fg_subtype, fgg_subtype, subst_type
 
@@ -88,39 +90,10 @@ def vtype(v: Expr) -> TypeApp:
 def subst_expr(e: Expr, varmap: dict, typemap: dict) -> Expr:
     """Capture-free substitution of variables and type parameters. Method
     bodies contain no binders, so no renaming is ever needed."""
-    ts = lambda t: subst_type(t, typemap) if typemap else t
-    if isinstance(e, Var):
+    if type(e) is Var:
         return varmap.get(e.name, e)
-    if isinstance(e, (IntLit, BoolLit, Panic)):
-        return e
-    if isinstance(e, StructLit):
-        return StructLit(ts(e.type), tuple(subst_expr(a, varmap, typemap) for a in e.args))
-    if isinstance(e, FieldSel):
-        return FieldSel(subst_expr(e.recv, varmap, typemap), e.fieldname, origin=e.origin)
-    if isinstance(e, MethodCall):
-        return MethodCall(
-            subst_expr(e.recv, varmap, typemap),
-            e.name,
-            tuple(ts(t) for t in e.targs),
-            tuple(subst_expr(a, varmap, typemap) for a in e.args),
-            origin=e.origin,
-        )
-    if isinstance(e, TypeAssert):
-        return TypeAssert(subst_expr(e.recv, varmap, typemap), ts(e.type), origin=e.origin)
-    if isinstance(e, Binop):
-        return Binop(e.op, subst_expr(e.left, varmap, typemap), subst_expr(e.right, varmap, typemap))
-    if isinstance(e, Neq):
-        return Neq(subst_expr(e.left, varmap, typemap), subst_expr(e.right, varmap, typemap), origin=e.origin)
-    if isinstance(e, If):
-        return If(
-            subst_expr(e.cond, varmap, typemap),
-            subst_expr(e.then, varmap, typemap),
-            subst_expr(e.els, varmap, typemap),
-            origin=e.origin,
-        )
-    if isinstance(e, Seq):
-        return Seq(subst_expr(e.first, varmap, typemap), subst_expr(e.rest, varmap, typemap), origin=e.origin)
-    raise ValueError("cannot substitute in %r" % (e,))
+    ft = (lambda t: subst_type(t, typemap)) if typemap else None
+    return rebuild(e, [subst_expr(k, varmap, typemap) for k in subexprs(e)], ft)
 
 
 def instantiate_body(m, recv: Expr, args, targs) -> Expr:

@@ -399,7 +399,80 @@ def show_expr(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Node counting
+# Generic traversal
+#
+# The one place that knows which fields of an expression hold subexpressions
+# and which hold types; every structural walk goes through these.
+
+_LEAF_EXPRS = (Var, IntLit, BoolLit, Panic)
+
+
+def subexprs(e: Expr) -> tuple:
+    """The immediate subexpressions of ``e``, left to right (a call's
+    receiver before its arguments)."""
+    t = type(e)
+    if t is MethodCall:
+        return (e.recv, *e.args)
+    if t is FieldSel or t is TypeAssert:
+        return (e.recv,)
+    if t is StructLit:
+        return e.args
+    if t is Binop or t is Neq:
+        return (e.left, e.right)
+    if t is If:
+        return (e.cond, e.then, e.els)
+    if t is Seq:
+        return (e.first, e.rest)
+    if t in _LEAF_EXPRS:
+        return ()
+    raise TypeError("not an expression: %r" % t.__name__)
+
+
+def rebuild(e: Expr, kids, ft=None) -> Expr:
+    """``e`` with its subexpressions replaced by ``kids`` (in ``subexprs``
+    order), keeping its scalar fields and origin tag. ``ft``, when given,
+    maps the types the node carries: a literal's type, a call's type
+    actuals and an asserted type."""
+    t = type(e)
+    if t is MethodCall:
+        targs = e.targs if ft is None else tuple(map(ft, e.targs))
+        return MethodCall(kids[0], e.name, targs, tuple(kids[1:]), origin=e.origin)
+    if t is FieldSel:
+        return FieldSel(kids[0], e.fieldname, origin=e.origin)
+    if t is StructLit:
+        return StructLit(e.type if ft is None else ft(e.type), tuple(kids))
+    if t is TypeAssert:
+        return TypeAssert(kids[0], e.type if ft is None else ft(e.type), origin=e.origin)
+    if t is Binop:
+        return Binop(e.op, *kids)
+    if t is Neq or t is If or t is Seq:
+        return t(*kids, origin=e.origin)
+    if t in _LEAF_EXPRS:
+        return e
+    raise TypeError("not an expression: %r" % t.__name__)
+
+
+# every node class -> its fields that may hold nodes (origin tags are not nodes)
+_NODE_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name != "origin")
+    for cls in (*Type.__args__, FormalParam, Param, MethodSig, MethodSpec, *Expr.__args__, *Decl.__args__, Program)
+}
+
+
+def walk(node):
+    """Every AST node in ``node`` -- types, expressions, declarations and
+    parameters -- in preorder. Iterative, so term depth is not bounded by
+    the recursion limit."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            stack.extend(reversed(n))
+            continue
+        names = _NODE_FIELDS.get(type(n))
+        if names is not None:
+            yield n
+            stack.extend(getattr(n, f) for f in reversed(names))
 
 
 def node_count(node) -> int:
@@ -408,13 +481,4 @@ def node_count(node) -> int:
     Additive over declarations and strictly monotone under adding one, which
     makes it a usable code-size proxy for translated output.
     """
-    if dataclasses.is_dataclass(node):
-        n = 1
-        for f in dataclasses.fields(node):
-            if f.name == "origin":
-                continue
-            n += node_count(getattr(node, f.name))
-        return n
-    if isinstance(node, tuple):
-        return sum(node_count(x) for x in node)
-    return 0
+    return sum(1 for _ in walk(node))

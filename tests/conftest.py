@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import pytest
 
@@ -37,3 +38,12 @@ def load(name: str):
 @pytest.fixture(scope="session")
 def corpus_programs():
     return {p.name: parse_program(p.read_text(), "fgg") for p in FGG_FILES}
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at CPython's default recursion limit."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)

@@ -137,3 +137,13 @@ def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["run", "--definitely-not-a-flag"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["parse", "typecheck", "run"])
+def test_deep_input_fails_cleanly(capsys, tmp_path, default_recursion_limit, command):
+    deep = tmp_path / "deep.fgg"
+    deep.write_text("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * 3000))
+    code, _, err = run_cli(capsys, command, str(deep))
+    assert code == 3
+    assert "Traceback" not in err
+    assert err == "%s: error: input nested too deeply\n" % deep

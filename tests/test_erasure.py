@@ -5,11 +5,13 @@ from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import (
     InterfaceDecl,
+    MethodCall,
     MethodDecl,
     StructDecl,
     node_count,
     pretty_print,
     print_decl,
+    walk,
 )
 from feathergo.typecheck import fg_typecheck_program
 
@@ -108,3 +110,16 @@ def test_incompatible_any_rejected():
 def test_erasure_corpus_typechecks(path):
     out, _ = erase_program(parse_fgg(path.read_text()))
     assert fg_typecheck_program(out, "extended") == []
+
+
+def test_erasure_of_deep_receiver_chain(default_recursion_limit):
+    # the assertion scan walks the program iteratively, so a 400-deep
+    # receiver chain erases at the default recursion limit
+    program = parse_fgg(
+        "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
+        "func (b Box[T]) Id() Box[T] { return b }\n"
+        "func main() { _ = Box[int]{1}" + ".Id()" * 400 + " }\n"
+    )
+    out, warns = erase_program(program)
+    assert warns == ()
+    assert sum(isinstance(n, MethodCall) for n in walk(out.main)) == 400
