@@ -47,7 +47,7 @@ from .syntax import (
     show_expr,
     subexprs,
 )
-from .typecheck import CheckError, Decls, fg_subtype, fg_typecheck_expr
+from .typecheck import CheckError, Decls, fg_subtype, fgg_typecheck_expr
 
 class NormalizeOverflow(Exception):
     pass
@@ -121,7 +121,7 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
     total on the generated shapes, applicator calls substitute (possibly
     unevaluated) arguments linearly, and refinement only strengthens an
     assert to the expression's own static type. ``types`` is an optional
-    side table of closed subterm types (see ``fg_typecheck_expr``).
+    side table of closed subterm types (see ``fgg_typecheck_expr``).
     """
     if isinstance(e, FieldSel) and isinstance(e.recv, StructLit) and is_value(e.recv):
         dicty = e.recv.type.name in info.dict_structs or _is_reserved_field(e.fieldname)
@@ -150,7 +150,7 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
             return e.recv
         # assertion refinement: |- recv : u and u <: t strictly
         try:
-            u = fg_typecheck_expr(e.recv, {}, decls, types=types)
+            u = fgg_typecheck_expr(e.recv, {}, {}, decls, types=types)
         except CheckError:
             return None
         if (

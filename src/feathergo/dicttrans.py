@@ -233,20 +233,18 @@ class Translator:
             if d is None or d.formal or d.specs:
                 raise TranslationError("source declares Any incompatibly with the erased Any")
         for d in self.program.decls:
-            if isinstance(d, MethodDecl):
-                if d.name.startswith("spec_") or d.name in ("tryCast", "_type"):
-                    raise TranslationError("source method name %s collides with generated names" % d.name)
-                for p in d.sig.params:
-                    if _RESERVED_FIELD.match(p.name):
-                        raise TranslationError("source parameter name %s is reserved" % p.name)
-            elif isinstance(d, StructDecl):
+            if isinstance(d, StructDecl):
                 for f in d.fields:
                     if _RESERVED_FIELD.match(f.name):
                         raise TranslationError("source field name %s is reserved" % f.name)
-            else:
-                for s in d.specs:
-                    if s.name.startswith("spec_") or s.name in ("tryCast", "_type"):
-                        raise TranslationError("source method name %s collides with generated names" % s.name)
+                continue
+            # a method declaration, or each specification of an interface
+            for m in (d,) if isinstance(d, MethodDecl) else d.specs:
+                if m.name.startswith("spec_") or m.name in ("tryCast", "_type"):
+                    raise TranslationError("source method name %s collides with generated names" % m.name)
+                for p in m.sig.params:
+                    if _RESERVED_FIELD.match(p.name):
+                        raise TranslationError("source parameter name %s is reserved" % p.name)
 
     def _note(self, name: str, kind: str, source: str) -> None:
         self.inventory.append(InventoryEntry(name, kind, source))

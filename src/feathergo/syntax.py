@@ -452,9 +452,12 @@ def rebuild(e: Expr, kids, ft=None) -> Expr:
     raise TypeError("not an expression: %r" % t.__name__)
 
 
-# every node class -> its fields that may hold nodes (origin tags are not nodes)
+# every node class -> its fields that may hold nodes, last field first (origin
+# tags and names, numbers and flags are not nodes)
 _NODE_FIELDS = {
-    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name != "origin")
+    cls: tuple(
+        f.name for f in reversed(dataclasses.fields(cls)) if f.name != "origin" and f.type not in ("str", "int", "bool")
+    )
     for cls in (*Type.__args__, FormalParam, Param, MethodSig, MethodSpec, *Expr.__args__, *Decl.__args__, Program)
 }
 
@@ -472,7 +475,8 @@ def walk(node):
         names = _NODE_FIELDS.get(type(n))
         if names is not None:
             yield n
-            stack.extend(getattr(n, f) for f in reversed(names))
+            for f in names:
+                stack.append(getattr(n, f))
 
 
 def node_count(node) -> int:

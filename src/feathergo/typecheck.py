@@ -1,6 +1,11 @@
-"""Typecheckers for FG (core and extended) and FGG.
+"""Typechecker for FGG, and for FG as its parameter-free fragment.
 
-Both checkers are pure functions of the program; the program-level entry
+FG is FGG without type parameters, so there is one judgement: an FG program
+is checked by the FGG rules under an empty type environment, after one walk
+that reports what the FG grammar lacks (type formals, type actuals and,
+under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
+
+The checker is a pure function of the program; the program-level entry
 points return a (possibly empty) list of diagnostics, each citing the rule
 that failed. Expression-level checking raises CheckError internally.
 
@@ -25,6 +30,7 @@ from .syntax import (
     MethodCall,
     MethodDecl,
     MethodSig,
+    MethodSpec,
     Neq,
     Panic,
     Program,
@@ -37,6 +43,7 @@ from .syntax import (
     TypeParam,
     Var,
     print_type,
+    walk,
 )
 
 BUILTIN_STRUCTS = ("int", "bool")
@@ -50,7 +57,12 @@ class CheckError(Exception):
 
 @dataclass(frozen=True)
 class Bottom:
-    """Type of ``panic``: subtype of everything."""
+    """Type of ``panic``: subtype of everything. It prints as ``panic`` and
+    names no declaration, so a rule that needs a struct, ``int`` or
+    ``bool`` rejects it like any other wrong type."""
+
+    name = "panic"
+    args = ()
 
 
 BOTTOM = Bottom()
@@ -59,19 +71,21 @@ BOTTOM = Bottom()
 class Decls:
     """Indexed declaration tables for one program (plus builtins).
 
-    Two memo tables, filled lazily, answer each subtyping question once per
-    program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``, and
+    Three memo tables, filled lazily, answer each question once per
+    program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``,
     ``fgg_sub`` maps ``(tau, sigma)`` to ``fgg_subtype`` under an empty
-    delta (a closed goal cannot depend on delta). Both rely on a ``Decls``
-    never being mutated after construction: build a new one for a new
-    program. The tables live on the instance, so checks of distinct
-    programs never share an entry.
+    delta (a closed goal cannot depend on delta), and ``msets`` maps a
+    ``TypeApp`` to its substituted method set (which never depends on
+    delta). All rely on a ``Decls`` never being mutated after
+    construction: build a new one for a new program. The tables live on
+    the instance, so checks of distinct programs never share an entry.
     """
 
     def __init__(self, program: Program):
         self.program = program
         self.fg_sub: dict = {}
         self.fgg_sub: dict = {}
+        self.msets: dict = {}
         self.structs: dict = {s: StructDecl(s) for s in BUILTIN_STRUCTS}
         self.interfaces: dict = {}
         self.methods: dict = {}  # (recv_type, name) -> MethodDecl
@@ -129,6 +143,8 @@ def subst_type(t: Type, mapping: dict) -> Type:
 def subst_sig(sig: MethodSig, mapping: dict) -> MethodSig:
     """Substitute type parameters in a signature. The signature's own formal
     parameters are binders and must not occur in ``mapping``."""
+    if not mapping:
+        return sig
     tformal = tuple(
         fp.__class__(fp.name, subst_type(fp.bound, mapping)) for fp in sig.tformal
     )
@@ -146,313 +162,25 @@ def canon_sig(sig: MethodSig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# FG method sets, subtyping, expressions
-
-
-def _decl_sigs(decls: Decls, tname: str) -> dict:
-    out = {}
-    for m in decls.methods_by_type.get(tname, ()):
-        out[m.name] = m.sig
-    return out
-
-
-def fg_methods(tname: str, decls: Decls) -> dict:
-    """methods(t): declared methods of a struct, specifications of an
-    interface; preserves declaration order."""
-    if tname in decls.interfaces:
-        return {s.name: s.sig for s in decls.interfaces[tname].specs}
-    return _decl_sigs(decls, tname)
-
-
-def fg_subtype(t: str, u: str, decls: Decls) -> bool:
-    """t <: u. A structure is implemented only by itself (<:s); an interface
-    by any type with at least its methods (<:i). Memoised in ``decls``."""
-    key = (t, u)
-    ok = decls.fg_sub.get(key)
-    if ok is None:
-        if decls.kind_of(u) == "interface":
-            need = fg_methods(u, decls)
-            have = fg_methods(t, decls)
-            ok = all(m in have and canon_sig(have[m]) == canon_sig(need[m]) for m in need)
-        else:
-            ok = t == u
-        decls.fg_sub[key] = ok
-    return ok
-
-
-def _fg_wf(t: Type, decls: Decls) -> str:
-    if not isinstance(t, TypeApp) or t.args:
-        raise CheckError("t-named: %s is not an fg type" % print_type(t))
-    if decls.kind_of(t.name) is None:
-        raise CheckError("t-named: unknown type %s" % t.name)
-    return t.name
-
-
-def fg_typecheck_expr(
-    e: Expr, gamma: dict, decls: Decls, expected=None, dialect: str = "extended", types=None
-):
-    """Type an FG expression; returns a TypeApp (or BOTTOM for panic).
-
-    ``types``, if given, is a side table ``id(node) -> (node, type)`` for
-    one ``gamma``: it is read and filled wherever no type is expected, so
-    a caller that types overlapping subterms under the same environment
-    types each of them once. Holding the node keeps its id from being
-    reused while the table lives.
-    """
-
-    def sub(t, u) -> bool:
-        if isinstance(t, Bottom):
-            return True
-        return fg_subtype(t.name, u.name, decls)
-
-    def check(e, expected=None):
-        # one frame per node: the side table is consulted inline
-        memo = types is not None and expected is None
-        if memo:
-            hit = types.get(id(e))
-            if hit is not None:
-                return hit[1]
-        if isinstance(e, Var):
-            if e.name not in gamma:
-                raise CheckError("t-var: unknown variable %s" % e.name)
-            t = gamma[e.name]
-        elif isinstance(e, IntLit):
-            t = TypeApp("int")
-        elif isinstance(e, BoolLit):
-            t = TypeApp("bool")
-        elif isinstance(e, StructLit):
-            name = _fg_wf(e.type, decls)
-            if decls.kind_of(name) != "struct":
-                raise CheckError("t-literal: %s is not a struct" % name)
-            fields = decls.structs[name].fields
-            if len(fields) != len(e.args):
-                raise CheckError(
-                    "t-literal: struct %s expects %d fields, got %d"
-                    % (name, len(fields), len(e.args))
-                )
-            for f, a in zip(fields, e.args):
-                ta = check(a)
-                if not sub(ta, f.type):
-                    raise CheckError(
-                        "t-literal: field %s of %s needs %s, got %s"
-                        % (f.name, name, print_type(f.type), print_type(ta))
-                    )
-            t = e.type
-        elif isinstance(e, FieldSel):
-            tr = check(e.recv)
-            if isinstance(tr, Bottom) or decls.kind_of(tr.name) != "struct":
-                raise CheckError("t-field: selecting %s on non-struct" % e.fieldname)
-            for f in decls.structs[tr.name].fields:
-                if f.name == e.fieldname:
-                    t = f.type
-                    break
-            else:
-                raise CheckError("t-field: %s has no field %s" % (tr.name, e.fieldname))
-        elif isinstance(e, MethodCall):
-            if e.targs:
-                raise CheckError("t-call: fg methods take no type arguments")
-            tr = check(e.recv)
-            if isinstance(tr, Bottom):
-                raise CheckError("t-call: call on panic")
-            sig = fg_methods(tr.name, decls).get(e.name)
-            if sig is None:
-                raise CheckError("t-call: no method %s on %s" % (e.name, tr.name))
-            if len(sig.params) != len(e.args):
-                raise CheckError(
-                    "t-call: %s.%s expects %d arguments, got %d"
-                    % (tr.name, e.name, len(sig.params), len(e.args))
-                )
-            for p, a in zip(sig.params, e.args):
-                ta = check(a)
-                if not sub(ta, p.type):
-                    raise CheckError(
-                        "t-call: argument %s of %s.%s needs %s, got %s"
-                        % (p.name, tr.name, e.name, print_type(p.type), print_type(ta))
-                    )
-            t = sig.ret
-        elif isinstance(e, TypeAssert):
-            name = _fg_wf(e.type, decls)
-            tr = check(e.recv)
-            t = e.type
-            # t-stupid on a struct receiver, t-assert_I on an interface target
-            if not (
-                isinstance(tr, Bottom)
-                or decls.kind_of(tr.name) == "struct"
-                or decls.kind_of(name) == "interface"
-                or fg_subtype(name, tr.name, decls)  # t-assert_S
-            ):
-                raise CheckError(
-                    "t-assert_S: %s does not implement %s" % (name, tr.name)
-                )
-        elif isinstance(e, Binop):
-            _extended(dialect, e)
-            for side in (e.left, e.right):
-                ts = check(side)
-                if not (isinstance(ts, TypeApp) and ts.name == "int"):
-                    raise CheckError("t-binop: operand of %s must be int" % e.op)
-            t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
-        elif isinstance(e, Neq):
-            _extended(dialect, e)
-            check(e.left)
-            check(e.right)
-            t = TypeApp("bool")
-        elif isinstance(e, If):
-            _extended(dialect, e)
-            tc = check(e.cond)
-            if not (isinstance(tc, TypeApp) and tc.name == "bool"):
-                raise CheckError("t-if: condition must be bool")
-            tt = check(e.then, expected)
-            te = check(e.els, expected)
-            try:
-                t = _join(tt, te, expected, sub)
-            except CheckError:
-                t = _fg_interface_join(tt, te, decls)
-                if t is None:
-                    raise
-        elif isinstance(e, Seq):
-            _extended(dialect, e)
-            check(e.first)
-            t = check(e.rest, expected)
-        elif isinstance(e, Panic):
-            _extended(dialect, e)
-            t = expected if expected is not None else BOTTOM
-        else:
-            raise CheckError("unsupported expression %r" % type(e).__name__)
-        if memo:
-            types[id(e)] = (e, t)
-        return t
-
-    return check(e, expected)
-
-
-def _extended(dialect: str, e) -> None:
-    if dialect == "core" and isinstance(e, (If, Seq, Panic, Neq)):
-        raise CheckError("%s is not core fg" % type(e).__name__.lower())
-
-
-def _join(tt, te, expected, sub):
-    if isinstance(tt, Bottom):
-        return te
-    if isinstance(te, Bottom):
-        return tt
-    if tt == te:
-        return tt
-    if sub(tt, te):
-        return te
-    if sub(te, tt):
-        return tt
-    if expected is not None and sub(tt, expected) and sub(te, expected):
-        return expected
-    raise CheckError(
-        "t-if: branches have incompatible types %s and %s"
-        % (print_type(tt), print_type(te))
-    )
-
-
-def _fg_interface_join(tt, te, decls: Decls):
-    """Least declared interface implemented by both branch types; used when
-    a mid-reduction if holds values of distinct struct types."""
-    if isinstance(tt, Bottom) or isinstance(te, Bottom):
-        return None
-    cands = [
-        TypeApp(i)
-        for i in decls.interfaces
-        if fg_subtype(tt.name, i, decls) and fg_subtype(te.name, i, decls)
-    ]
-    if not cands:
-        return None
-    minimal = [
-        c
-        for c in cands
-        if all(d == c or not fg_subtype(d.name, c.name, decls) or fg_subtype(c.name, d.name, decls) for d in cands)
-    ]
-    pick = minimal or cands
-    return sorted(pick, key=lambda t: t.name)[0]
-
-
-def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
-    """Check a whole FG program; returns a list of diagnostics (empty = ok)."""
-    decls = Decls(program)
-    diags = [Diagnostic(m) for m in decls.duplicates]
-
-    def note(err: CheckError, where: str):
-        diags.append(Diagnostic("%s: %s" % (where, err.message)))
-
-    for d in program.decls:
-        if isinstance(d, (StructDecl, InterfaceDecl)) and d.formal:
-            diags.append(Diagnostic("t-type: fg declarations take no type formal (%s)" % d.name))
-    for name, d in list(decls.structs.items()):
-        if name in BUILTIN_STRUCTS:
-            continue
-        seen = set()
-        for f in d.fields:
-            if f.name in seen:
-                diags.append(Diagnostic("t-struct: duplicate field %s in %s" % (f.name, name)))
-            seen.add(f.name)
-            try:
-                _fg_wf(f.type, decls)
-            except CheckError as err:
-                note(err, "struct %s" % name)
-    for name, d in decls.interfaces.items():
-        seen = set()
-        for s in d.specs:
-            if s.name in seen:
-                diags.append(Diagnostic("t-interface: duplicate method %s in %s" % (s.name, name)))
-            seen.add(s.name)
-            if s.sig.tformal:
-                diags.append(Diagnostic("t-specification: fg specs take no type formal"))
-            try:
-                for p in s.sig.params:
-                    _fg_wf(p.type, decls)
-                _fg_wf(s.sig.ret, decls)
-            except CheckError as err:
-                note(err, "interface %s" % name)
-    for (tname, mname), m in decls.methods.items():
-        where = "method %s.%s" % (tname, mname)
-        if decls.kind_of(tname) != "struct":
-            diags.append(Diagnostic("t-func: receiver %s is not a declared struct" % tname))
-            continue
-        if m.recv_params or m.sig.tformal:
-            diags.append(Diagnostic("t-func: fg methods take no type parameters (%s)" % where))
-            continue
-        names = [m.recv_name] + [p.name for p in m.sig.params]
-        if len(set(names)) != len(names):
-            diags.append(Diagnostic("t-func: parameter names not distinct in %s" % where))
-        try:
-            for p in m.sig.params:
-                _fg_wf(p.type, decls)
-            _fg_wf(m.sig.ret, decls)
-            gamma = {m.recv_name: TypeApp(tname)}
-            gamma.update({p.name: p.type for p in m.sig.params})
-            t = fg_typecheck_expr(m.body, gamma, decls, expected=m.sig.ret, dialect=dialect)
-            if not (isinstance(t, Bottom) or fg_subtype(t.name, m.sig.ret.name, decls)):
-                diags.append(
-                    Diagnostic(
-                        "t-func: body of %s has type %s, not a subtype of %s"
-                        % (where, print_type(t), print_type(m.sig.ret))
-                    )
-                )
-        except CheckError as err:
-            note(err, where)
-    try:
-        fg_typecheck_expr(program.main, {}, decls, dialect=dialect)
-    except CheckError as err:
-        note(err, "main")
-    return diags
-
-
-# ---------------------------------------------------------------------------
-# FGG method sets, subtyping, well-formedness
+# Method sets, subtyping, well-formedness
 
 
 def fgg_methods(tau: Type, delta: dict, decls: Decls) -> dict:
     """methods_Delta(tau): specification set with type actuals substituted;
-    for a type parameter, the methods of its bound."""
+    for a type parameter, the methods of its bound. The set of a ``TypeApp``
+    is built once per program and shared: callers must not mutate it."""
     if isinstance(tau, TypeParam):
         bound = delta.get(tau.name)
         if bound is None:
             raise CheckError("t-param: unknown type parameter %s" % tau.name)
         return fgg_methods(bound, delta, decls)
+    mset = decls.msets.get(tau)
+    if mset is None:
+        mset = decls.msets[tau] = _method_set(tau, decls)
+    return mset
+
+
+def _method_set(tau: TypeApp, decls: Decls) -> dict:
     d = decls.type_decl(tau.name)
     if d is None:
         raise CheckError("t-named: unknown type %s" % tau.name)
@@ -487,6 +215,16 @@ def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls) -> bool:
             ok = decls.fgg_sub[key] = _fgg_iface_sub(tau, sigma, delta, decls)
         return ok
     return False
+
+
+def fg_subtype(t: str, u: str, decls: Decls) -> bool:
+    """t <: u between FG type names: FGG subtyping of the nullary types
+    under an empty delta, memoised in ``decls`` by name."""
+    key = (t, u)
+    ok = decls.fg_sub.get(key)
+    if ok is None:
+        ok = decls.fg_sub[key] = fgg_subtype(TypeApp(t), TypeApp(u), {}, decls)
+    return ok
 
 
 def _fgg_iface_sub(tau, sigma, delta, decls) -> bool:
@@ -524,9 +262,10 @@ def fgg_wf(tau: Type, delta: dict, decls: Decls) -> None:
     d = decls.type_decl(tau.name)
     if d is None:
         raise CheckError("t-named: unknown type %s" % tau.name)
-    for a in tau.args:
-        fgg_wf(a, delta, decls)
-    fgg_bounds_check(d.formal, tau.args, delta, decls, "t-named: %s" % tau.name)
+    if tau.args or d.formal:  # a nullary type, as every FG type is, has no bounds
+        for a in tau.args:
+            fgg_wf(a, delta, decls)
+        fgg_bounds_check(d.formal, tau.args, delta, decls, "t-named: %s" % tau.name)
 
 
 def fgg_bounds_of(tau: Type, delta: dict) -> Type:
@@ -542,8 +281,11 @@ def fgg_bounds_of(tau: Type, delta: dict) -> Type:
 def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected=None, types=None):
     """Type an FGG expression under (delta; gamma); returns the derived type.
 
-    ``types`` is an optional side table for one (delta; gamma), as for
-    ``fg_typecheck_expr``.
+    ``types``, if given, is a side table ``id(node) -> (node, type)`` for
+    one (delta; gamma): it is read and filled wherever no type is expected,
+    so a caller that types overlapping subterms under the same environment
+    types each of them once. Holding the node keeps its id from being
+    reused while the table lives.
     """
 
     def sub(t, u) -> bool:
@@ -610,11 +352,13 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
             sig = mset.get(e.name)
             if sig is None:
                 raise CheckError("t-call: no method %s on %s" % (e.name, print_type(tr)))
-            for ta in e.targs:
-                fgg_wf(ta, delta, decls)
-            eta = fgg_bounds_check(
-                sig.tformal, e.targs, delta, decls, "t-call: %s.%s" % (print_type(tr), e.name)
-            )
+            eta = {}
+            if sig.tformal or e.targs:  # as for fgg_wf: no formals, nothing to bind
+                for ta in e.targs:
+                    fgg_wf(ta, delta, decls)
+                eta = fgg_bounds_check(
+                    sig.tformal, e.targs, delta, decls, "t-call: %s.%s" % (print_type(tr), e.name)
+                )
             if len(sig.params) != len(e.args):
                 raise CheckError(
                     "t-call: %s.%s expects %d arguments, got %d"
@@ -684,6 +428,25 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
     return check(e, expected)
 
 
+def _join(tt, te, expected, sub):
+    if isinstance(tt, Bottom):
+        return te
+    if isinstance(te, Bottom):
+        return tt
+    if tt == te:
+        return tt
+    if sub(tt, te):
+        return te
+    if sub(te, tt):
+        return tt
+    if expected is not None and sub(tt, expected) and sub(te, expected):
+        return expected
+    raise CheckError(
+        "t-if: branches have incompatible types %s and %s"
+        % (print_type(tt), print_type(te))
+    )
+
+
 def _type_subterms(t: Type, out=None) -> set:
     if out is None:
         out = set()
@@ -723,12 +486,14 @@ def _fgg_interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
 
 
 # ---------------------------------------------------------------------------
-# FGG declarations and programs
+# Declarations and programs
 
 
 def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: list) -> dict:
     """t-formal: distinct names; bounds are interfaces, well-formed under the
     whole environment (mutual recursion allowed). Returns the extended delta."""
+    if not formal:
+        return outer_delta
     names = [fp.name for fp in formal]
     if len(set(names)) != len(names) or any(n in outer_delta for n in names):
         diags.append(Diagnostic("t-formal: type parameters not distinct in %s" % where))
@@ -752,6 +517,43 @@ def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: l
 
 def fgg_typecheck_program(program: Program) -> list:
     """Check a whole FGG program; returns a list of diagnostics (empty = ok)."""
+    return _check_program(program)
+
+
+def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
+    """Check a whole FG program; returns a list of diagnostics (empty = ok).
+
+    FG is the parameter-free fragment of FGG: one walk reports each node
+    outside the fragment, then the FGG judgement checks the program under
+    an empty type environment."""
+    diags = [Diagnostic(m) for m in (_not_fg(n, dialect) for n in walk(program)) if m]
+    return diags + _check_program(program)
+
+
+def _not_fg(n, dialect: str):
+    """The FG rule that node ``n`` breaks, as a message, or None. Named
+    types come first: they are the most frequent nodes."""
+    if isinstance(n, TypeApp):
+        return "t-named: %s is not an fg type" % print_type(n) if n.args else None
+    if isinstance(n, TypeParam):
+        return "t-named: %s is not an fg type" % n.name
+    if isinstance(n, MethodCall) and n.targs:
+        return "t-call: fg methods take no type arguments (%s)" % n.name
+    if dialect == "core" and isinstance(n, (If, Seq, Panic, Neq)):
+        return "t-core: %s is not core fg" % type(n).__name__.lower()
+    if isinstance(n, (StructDecl, InterfaceDecl)) and n.formal:
+        return "t-type: fg declarations take no type formal (%s)" % n.name
+    if isinstance(n, MethodSpec) and n.sig.tformal:
+        return "t-specification: fg specs take no type formal (%s)" % n.name
+    if isinstance(n, MethodDecl) and (n.recv_params or n.sig.tformal):
+        return "t-func: fg methods take no type parameters (method %s.%s)" % (n.recv_type, n.name)
+    return None
+
+
+def _check_program(program: Program) -> list:
+    """The FGG program judgement behind both entry points. FG checking
+    calls it directly, so a count of ``fgg_typecheck_program`` calls
+    counts the FGG programs checked."""
     decls = Decls(program)
     diags = [Diagnostic(m) for m in decls.duplicates]
 

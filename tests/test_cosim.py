@@ -26,7 +26,7 @@ from feathergo.syntax import (
     TypeApp,
     show_expr,
 )
-from feathergo.typecheck import CheckError, Decls, fg_typecheck_expr
+from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 
 from conftest import FGG_FILES, load
 
@@ -226,7 +226,7 @@ def test_dict_resolution_preserves_typing_and_never_panics():
         for path in dict_redex_positions(s, tdecls, info):
             out = contract_dict_at(s, path, tdecls, info)
             try:
-                fg_typecheck_expr(out, {}, tdecls)
+                fgg_typecheck_expr(out, {}, {}, tdecls)
             except CheckError as ex:
                 pytest.fail("resolution broke typing: %s" % ex)
             checked += 1

@@ -27,7 +27,7 @@ from feathergo.syntax import (
     print_decl,
     print_expr,
 )
-from feathergo.typecheck import Decls, fg_typecheck_program
+from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
 from conftest import FGG_FILES, TERMINATING, load, read
 
@@ -326,7 +326,7 @@ def test_side_tables_add_no_recursion_depth(name):
     import sys
 
     from feathergo.bench import BenchConfig, generate
-    from feathergo.typecheck import fg_typecheck_expr, fgg_typecheck_expr
+    from feathergo.typecheck import fgg_typecheck_expr
 
     program = generate(BenchConfig("c", 8)) if name == "c8" else _id_chain(200)
     limit = sys.getrecursionlimit()
@@ -335,7 +335,7 @@ def test_side_tables_add_no_recursion_depth(name):
         fgg_typecheck_expr(program.main, {}, {}, Decls(program), types={})
         out = translate_program(program)
         assert fg_typecheck_program(out, "extended") == []
-        fg_typecheck_expr(out.main, {}, Decls(out), types={})
+        fgg_typecheck_expr(out.main, {}, {}, Decls(out), types={})
     finally:
         sys.setrecursionlimit(limit)
 
@@ -444,4 +444,19 @@ def test_collision_with_generated_dictionary_name_rejected():
 def test_reserved_field_name_rejected():
     src = "package main\ntype Any interface {}\ntype S struct { dict_0 Any }\nfunc main() { _ = S{S{}} }\n"
     with pytest.raises(dicttrans.TranslationError):
+        translate_program(parse_fgg(src))
+
+
+@pytest.mark.parametrize("where", ["spec", "method"])
+def test_reserved_parameter_name_rejected(where):
+    # a generic spec gains a dictionary parameter named dict_0, which a
+    # source parameter of the same name would duplicate
+    decl = (
+        "type I interface { M[T Any](dict_0 int) int }\n"
+        if where == "spec"
+        else "type S struct {}\nfunc (s S) M(dict_0 int) int { return dict_0 }\n"
+    )
+    src = "package main\ntype Any interface {}\n" + decl + "func main() { _ = 1 }\n"
+    assert fgg_typecheck_program(parse_fgg(src)) == []
+    with pytest.raises(dicttrans.TranslationError, match="parameter name dict_0 is reserved"):
         translate_program(parse_fgg(src))

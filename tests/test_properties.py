@@ -8,7 +8,6 @@ from feathergo.parser import parse_fgg
 from feathergo.reduce import PanicOutcome, Stepped, Value, fg_step, fgg_step, step_count
 from feathergo.typecheck import (
     Decls,
-    fg_typecheck_expr,
     fgg_subtype,
     fgg_typecheck_expr,
 )
@@ -41,7 +40,7 @@ def test_fg_progress_on_translated_runs(path):
     target = Translator(program).translate_program()
     decls = Decls(target)
     e = target.main
-    fg_typecheck_expr(e, {}, decls)
+    fgg_typecheck_expr(e, {}, {}, decls)
     for _ in range(4000):
         out = fg_step(e, decls)
         assert isinstance(out, (Stepped, Value, PanicOutcome)), "stuck on %s" % path.name

@@ -3,9 +3,14 @@ import random
 
 import pytest
 
-from feathergo.parser import parse_fgg
-from feathergo.syntax import TypeApp, TypeParam
+from feathergo import typecheck
+from feathergo.bench import BenchConfig, generate
+from feathergo.dicttrans import translate_program
+from feathergo.erasure import erase_program
+from feathergo.parser import parse_fg, parse_fgg
+from feathergo.syntax import Binop, FieldSel, If, IntLit, Panic, TypeApp, TypeParam, walk
 from feathergo.typecheck import (
+    CheckError,
     Decls,
     fg_subtype,
     fg_typecheck_program,
@@ -189,6 +194,29 @@ def test_methods_of_param_are_bounds_methods(fgg_list):
     assert mset["Gt"].ret == TypeApp("bool")
 
 
+def test_method_sets_are_substituted_once_per_type_and_program(monkeypatch):
+    # every closed type's method set costs one substitution per signature,
+    # once per Decls; a second program with the same type names builds its own
+    subst_calls = []
+    real = typecheck.subst_sig
+    monkeypatch.setattr(typecheck, "subst_sig", lambda *a: subst_calls.append(a) or real(*a))
+    program = load("fgg_list.fgg")
+    closed = {n for n in walk(program) if isinstance(n, TypeApp) and not _mentions_param(n)}
+    want = sum(len(fgg_methods(t, {}, Decls(program))) for t in closed)
+    subst_calls.clear()
+    decls = Decls(program)
+    for _ in range(3):
+        for t in closed:
+            fgg_methods(t, {}, decls)
+    assert len(subst_calls) == want > 0
+    assert set(decls.msets) == closed
+
+    box_int = TypeApp("Box", (TypeApp("int"),))
+    sets = [fgg_methods(box_int, {}, Decls(parse_fgg(src))) for src in (_WITH_M, _WITHOUT_M, _WITH_M)]
+    assert [list(m) for m in sets] == [["M"], ["N"], ["M"]]
+    assert sets[0] is not sets[2]
+
+
 def test_canon_sig_ignores_parameter_names(fgg_list):
     _, decls = fgg_list
     a = fgg_methods(TypeApp("Function", (TypeApp("int"), TypeApp("bool"))), {}, decls)["Apply"]
@@ -211,6 +239,22 @@ def test_cons_literal_has_cons_type(fgg_list):
     src = "package main\nfunc main() { _ = Cons[int]{1, Nil[int]{}} }\n"
     e = parse_fgg("package main\n" + read("fgg_list.fgg").split("package main\n", 1)[1].rsplit("func main", 1)[0] + src.split("package main\n", 1)[1]).main
     assert fgg_typecheck_expr(e, {}, {}, decls) == TypeApp("Cons", (TypeApp("int"),))
+
+
+@pytest.mark.parametrize(
+    "e, rule",
+    [
+        (FieldSel(Panic(), "f"), "t-field"),
+        (Binop("+", Panic(), IntLit(1)), "t-binop"),
+        (If(Panic(), IntLit(1), IntLit(2)), "t-if"),
+    ],
+    ids=["field", "binop", "if"],
+)
+def test_panic_typed_operand_is_a_check_error(fgg_list, e, rule):
+    # such terms arise when r-call inlines a panic body
+    _, decls = fgg_list
+    with pytest.raises(CheckError, match="^%s: .* panic$" % rule):
+        fgg_typecheck_expr(e, {}, {}, decls)
 
 
 def test_variable_lookup_types_as_declared(fgg_list):
@@ -240,7 +284,8 @@ def test_duplicate_struct_declaration_rejected():
 
 
 def test_fg_listing_ok():
-    assert fg_typecheck_program(load("fg_list.fg"), "core") == []
+    for dialect in ("core", "extended"):
+        assert fg_typecheck_program(load("fg_list.fg"), dialect) == []
 
 
 def test_fg_literal_arity_mismatch():
@@ -252,3 +297,76 @@ def test_fg_literal_arity_mismatch():
 @pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)
 def test_whole_corpus_typechecks(path):
     assert fgg_typecheck_program(parse_fgg(path.read_text())) == []
+
+
+# -- fg as the parameter-free fragment of fgg ---------------------------------------
+
+
+_TRANSLATED = [p.name for p in FGG_FILES] + ["%s%d" % (f, n) for f in "abcde" for n in (2, 3)]
+
+
+@pytest.mark.parametrize("name", _TRANSLATED)
+def test_translations_typecheck_as_extended_fg(name):
+    program = generate(BenchConfig(name[0], int(name[1:]))) if name[1:].isdigit() else load(name)
+    assert fg_typecheck_program(translate_program(program), "extended") == []
+    assert fg_typecheck_program(erase_program(program)[0], "extended") == []
+
+
+_FGG_DECLS = (
+    "package main\ntype Any interface {}\n"
+    "type S struct {}\ntype Box[T Any] struct { v T }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "decls, main, rule",
+    [
+        ("", "Box[int]{1}", "t-type: fg declarations take no type formal (Box)"),
+        ("type I interface { M[T Any]() int }\n", "S{}", "t-specification: fg specs take no type formal (M)"),
+        ("func (s S) M[T Any]() int { return 1 }\n", "S{}", "t-func: fg methods take no type parameters (method S.M)"),
+        ("func (b Box[T]) M() int { return 1 }\n", "S{}", "t-func: fg methods take no type parameters (method Box.M)"),
+        ("", "Box[int]{1}", "t-named: Box[int] is not an fg type"),
+        ("func (s S) M[T Any]() int { return 1 }\n", "S{}.M[int]()", "t-call: fg methods take no type arguments (M)"),
+    ],
+    ids=["type-formal", "spec-formal", "method-formal", "receiver-params", "type-args", "call-targs"],
+)
+def test_fg_rejects_what_fgg_adds(decls, main, rule):
+    program = parse_fgg(_FGG_DECLS + decls + "func main() { _ = %s }\n" % main)
+    assert fgg_typecheck_program(program) == []
+    assert rule in [d.message for d in fg_typecheck_program(program, "extended")]
+
+
+def test_core_fg_rejects_each_extended_form():
+    src = (
+        "package main\ntype Any interface {}\ntype S struct {}\n"
+        "func (s S) Run(x int) int { if (x != 0) { return x } else { s.Stop(); panic } }\n"
+        "func (s S) Stop() int { return 0 }\n"
+        "func main() { _ = S{}.Run(1) }\n"
+    )
+    program = parse_fg(src, "extended")
+    assert fg_typecheck_program(program, "extended") == []
+    assert sorted(d.message for d in fg_typecheck_program(program, "core")) == [
+        "t-core: %s is not core fg" % form for form in ("if", "neq", "panic", "seq")
+    ]
+
+
+_FG_DECLS = (
+    "package main\ntype I interface { M() int }\n"
+    "type S struct { n int }\ntype T struct {}\n"
+    "func (t T) Get() I { return t.Get() }\nfunc (t T) M() int { return 1 }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "main, rule",
+    [
+        ("S{true}", "t-literal: field n of S needs int, got bool"),
+        ("S{1}.M()", "t-call: no method M on S"),
+        ("T{}.Get().(S)", "t-assert_S: S does not implement I"),
+    ],
+    ids=["field-type", "missing-method", "assert-S"],
+)
+def test_fg_negatives(main, rule):
+    assert fg_typecheck_program(parse_fg(_FG_DECLS + "func main() { _ = T{}.Get().(T) }\n"), "core") == []
+    diags = fg_typecheck_program(parse_fg(_FG_DECLS + "func main() { _ = %s }\n" % main), "core")
+    assert [d.message for d in diags] == ["main: " + rule]
