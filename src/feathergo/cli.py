@@ -22,11 +22,7 @@ from .parser import ParseError, parse_program
 
 
 def _detect_lang(path: str, lang: str | None, dialect: str) -> str:
-    if lang == "fg":
-        return "fg" if dialect == "core" else "fg-ext"
-    if lang == "fgg":
-        return "fgg"
-    if path.endswith(".fgg"):
+    if lang == "fgg" or (lang is None and path.endswith(".fgg")):
         return "fgg"
     return "fg" if dialect == "core" else "fg-ext"
 
@@ -149,13 +145,7 @@ def cmd_cosim(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lo, _, hi = args.range.partition("..")
-    try:
-        params = range(int(lo), int(hi) + 1)
-    except ValueError:
-        print("error: --range must look like LO..HI", file=sys.stderr)
-        return 2
-    families = {f: params for f in args.family.split(",")}
+    families = {f: args.range for f in args.family.split(",")}
     translators = tuple(args.mode.split(","))
     rows = bench.run_suite(
         families,
@@ -172,6 +162,27 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(text)
     return 1 if any(r.error for r in rows) else 0
+
+
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, n))
+        return n
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
+def _param_range(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must look like LO..HI, got %r" % text) from None
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -194,7 +205,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program")
     common(p)
-    p.add_argument("--max-steps", type=int, default=reduce.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_at_least(0), default=reduce.DEFAULT_MAX_STEPS)
     p.add_argument("--trace", action="store_true", help="one line per step on stderr")
     p.set_defaults(fn=cmd_run)
 
@@ -209,24 +220,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cosim", help="check operational correspondence fgg vs dict-translated fg")
     common(p)
-    p.add_argument("--steps", type=int, default=500, help="source step budget")
+    p.add_argument("--steps", type=_at_least(1), default=500, help="source step budget")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_cosim)
 
     p = sub.add_parser("bench", help="generate benchmark families and collect metrics")
     p.add_argument("--family", default="a,b,c,d,e", help="comma-separated families")
-    p.add_argument("--range", required=True, help="parameter sweep LO..HI")
+    p.add_argument("--range", type=_param_range, required=True, help="parameter sweep LO..HI")
     p.add_argument("--mode", default="dict,erasure", help="comma-separated translators")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--iterations", type=int, default=1)
+    p.add_argument("--iterations", type=_at_least(1), default=1)
     p.add_argument("--no-run", action="store_true", help="skip interpreter step counts")
-    p.add_argument("--max-steps", type=int, default=10**6)
+    p.add_argument("--max-steps", type=_at_least(0), default=10**6)
     p.set_defaults(fn=cmd_bench)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    ap = build_arg_parser()
+    args = ap.parse_args(argv)  # a usage error exits 2
+    if args.command == "bench":
+        try:  # the benchmark's own rules for family names and parameters
+            for family in args.family.split(","):
+                bench.BenchConfig(family, args.range.start, args.iterations)
+        except ValueError as ex:
+            ap.error("bench: %s" % ex)
     try:
         return args.fn(args)
     except SystemExit as ex:

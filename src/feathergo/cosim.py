@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dicttrans import TransInfo, Translator
+from .dicttrans import RESERVED_NAME, TransInfo, Translator
 from .reduce import (
     PanicOutcome,
     Stuck,
@@ -43,6 +43,7 @@ from .syntax import (
     StructLit,
     TypeApp,
     TypeAssert,
+    plug,
     rebuild,
     show_expr,
     subexprs,
@@ -55,15 +56,6 @@ class NormalizeOverflow(Exception):
 
 # ---------------------------------------------------------------------------
 # Redex classification
-
-
-def _is_reserved_field(name: str) -> bool:
-    if name == "_type":
-        return True
-    for prefix in ("_type_", "dict_"):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return True
-    return False
 
 
 def classify(redex: Expr, info: TransInfo) -> str:
@@ -92,7 +84,7 @@ def classify(redex: Expr, info: TransInfo) -> str:
             return "dict"
         if isinstance(redex.recv, StructLit) and redex.recv.type.name in info.dict_structs:
             return "dict"
-        if _is_reserved_field(redex.fieldname):
+        if RESERVED_NAME.fullmatch(redex.fieldname):
             return "dict"
         return "ordinary"
     if isinstance(redex, MethodCall):
@@ -124,7 +116,7 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
     side table of closed subterm types (see ``fgg_typecheck_expr``).
     """
     if isinstance(e, FieldSel) and isinstance(e.recv, StructLit) and is_value(e.recv):
-        dicty = e.recv.type.name in info.dict_structs or _is_reserved_field(e.fieldname)
+        dicty = e.recv.type.name in info.dict_structs or RESERVED_NAME.fullmatch(e.fieldname)
         if dicty:
             d = decls.structs.get(e.recv.type.name)
             if d is not None:
@@ -183,15 +175,13 @@ def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo, types=None) -> 
 def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=None) -> Expr:
     spine = []
     for i in path:
-        spine.append((e, i))
-        e = subexprs(e)[i]
+        kids = subexprs(e)
+        spine.append((e, kids, i))
+        e = kids[i]
     out = _dict_contract(e, decls, info, types)
     if out is None:
         raise ValueError("no dictionary-resolution redex at path")
-    for parent, i in reversed(spine):
-        kids = subexprs(parent)
-        out = rebuild(parent, kids[:i] + (out,) + kids[i + 1:])
-    return out
+    return plug(spine, out)
 
 
 def settle(e: Expr, decls: Decls) -> Expr:

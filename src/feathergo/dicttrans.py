@@ -134,7 +134,8 @@ def param_index_name(i: int) -> str:
 
 TYPE_MDATA = "_type_mdata"
 
-_RESERVED_FIELD = re.compile(r"^(dict_\d+|_type(_\d+)?)$")
+# generated field and parameter names (ASCII digits only), reserved in source
+RESERVED_NAME = re.compile(r"dict_[0-9]+|_type(_[0-9]+)?")
 
 
 def arity(sig: MethodSig) -> int:
@@ -235,7 +236,7 @@ class Translator:
         for d in self.program.decls:
             if isinstance(d, StructDecl):
                 for f in d.fields:
-                    if _RESERVED_FIELD.match(f.name):
+                    if RESERVED_NAME.fullmatch(f.name):
                         raise TranslationError("source field name %s is reserved" % f.name)
                 continue
             # a method declaration, or each specification of an interface
@@ -243,7 +244,7 @@ class Translator:
                 if m.name.startswith("spec_") or m.name in ("tryCast", "_type"):
                     raise TranslationError("source method name %s collides with generated names" % m.name)
                 for p in m.sig.params:
-                    if _RESERVED_FIELD.match(p.name):
+                    if RESERVED_NAME.fullmatch(p.name):
                         raise TranslationError("source parameter name %s is reserved" % p.name)
 
     def _note(self, name: str, kind: str, source: str) -> None:

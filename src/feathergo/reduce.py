@@ -1,8 +1,13 @@
 """Small-step call-by-value interpreters for FG(-extended) and FGG.
 
-Evaluation is deterministic: the evaluation context decomposes a term at the
-leftmost non-value position. The stepper holds no global state; distinct
-runs are independent.
+Evaluation is deterministic, and one rule gives every evaluation context: a
+term's strict subexpressions are all of ``syntax.subexprs`` (a call's
+receiver before its arguments), except that ``if`` and sequencing have only
+their first, and the context descends into the leftmost strict
+subexpression that is not a value. Where all of them are values, the term
+contracts in place. The decomposition is a loop over an explicit spine, so
+term depth is not bounded by the recursion limit. The stepper holds no
+global state; distinct runs are independent.
 
 Outcomes:
 
@@ -36,6 +41,7 @@ from .syntax import (
     TypeApp,
     TypeAssert,
     Var,
+    plug,
     print_expr,
     print_type,
     rebuild,
@@ -108,33 +114,26 @@ def instantiate_body(m, recv: Expr, args, targs) -> Expr:
     return subst_expr(m.body, varmap, typemap)
 
 
-def _assert_panic(v: Expr, target: Type) -> PanicOutcome:
-    return PanicOutcome(
-        vtype(v),
-        target,
-        "Unable to assert %s as type %s" % (print_type(vtype(v)), print_type(target)),
-    )
+_BINOPS = {
+    "<": lambda a, b: BoolLit(a < b),
+    ">": lambda a, b: BoolLit(a > b),
+    "+": lambda a, b: IntLit(a + b),
+    "-": lambda a, b: IntLit(a - b),
+}
 
 
-def _step(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
-    if is_value(e):
-        return Value(e)
+def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
+    """Head contraction of ``e``, whose strict subexpressions are values."""
+    t = type(e)
+    if t is MethodCall:
+        m = decls.methods.get((vtype(e.recv).name, e.name))
+        if m is None:
+            return Stuck("no method %s on %s" % (e.name, print_type(vtype(e.recv))))
+        if len(m.sig.params) != len(e.args):
+            return Stuck("arity mismatch calling %s" % e.name)
+        return Stepped(instantiate_body(m, e.recv, e.args, e.targs), "r-call", e)
 
-    def ctx(inner: Expr, rebuild) -> StepOutcome:
-        out = _step(inner, decls, generic)
-        if isinstance(out, Stepped):
-            return Stepped(rebuild(out.expr), out.rule, out.redex)
-        return out  # panic / stuck propagate; Value impossible here
-
-    if isinstance(e, StructLit):
-        for i, a in enumerate(e.args):
-            if not is_value(a):
-                return ctx(a, lambda a2, i=i: StructLit(e.type, e.args[:i] + (a2,) + e.args[i + 1:]))
-        raise AssertionError("unreachable: value literal")
-
-    if isinstance(e, FieldSel):
-        if not is_value(e.recv):
-            return ctx(e.recv, lambda r: FieldSel(r, e.fieldname, origin=e.origin))
+    if t is FieldSel:
         v = e.recv
         if not isinstance(v, StructLit):
             return Stuck("field select on %s" % print_expr(v))
@@ -146,25 +145,7 @@ def _step(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
                 return Stepped(v.args[i], "r-fields", e)
         return Stuck("no field %s on %s" % (e.fieldname, v.type.name))
 
-    if isinstance(e, MethodCall):
-        if not is_value(e.recv):
-            return ctx(e.recv, lambda r: MethodCall(r, e.name, e.targs, e.args, origin=e.origin))
-        for i, a in enumerate(e.args):
-            if not is_value(a):
-                return ctx(
-                    a,
-                    lambda a2, i=i: MethodCall(e.recv, e.name, e.targs, e.args[:i] + (a2,) + e.args[i + 1:], origin=e.origin),
-                )
-        m = decls.methods.get((vtype(e.recv).name, e.name))
-        if m is None:
-            return Stuck("no method %s on %s" % (e.name, print_type(vtype(e.recv))))
-        if len(m.sig.params) != len(e.args):
-            return Stuck("arity mismatch calling %s" % e.name)
-        return Stepped(instantiate_body(m, e.recv, e.args, e.targs), "r-call", e)
-
-    if isinstance(e, TypeAssert):
-        if not is_value(e.recv):
-            return ctx(e.recv, lambda r: TypeAssert(r, e.type, origin=e.origin))
+    if t is TypeAssert:
         v = e.recv
         if generic:
             ok = fgg_subtype(vtype(v), e.type, {}, decls)
@@ -172,52 +153,53 @@ def _step(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
             ok = isinstance(e.type, TypeApp) and fg_subtype(vtype(v).name, e.type.name, decls)
         if ok:
             return Stepped(v, "r-assert", e)
-        return _assert_panic(v, e.type)
+        msg = "Unable to assert %s as type %s" % (print_type(vtype(v)), print_type(e.type))
+        return PanicOutcome(vtype(v), e.type, msg)
 
-    if isinstance(e, Binop):
-        if not is_value(e.left):
-            return ctx(e.left, lambda l: Binop(e.op, l, e.right))
-        if not is_value(e.right):
-            return ctx(e.right, lambda r: Binop(e.op, e.left, r))
+    if t is Binop:
         if not (isinstance(e.left, IntLit) and isinstance(e.right, IntLit)):
             return Stuck("binop %s on non-int values" % e.op)
-        a, b = e.left.value, e.right.value
-        res: Expr
-        if e.op == "<":
-            res = BoolLit(a < b)
-        elif e.op == ">":
-            res = BoolLit(a > b)
-        elif e.op == "+":
-            res = IntLit(a + b)
-        else:
-            res = IntLit(a - b)
-        return Stepped(res, "r-ext-binop", e)
+        return Stepped(_BINOPS[e.op](e.left.value, e.right.value), "r-ext-binop", e)
 
-    if isinstance(e, Neq):
-        if not is_value(e.left):
-            return ctx(e.left, lambda l: Neq(l, e.right, origin=e.origin))
-        if not is_value(e.right):
-            return ctx(e.right, lambda r: Neq(e.left, r, origin=e.origin))
+    if t is Neq:
         return Stepped(BoolLit(e.left != e.right), "r-ext-neq", e)
 
-    if isinstance(e, If):
-        if not is_value(e.cond):
-            return ctx(e.cond, lambda c: If(c, e.then, e.els, origin=e.origin))
+    if t is If:
         if not isinstance(e.cond, BoolLit):
             return Stuck("if condition is not a bool")
         return Stepped(e.then if e.cond.value else e.els, "r-ext-if", e)
 
-    if isinstance(e, Seq):
-        if not is_value(e.first):
-            return ctx(e.first, lambda f: Seq(f, e.rest, origin=e.origin))
+    if t is Seq:
         return Stepped(e.rest, "r-ext-seq", e)
 
-    if isinstance(e, Panic):
+    if t is Panic:
         return PanicOutcome(None, None, "panic")
 
-    if isinstance(e, Var):
-        return Stuck("free variable %s" % e.name)
-    return Stuck("no rule for %r" % type(e).__name__)
+    if t is StructLit or t is IntLit or t is BoolLit:
+        return Value(e)  # only at the root: the loop never descends into a value
+
+    return Stuck("free variable %s" % e.name)  # subexprs rejects any class but Var here
+
+
+def _step(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
+    # Decompose e into an evaluation context (the spine of (node, kids, i):
+    # the hole is kids[i] of node) and a subterm whose strict subexpressions
+    # are values, contract that subterm, and plug the result back in.
+    spine = []
+    while True:
+        kids = subexprs(e)
+        n = 1 if type(e) is If or type(e) is Seq else len(kids)
+        for i in range(n):
+            if not is_value(kids[i]):
+                spine.append((e, kids, i))
+                e = kids[i]
+                break
+        else:
+            break
+    out = _contract(e, decls, generic)
+    if not spine or type(out) is not Stepped:
+        return out
+    return Stepped(plug(spine, out.expr), out.rule, out.redex)
 
 
 def fg_step(e: Expr, decls: Decls) -> StepOutcome:

@@ -452,6 +452,14 @@ def rebuild(e: Expr, kids, ft=None) -> Expr:
     raise TypeError("not an expression: %r" % t.__name__)
 
 
+def plug(spine, e: Expr) -> Expr:
+    """Fill a context's hole with ``e``: ``spine`` lists ``(node, subexprs(node),
+    i)`` from the root down, the hole being subexpression ``i`` of the last."""
+    for node, kids, i in reversed(spine):
+        e = rebuild(node, kids[:i] + (e,) + kids[i + 1:])
+    return e
+
+
 # every node class -> its fields that may hold nodes, last field first (origin
 # tags and names, numbers and flags are not nodes)
 _NODE_FIELDS = {

@@ -128,9 +128,23 @@ def test_bench_csv(capsys, tmp_path):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as ei:
-        main(["translate", corpus_path("gtfunc.fgg"), "--mode", "bogus"])
-    assert ei.value.code == 2
+    gtfunc = corpus_path("gtfunc.fgg")
+    for argv in (
+        ["translate", gtfunc, "--mode", "bogus"],
+        ["bench", "--family", "z", "--range", "2..3"],
+        ["bench", "--family", "a", "--range", "0..1"],  # family a needs a parameter >= 2
+        ["bench", "--family", "a", "--range", "2..3", "--iterations", "0"],
+        ["bench", "--family", "a", "--range", "2-3"],
+        ["run", gtfunc, "--max-steps", "-5"],
+        ["cosim", gtfunc, "--steps", "-1"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("feathergo"), argv
+        assert ": error: " in err.splitlines()[-1], argv
 
 
 def test_unknown_flag_exit_code(capsys):

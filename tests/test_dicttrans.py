@@ -447,6 +447,26 @@ def test_reserved_field_name_rejected():
         translate_program(parse_fgg(src))
 
 
+@pytest.mark.parametrize(
+    "name, reserved",
+    [("dict_0", True), ("_type", True), ("_type_12", True), ("dict_²", False), ("dict_٣", False), ("dict_", False)],
+)
+def test_reserved_names_have_one_definition(name, reserved):
+    # the translator's collision check and cosim's redex classification use
+    # the same definition; generated names are numbered with ASCII digits, so
+    # dict_² (an identifier, as "²".isalnum()) is an ordinary source name
+    from feathergo.cosim import classify
+
+    src = "package main\ntype S struct { %s int }\nfunc main() { _ = S{1}.%s }\n" % (name, name)
+    _, info = translate_with_info(load("gtfunc.fgg"))
+    assert classify(FieldSel(Var("x"), name), info) == ("dict" if reserved else "ordinary")
+    if reserved:
+        with pytest.raises(dicttrans.TranslationError, match="field name %s is reserved" % name):
+            translate_program(parse_fgg(src))
+    else:
+        assert run(translate_program(parse_fgg(src)), lang="fg").value == run(parse_fgg(src)).value
+
+
 @pytest.mark.parametrize("where", ["spec", "method"])
 def test_reserved_parameter_name_rejected(where):
     # a generic spec gains a dictionary parameter named dict_0, which a

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from feathergo.parser import parse_fgg
+from feathergo.dicttrans import translate_program
+from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import (
     PanicOutcome,
     Stepped,
@@ -177,6 +180,18 @@ def can_contract(e, decls, generic) -> bool:
     return isinstance(e, Panic)
 
 
+def replace_at(e, path, new):
+    """``e`` with the subterm at ``path`` (as built by evaluation_positions)
+    replaced by ``new``; every other field, origin tags included, is kept."""
+    if not path:
+        return new
+    (name, i), rest = path[0], path[1:]
+    if i is None:
+        return dataclasses.replace(e, **{name: replace_at(getattr(e, name), rest, new)})
+    kids = getattr(e, name)
+    return dataclasses.replace(e, **{name: kids[:i] + (replace_at(kids[i], rest, new),) + kids[i + 1:]})
+
+
 def assert_unique_decomposition(e, decls, generic=True):
     redexes = [(p, s) for p, s in evaluation_positions(e) if can_contract(s, decls, generic)]
     assert len(redexes) <= 1, "multiple evaluation redexes: %r" % (redexes,)
@@ -185,19 +200,57 @@ def assert_unique_decomposition(e, decls, generic=True):
     if redexes:
         assert isinstance(out, (Stepped, PanicOutcome))
         if isinstance(out, Stepped):
-            assert out.redex == redexes[0][1]
+            path, redex = redexes[0]
+            assert out.redex == redex
+            # the plug-back: the redex stepped on its own, put back at its path
+            alone = step(redex, decls)
+            assert isinstance(alone, Stepped) and alone.rule == out.rule
+            # repr shows origin tags, which equality ignores
+            assert repr(out.expr) == repr(replace_at(e, path, alone.expr))
     else:
         assert isinstance(out, Value) or not is_value(e)
 
 
-@pytest.mark.parametrize("path", TERMINATING, ids=lambda p: p.name)
-def test_determinism_along_corpus_runs(path):
+@pytest.mark.parametrize(
+    "path, generic",
+    [(p, True) for p in TERMINATING] + [(p, False) for p in TERMINATING],
+    ids=[p.name for p in TERMINATING] + ["dict-" + p.name for p in TERMINATING],
+)
+def test_determinism_along_corpus_runs(path, generic):
+    # the source under the FGG stepper, and its dictionary translation (which
+    # carries origin tags) under the FG stepper
     program = parse_fgg(path.read_text())
+    if not generic:
+        program = translate_program(program)
     decls = Decls(program)
+    step = fgg_step if generic else fg_step
     e = program.main
     for _ in range(10_000):
-        assert_unique_decomposition(e, decls)
-        out = fgg_step(e, decls)
+        assert_unique_decomposition(e, decls, generic)
+        out = step(e, decls)
         if not isinstance(out, Stepped):
             break
         e = out.expr
+
+
+# -- deep terms: the decomposition is a loop ----------------------------------------
+
+
+def test_deep_receiver_chain_runs(default_recursion_limit):
+    depth = 1500
+    program = parse_fgg(
+        "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
+        "func (b Box[T]) Id() Box[T] { return b }\n"
+        "func main() { _ = Box[int]{1}" + ".Id()" * depth + " }\n"
+    )
+    res = run(program, lang="fgg")
+    assert res.kind == "value" and res.steps == depth
+    assert res.value == StructLit(TypeApp("Box", (TypeApp("int"),)), (IntLit(1),))
+
+
+def test_deep_binop_chain_runs(default_recursion_limit):
+    terms = 3000
+    program = parse_fg("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * terms))
+    res = run(program, lang="fg")
+    assert res.kind == "value" and res.steps == terms - 1
+    assert res.value == IntLit(terms)
