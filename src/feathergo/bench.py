@@ -216,16 +216,20 @@ def _chain_family_e(m: int) -> list:
 # Metrics sweep
 
 
+def check_translator(translator: str) -> None:
+    if translator not in ("dict", "erasure"):
+        raise ValueError("unknown translator %r" % translator)
+
+
 def measure(config: BenchConfig, translator: str, run_steps: bool = True, max_steps: int = 10**6) -> MetricsRow:
     program = generate(config)
     try:
         t0 = time.perf_counter()
+        check_translator(translator)
         if translator == "dict":
             out = dicttrans.translate_program(program)
-        elif translator == "erasure":
-            out, _ = erasure.erase_program(program)
         else:
-            raise ValueError("unknown translator %r" % translator)
+            out, _ = erasure.erase_program(program)
         millis = (time.perf_counter() - t0) * 1000.0
         steps = None
         if run_steps:

@@ -240,9 +240,11 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)  # a usage error exits 2
     if args.command == "bench":
-        try:  # the benchmark's own rules for family names and parameters
+        try:  # the benchmark's own rules for family names, parameters and modes
             for family in args.family.split(","):
                 bench.BenchConfig(family, args.range.start, args.iterations)
+            for mode in args.mode.split(","):
+                bench.check_translator(mode)
         except ValueError as ex:
             ap.error("bench: %s" % ex)
     try:

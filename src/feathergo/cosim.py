@@ -43,6 +43,7 @@ from .syntax import (
     StructLit,
     TypeApp,
     TypeAssert,
+    fold,
     plug,
     rebuild,
     show_expr,
@@ -161,14 +162,18 @@ def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo, types=None) -> 
     preorder. A path is a tuple of indices into ``subexprs``, one per level
     from the root down."""
     out = []
-    stack = [(e, ())]
+    stack = [(e, None)]  # (node, its position: None at the root, else (parent's position, index))
     while stack:
-        node, path = stack.pop()
+        node, pos = stack.pop()
         if _dict_contract(node, decls, info, types) is not None:
-            out.append(path)
+            path, up = [], pos
+            while up is not None:
+                up, i = up
+                path.append(i)
+            out.append(tuple(reversed(path)))
         kids = subexprs(node)
         for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], path + (i,)))
+            stack.append((kids[i], (pos, i)))
     return out
 
 
@@ -192,18 +197,24 @@ def settle(e: Expr, decls: Decls) -> Expr:
     by exactly these asserts (the target consumes them as soon as they are
     the next standard redex, a fresh translation re-inserts them), so state
     comparison runs on settled forms. Only succeeding asserts are
-    discharged: a failing one stays put and surfaces as a divergence.
+    discharged: a failing one stays put and surfaces as a divergence. A
+    term with nothing to discharge comes back as the same object.
     """
-    e = rebuild(e, [settle(k, decls) for k in subexprs(e)])
-    while (
-        isinstance(e, TypeAssert)
-        and e.origin == "erase"
-        and is_value(e.recv)
-        and isinstance(e.type, TypeApp)
-        and fg_subtype(vtype(e.recv).name, e.type.name, decls)
-    ):
-        e = e.recv
-    return e
+
+    def settled(e, kids):
+        if kids and any(k is not s for k, s in zip(kids, subexprs(e))):
+            e = rebuild(e, kids)
+        while (
+            isinstance(e, TypeAssert)
+            and e.origin == "erase"
+            and is_value(e.recv)
+            and isinstance(e.type, TypeApp)
+            and fg_subtype(vtype(e.recv).name, e.type.name, decls)
+        ):
+            e = e.recv
+        return e
+
+    return fold(e, settled)
 
 
 DEFAULT_NORMALIZE_BOUND = 10_000

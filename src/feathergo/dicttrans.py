@@ -49,6 +49,7 @@ from .syntax import (
     TypeAssert,
     TypeParam,
     Var,
+    fold,
     print_type,
     walk,
 )
@@ -379,54 +380,48 @@ class Translator:
                 return te
             return TypeAssert(te, TypeApp(want), origin="erase")
 
-        if isinstance(e, Var):
-            return Var(e.name), ctx.fg_types.get(e.name)
-        if isinstance(e, IntLit):
-            return e, "int"
-        if isinstance(e, BoolLit):
-            return e, "bool"
-        if isinstance(e, StructLit):
-            args = tuple(self.translate_expr(a, ctx)[0] for a in e.args)
-            d = self.decls.structs[e.type.name]
-            dicts = tuple(self.make_dict(e.type.args, d.formal, ctx))
-            return StructLit(TypeApp(e.type.name), args + dicts), e.type.name
-        if isinstance(e, FieldSel):
-            recv_t = self.typeof(e.recv, ctx)
-            te, fgname = self.translate_expr(e.recv, ctx)
-            return FieldSel(asserted(te, fgname, recv_t.name), e.fieldname), None
-        if isinstance(e, TypeAssert):
-            te, _ = self.translate_expr(e.recv, ctx)
-            zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
-            rep = self.typemeta(e.type, zeta)
-            return MethodCall(rep, "tryCast", (), (te,)), None
-        if isinstance(e, MethodCall):
-            recv_t = self.typeof(e.recv, ctx)
-            te, fgname = self.translate_expr(e.recv, ctx)
-            args = tuple(self.translate_expr(a, ctx)[0] for a in e.args)
-            spec = fgg_methods(recv_t, ctx.delta, self.decls)[e.name]
-            dicts = tuple(self.make_dict(e.targs, spec.tformal, ctx))
-            if isinstance(recv_t, TypeParam):
-                # d-dictcall: resolve through the parameter's dictionary
-                target = FieldSel(ctx.eta[recv_t.name], e.name, origin="dict")
-                return MethodCall(target, "Apply", (), (te,) + dicts + args, origin="dict"), None
-            base = asserted(te, fgname, recv_t.name)
-            return MethodCall(base, e.name, (), dicts + args), None
-        if isinstance(e, Binop):
-            # operands are asserted unconditionally so that translating a
-            # term commutes with substitution (lockstep relies on it)
-            tl = TypeAssert(self.translate_expr(e.left, ctx)[0], TypeApp("int"), origin="erase")
-            tr = TypeAssert(self.translate_expr(e.right, ctx)[0], TypeApp("int"), origin="erase")
-            return Binop(e.op, tl, tr), ("bool" if e.op in ("<", ">") else "int")
-        if isinstance(e, If):
-            tc = TypeAssert(self.translate_expr(e.cond, ctx)[0], TypeApp("bool"), origin="erase")
-            tt, _ = self.translate_expr(e.then, ctx)
-            te2, _ = self.translate_expr(e.els, ctx)
-            return If(tc, tt, te2), None
-        if isinstance(e, Seq):
-            tf, _ = self.translate_expr(e.first, ctx)
-            tr, nr = self.translate_expr(e.rest, ctx)
-            return Seq(tf, tr), nr
-        raise TranslationError("cannot translate %r" % type(e).__name__)
+        def translated(e, kids):
+            # kids: the (translated expression, fg type name) of each subexpression
+            t = type(e)
+            if t is Var:
+                return Var(e.name), ctx.fg_types.get(e.name)
+            if t is IntLit:
+                return e, "int"
+            if t is BoolLit:
+                return e, "bool"
+            if t is StructLit:
+                d = self.decls.structs[e.type.name]
+                dicts = tuple(self.make_dict(e.type.args, d.formal, ctx))
+                return StructLit(TypeApp(e.type.name), tuple(k[0] for k in kids) + dicts), e.type.name
+            if t is FieldSel:
+                return FieldSel(asserted(*kids[0], self.typeof(e.recv, ctx).name), e.fieldname), None
+            if t is TypeAssert:
+                zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
+                rep = self.typemeta(e.type, zeta)
+                return MethodCall(rep, "tryCast", (), (kids[0][0],)), None
+            if t is MethodCall:
+                recv_t = self.typeof(e.recv, ctx)
+                args = tuple(k[0] for k in kids[1:])
+                spec = fgg_methods(recv_t, ctx.delta, self.decls)[e.name]
+                dicts = tuple(self.make_dict(e.targs, spec.tformal, ctx))
+                if isinstance(recv_t, TypeParam):
+                    # d-dictcall: resolve through the parameter's dictionary
+                    target = FieldSel(ctx.eta[recv_t.name], e.name, origin="dict")
+                    return MethodCall(target, "Apply", (), (kids[0][0],) + dicts + args, origin="dict"), None
+                return MethodCall(asserted(*kids[0], recv_t.name), e.name, (), dicts + args), None
+            if t is Binop:
+                # operands are asserted unconditionally so that translating a
+                # term commutes with substitution (lockstep relies on it)
+                tl, tr = (TypeAssert(k[0], TypeApp("int"), origin="erase") for k in kids)
+                return Binop(e.op, tl, tr), ("bool" if e.op in ("<", ">") else "int")
+            if t is If:
+                tc = TypeAssert(kids[0][0], TypeApp("bool"), origin="erase")
+                return If(tc, kids[1][0], kids[2][0]), None
+            if t is Seq:
+                return Seq(kids[0][0], kids[1][0]), kids[1][1]
+            raise TranslationError("cannot translate %r" % t.__name__)
+
+        return fold(e, translated)
 
     def translate_closed_expr(self, e: Expr) -> Expr:
         """Translate a closed (runtime) expression under empty environments."""

@@ -33,6 +33,7 @@ from .syntax import (
     TypeAssert,
     TypeParam,
     Var,
+    fold,
     walk,
 )
 from .typecheck import (
@@ -59,14 +60,9 @@ class _Eraser:
         self.decls = Decls(program)
         self.warnings: list = []
 
-    def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict, types=None):
-        """Returns (erased expression, concrete fg type name or None).
-        ``types`` is the type side table shared by one root's subterms."""
-        if types is None:
-            types = {}
-
-        def rec(e):
-            return self.erase_expr(e, delta, gamma, fg_types, types)
+    def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):
+        """Returns (erased expression, concrete fg type name or None)."""
+        types: dict = {}  # the type side table shared by the root's subterms
 
         def typeof(e) -> Type:
             return fgg_typecheck_expr(e, delta, gamma, self.decls, types=types)
@@ -76,46 +72,35 @@ class _Eraser:
                 return te
             return TypeAssert(te, TypeApp(want))
 
-        if isinstance(e, Var):
-            return Var(e.name), fg_types.get(e.name)
-        if isinstance(e, (IntLit, BoolLit)):
-            return e, ("int" if isinstance(e, IntLit) else "bool")
-        if isinstance(e, StructLit):
-            return StructLit(TypeApp(e.type.name), tuple(rec(a)[0] for a in e.args)), e.type.name
-        if isinstance(e, FieldSel):
-            recv_t = typeof(e.recv)
-            te, fgname = rec(e.recv)
-            return FieldSel(asserted(te, fgname, recv_t.name), e.fieldname), None
-        if isinstance(e, MethodCall):
-            recv_t = typeof(e.recv)
-            te, fgname = rec(e.recv)
-            args = tuple(rec(a)[0] for a in e.args)
-            if isinstance(recv_t, TypeParam):
-                bound = fgg_bounds_of(recv_t, delta)
-                return MethodCall(asserted(te, fgname, bound.name), e.name, (), args), None
-            return MethodCall(asserted(te, fgname, recv_t.name), e.name, (), args), None
-        if isinstance(e, TypeAssert):
-            te, _ = rec(e.recv)
-            if isinstance(e.type, TypeParam):
-                target = fgg_bounds_of(e.type, delta).name
-            else:
-                target = e.type.name
-            return TypeAssert(te, TypeApp(target)), None
-        if isinstance(e, Binop):
-            tl, nl = rec(e.left)
-            tr, nr = rec(e.right)
-            tl = tl if nl == "int" else TypeAssert(tl, TypeApp("int"))
-            tr = tr if nr == "int" else TypeAssert(tr, TypeApp("int"))
-            return Binop(e.op, tl, tr), ("bool" if e.op in ("<", ">") else "int")
-        if isinstance(e, If):
-            tc, nc = rec(e.cond)
-            tc = tc if nc == "bool" else TypeAssert(tc, TypeApp("bool"))
-            return If(tc, rec(e.then)[0], rec(e.els)[0]), None
-        if isinstance(e, Seq):
-            tf, _ = rec(e.first)
-            tr, nr = rec(e.rest)
-            return Seq(tf, tr), nr
-        raise ErasureError("cannot erase %r" % type(e).__name__)
+        def erased(e, kids):
+            # kids: the (erased expression, fg type name) of each subexpression
+            t = type(e)
+            if t is Var:
+                return Var(e.name), fg_types.get(e.name)
+            if t is IntLit or t is BoolLit:
+                return e, ("int" if t is IntLit else "bool")
+            if t is StructLit:
+                return StructLit(TypeApp(e.type.name), tuple(k[0] for k in kids)), e.type.name
+            if t is FieldSel:
+                return FieldSel(asserted(*kids[0], typeof(e.recv).name), e.fieldname), None
+            if t is MethodCall:
+                recv_t = fgg_bounds_of(typeof(e.recv), delta)
+                args = tuple(k[0] for k in kids[1:])
+                return MethodCall(asserted(*kids[0], recv_t.name), e.name, (), args), None
+            if t is TypeAssert:
+                return TypeAssert(kids[0][0], TypeApp(fgg_bounds_of(e.type, delta).name)), None
+            if t is Binop:
+                tl, tr = (te if n == "int" else TypeAssert(te, TypeApp("int")) for te, n in kids)
+                return Binop(e.op, tl, tr), ("bool" if e.op in ("<", ">") else "int")
+            if t is If:
+                tc, nc = kids[0]
+                tc = tc if nc == "bool" else TypeAssert(tc, TypeApp("bool"))
+                return If(tc, kids[1][0], kids[2][0]), None
+            if t is Seq:
+                return Seq(kids[0][0], kids[1][0]), kids[1][1]
+            raise ErasureError("cannot erase %r" % t.__name__)
+
+        return fold(e, erased)
 
     def erase_decl(self, d):
         if isinstance(d, StructDecl):
@@ -162,6 +147,4 @@ def erase_program(program: Program):
 def erase_value(v: Expr) -> Expr:
     """The value-level erasure: drop type actuals recursively. Used to state
     value preservation for the erasure translation."""
-    if isinstance(v, StructLit):
-        return StructLit(TypeApp(v.type.name), tuple(erase_value(a) for a in v.args))
-    return v
+    return fold(v, lambda n, kids: StructLit(TypeApp(n.type.name), tuple(kids)) if type(n) is StructLit else n)

@@ -16,6 +16,7 @@ are ordinary identifier characters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .syntax import (
     Binop,
@@ -79,6 +80,9 @@ PUNCT = ("!=", "{", "}", "(", ")", "[", "]", ".", ",", ";", "=", "<", ">", "+", 
 # A newline terminates a statement when the previous token could end one.
 _ASI_AFTER_KIND = {"ident", "int"}
 _ASI_AFTER_TEXT = {")", "}", "]", "true", "false", "panic"}
+
+# binary operator -> precedence level; all associate to the left
+_OP_LEVEL = {"!=": 1, "<": 2, ">": 2, "+": 3, "-": 3}
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,15 @@ def tokenize(source: str) -> list:
         toks.append(Tok("punct", ";", line, col))
     toks.append(Tok("eof", "", line, col))
     return toks
+
+
+def _close_ops(pending, level: int, e):
+    """Apply the operators on top of ``pending`` whose level is at least
+    ``level``, ``e`` being the right operand of the innermost one."""
+    while pending and type(pending[-1]) is tuple and pending[-1][0] >= level:
+        _, op, left = pending.pop()
+        e = Neq(left, e) if op == "!=" else Binop(op, left, e)
+    return e
 
 
 class _Parser:
@@ -282,131 +295,141 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self, scope: frozenset, prec: int = 0):
-        left = self.parse_primary(scope)
+    def parse_expr(self, scope: frozenset):
+        """Primaries with their suffixes, joined by binary operators. What
+        still waits for an expression is kept on ``pending``, innermost last,
+        so nesting depth is not bounded by the recursion limit: an argument
+        list or parenthesis ``[closing, make, items]``, or an operator
+        ``(level, op, left)`` waiting for its right operand."""
+        pending = []
         while True:
             t = self.peek()
-            if t.kind != "punct":
-                return left
-            if t.text == "!=" and prec <= 1:
-                self.require_fg_ext("struct inequality")
+            if t.text == "(":
                 self.next()
-                right = self.parse_expr(scope, 2)
-                left = Neq(left, right)
-            elif t.text in ("<", ">") and prec <= 2:
-                self.next()
-                right = self.parse_expr(scope, 3)
-                left = Binop(t.text, left, right)
-            elif t.text in ("+", "-") and prec <= 3:
-                self.next()
-                right = self.parse_expr(scope, 4)
-                left = Binop(t.text, left, right)
-            else:
-                return left
-
-    def parse_primary(self, scope: frozenset):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            e = IntLit(int(t.text))
-        elif t.text == "true" or t.text == "false":
-            self.next()
-            e = BoolLit(t.text == "true")
-        elif t.text == "(":
-            self.next()
-            e = self.parse_expr(scope)
-            self.expect(")")
-        elif t.kind == "ident":
-            self.next()
-            if self.at("[") or self.at("{"):
-                args: tuple = ()
-                if self.at("["):
-                    if not self.generic:
-                        self.fail("type arguments require the fgg dialect")
-                    args = tuple(self.parse_type_list(scope))
-                typ = TypeApp(t.text, args)
-                self.expect("{")
-                e = StructLit(typ, tuple(self.parse_args(scope, "}")))
-            else:
-                e = Var(t.text)
-        else:
-            self.fail("expected expression, found %r" % (t.text or "end of input"), t)
-        return self.parse_suffixes(e, scope)
-
-    def parse_args(self, scope: frozenset, closing: str) -> list:
-        out = []
-        if not self.at(closing):
-            out.append(self.parse_expr(scope))
-            while self.accept(","):
-                out.append(self.parse_expr(scope))
-        self.expect(closing)
-        return out
-
-    def parse_suffixes(self, e, scope: frozenset):
-        while self.accept("."):
-            if self.accept("("):
-                typ = self.parse_type(scope)
-                self.expect(")")
-                e = TypeAssert(e, typ)
+                pending.append([")", None, []])
                 continue
-            name = self.ident("field or method name").text
-            targs: tuple = ()
-            if self.at("["):
-                if not self.generic:
-                    self.fail("type arguments require the fgg dialect")
-                targs = tuple(self.parse_type_list(scope))
-                self.expect("(")
-                e = MethodCall(e, name, targs, tuple(self.parse_args(scope, ")")))
-            elif self.accept("("):
-                e = MethodCall(e, name, (), tuple(self.parse_args(scope, ")")))
+            if t.kind == "int":
+                self.next()
+                e = IntLit(int(t.text))
+            elif t.text == "true" or t.text == "false":
+                self.next()
+                e = BoolLit(t.text == "true")
+            elif t.kind == "ident":
+                self.next()
+                if self.at("[") or self.at("{"):
+                    args: tuple = ()
+                    if self.at("["):
+                        if not self.generic:
+                            self.fail("type arguments require the fgg dialect")
+                        args = tuple(self.parse_type_list(scope))
+                    self.expect("{")
+                    e = self._open_args(pending, partial(StructLit, TypeApp(t.text, args)), "}")
+                else:
+                    e = Var(t.text)
             else:
-                e = FieldSel(e, name)
-        return e
+                self.fail("expected expression, found %r" % (t.text or "end of input"), t)
+            while e is not None:  # e is a primary: its suffixes, then what follows
+                if self.accept("."):
+                    if self.accept("("):
+                        typ = self.parse_type(scope)
+                        self.expect(")")
+                        e = TypeAssert(e, typ)
+                        continue
+                    name = self.ident("field or method name").text
+                    if self.at("["):
+                        if not self.generic:
+                            self.fail("type arguments require the fgg dialect")
+                        targs = tuple(self.parse_type_list(scope))
+                        self.expect("(")
+                    elif self.accept("("):
+                        targs = ()
+                    else:
+                        e = FieldSel(e, name)
+                        continue
+                    e = self._open_args(pending, partial(MethodCall, e, name, targs), ")")
+                    continue
+                t = self.peek()
+                level = _OP_LEVEL.get(t.text) if t.kind == "punct" else None
+                if level is not None:
+                    if t.text == "!=":
+                        self.require_fg_ext("struct inequality")
+                    self.next()
+                    pending.append((level, t.text, _close_ops(pending, level, e)))
+                    break
+                e = _close_ops(pending, 0, e)
+                if not pending:
+                    return e
+                closing, make, items = pending[-1]
+                items.append(e)
+                if make and self.accept(","):
+                    break
+                self.expect(closing)
+                pending.pop()
+                e = make(tuple(items)) if make else e
+
+    def _open_args(self, pending, make, closing: str):
+        """The node ``make(())`` if the argument list just opened is empty;
+        otherwise None, the list left pending."""
+        if self.accept(closing):
+            return make(())
+        pending.append([closing, make, []])
+        return None
 
     # -- statements / bodies ---------------------------------------------------
 
     def parse_body(self, scope: frozenset):
-        """Statement list of a method body, ending before ``}``."""
-        self.skip_semis()
-        t = self.peek()
-        if t.text == "return":
-            self.next()
-            e = self.parse_expr(scope)
+        """Statement list of a method body, ending before ``}``. The
+        statements still waiting for the rest of the body are kept on
+        ``pending``, innermost last, as for expressions."""
+        pending = []
+        while True:
             self.skip_semis()
-            return e
-        if t.text == "panic":
-            self.require_fg_ext("panic")
-            self.next()
-            self.skip_semis()
-            return Panic()
-        if t.text == "if":
-            self.require_extended("if")
-            self.next()
-            self.expect("(")
-            cond = self.parse_expr(scope)
-            self.expect(")")
-            self.expect("{")
-            then = self.parse_body(scope)
-            self.expect("}")
-            if self.accept("else"):
+            t = self.peek()
+            if t.text == "if":
+                self.require_extended("if")
+                self.next()
+                self.expect("(")
+                cond = self.parse_expr(scope)
+                self.expect(")")
                 self.expect("{")
-                els = self.parse_body(scope)
-                self.expect("}")
+                pending.append(("then", cond))
+                continue
+            if t.text == "return":
+                self.next()
+                e = self.parse_expr(scope)
                 self.skip_semis()
-                return If(cond, then, els)
-            self.skip_semis()
-            if self.at("}"):
-                self.fail("expected a statement after else-less if")
-            rest = self.parse_body(scope)
-            return If(cond, then, rest)
-        # bare expression statement, sequenced with what follows
-        self.require_extended("sequencing")
-        first = self.parse_expr(scope)
-        self.skip_semis()
-        if self.at("}"):
-            self.fail("method body must end in a return")
-        rest = self.parse_body(scope)
-        return Seq(first, rest)
+            elif t.text == "panic":
+                self.require_fg_ext("panic")
+                self.next()
+                self.skip_semis()
+                e = Panic()
+            else:  # bare expression statement, sequenced with what follows
+                self.require_extended("sequencing")
+                first = self.parse_expr(scope)
+                self.skip_semis()
+                if self.at("}"):
+                    self.fail("method body must end in a return")
+                pending.append(("seq", first))
+                continue
+            while pending:  # e is a whole body: fill in what waits for it
+                what, *parts = pending.pop()
+                if what == "then":
+                    self.expect("}")
+                    has_else = self.accept("else")
+                    if has_else:
+                        self.expect("{")
+                    else:
+                        self.skip_semis()
+                        if self.at("}"):
+                            self.fail("expected a statement after else-less if")
+                    pending.append(("else" if has_else else "rest", parts[0], e))
+                    break
+                if what == "else":
+                    self.expect("}")
+                    self.skip_semis()
+                e = Seq(*parts, e) if what == "seq" else If(*parts, e)
+            else:
+                return e
 
     def parse_main_body(self):
         """``_ = e`` statements; the last one is the program expression."""

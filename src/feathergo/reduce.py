@@ -41,6 +41,7 @@ from .syntax import (
     TypeApp,
     TypeAssert,
     Var,
+    fold,
     plug,
     print_expr,
     print_type,
@@ -78,9 +79,14 @@ StepOutcome = Stepped | Value | PanicOutcome | Stuck
 
 
 def is_value(e: Expr) -> bool:
-    if isinstance(e, (IntLit, BoolLit)):
-        return True
-    return isinstance(e, StructLit) and all(is_value(a) for a in e.args)
+    todo = [e]
+    while todo:
+        t = type(e := todo.pop())
+        if t is StructLit:
+            todo += e.args
+        elif t is not IntLit and t is not BoolLit:
+            return False
+    return True
 
 
 def vtype(v: Expr) -> TypeApp:
@@ -96,10 +102,8 @@ def vtype(v: Expr) -> TypeApp:
 def subst_expr(e: Expr, varmap: dict, typemap: dict) -> Expr:
     """Capture-free substitution of variables and type parameters. Method
     bodies contain no binders, so no renaming is ever needed."""
-    if type(e) is Var:
-        return varmap.get(e.name, e)
     ft = (lambda t: subst_type(t, typemap)) if typemap else None
-    return rebuild(e, [subst_expr(k, varmap, typemap) for k in subexprs(e)], ft)
+    return fold(e, lambda n, kids: varmap.get(n.name, n) if type(n) is Var else rebuild(n, kids, ft))
 
 
 def instantiate_body(m, recv: Expr, args, targs) -> Expr:
@@ -238,7 +242,7 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
     decls = Decls(program)
     generic = lang == "fgg"
     e = program.main
-    for i in range(max_steps):
+    for i in range(max_steps + 1):
         out = _step(e, decls, generic)
         if isinstance(out, Value):
             return RunResult("value", i, value=out.value)
@@ -246,6 +250,8 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
             return RunResult("panic", i, panic=out)
         if isinstance(out, Stuck):
             raise RuntimeError("stuck: %s (non-typechecked input?)" % out.reason)
+        if i == max_steps:  # the term is looked at before the budget
+            break
         if trace is not None:
             trace(out.rule, out.redex)
         e = out.expr

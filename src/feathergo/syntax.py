@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 def _origin():
@@ -277,55 +278,64 @@ def _print_sig(name: str, sig: MethodSig) -> str:
     return "%s%s(%s) %s" % (name, print_formal(sig.tformal), params, print_type(sig.ret))
 
 
-def print_expr(e: Expr, prec: int = 0) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, StructLit):
-        return "%s{%s}" % (print_type(e.type), ", ".join(print_expr(a) for a in e.args))
-    if isinstance(e, FieldSel):
-        return "%s.%s" % (print_expr(e.recv, _PREC_PRIMARY), e.fieldname)
-    if isinstance(e, MethodCall):
-        targs = "[%s]" % ", ".join(print_type(t) for t in e.targs) if e.targs else ""
-        args = ", ".join(print_expr(a) for a in e.args)
-        return "%s.%s%s(%s)" % (print_expr(e.recv, _PREC_PRIMARY), e.name, targs, args)
-    if isinstance(e, TypeAssert):
-        return "%s.(%s)" % (print_expr(e.recv, _PREC_PRIMARY), print_type(e.type))
-    if isinstance(e, Binop):
+def _print_node(e: Expr, kids) -> tuple:
+    """``e`` as (text, precedence), given its subexpressions' (text,
+    precedence); the parent adds the parentheses a child needs."""
+    t = type(e)
+    if t is FieldSel or t is MethodCall or t is TypeAssert:
+        recv, p = kids[0]
+        if p < _PREC_PRIMARY:
+            recv = "(%s)" % recv
+        if t is FieldSel:
+            return "%s.%s" % (recv, e.fieldname), _PREC_PRIMARY
+        if t is TypeAssert:
+            return "%s.(%s)" % (recv, print_type(e.type)), _PREC_PRIMARY
+        targs = "[%s]" % ", ".join(map(print_type, e.targs)) if e.targs else ""
+        return "%s.%s%s(%s)" % (recv, e.name, targs, ", ".join([k[0] for k in kids[1:]])), _PREC_PRIMARY
+    if t is Var:
+        return e.name, _PREC_PRIMARY
+    if t is StructLit:
+        return "%s{%s}" % (print_type(e.type), ", ".join([k[0] for k in kids])), _PREC_PRIMARY
+    if t is IntLit:
+        return str(e.value), _PREC_PRIMARY
+    if t is BoolLit:
+        return "true" if e.value else "false", _PREC_PRIMARY
+    if t is Binop:  # the left operand may bind as loosely as the operator, the right one not
         p = _BINOP_PREC[e.op]
-        s = "%s %s %s" % (print_expr(e.left, p), e.op, print_expr(e.right, p + 1))
-        return "(%s)" % s if p < prec else s
-    if isinstance(e, Neq):
-        s = "%s != %s" % (print_expr(e.left, _PREC_NEQ + 1), print_expr(e.right, _PREC_NEQ + 1))
-        return "(%s)" % s if _PREC_NEQ < prec else s
-    raise ValueError("cannot print %r in expression position" % type(e).__name__)
+        (left, pl), (right, pr) = kids
+        return "%s %s %s" % (left if pl >= p else "(%s)" % left, e.op, right if pr > p else "(%s)" % right), p
+    if t is Neq:
+        (left, pl), (right, pr) = kids
+        left = left if pl > _PREC_NEQ else "(%s)" % left
+        return "%s != %s" % (left, right if pr > _PREC_NEQ else "(%s)" % right), _PREC_NEQ
+    raise ValueError("cannot print %r in expression position" % t.__name__)
+
+
+def print_expr(e: Expr) -> str:
+    return fold(e, _print_node)[0]
 
 
 def _print_body(e: Expr, ind: str, out: list) -> None:
-    while True:
-        if isinstance(e, Seq):
-            out.append("%s%s" % (ind, print_expr(e.first)))
-            e = e.rest
+    todo = [(ind, e)]  # bodies still to print, and closing lines (as text)
+    while todo:
+        ind, e = todo.pop()
+        if type(e) is str:
+            out.append(e)
             continue
-        if isinstance(e, If) and isinstance(e.then, Panic) and not isinstance(e.els, Panic):
-            out.append("%sif (%s) { panic }" % (ind, print_expr(e.cond)))
-            e = e.els
-            continue
+        while isinstance(e, Seq) or isinstance(e, If) and isinstance(e.then, Panic) and not isinstance(e.els, Panic):
+            if isinstance(e, Seq):
+                out.append("%s%s" % (ind, print_expr(e.first)))
+                e = e.rest
+            else:
+                out.append("%sif (%s) { panic }" % (ind, print_expr(e.cond)))
+                e = e.els
         if isinstance(e, If):
             out.append("%sif (%s) {" % (ind, print_expr(e.cond)))
-            _print_body(e.then, ind + "\t", out)
-            out.append("%s} else {" % ind)
-            _print_body(e.els, ind + "\t", out)
-            out.append("%s}" % ind)
-            return
-        if isinstance(e, Panic):
+            todo += [(ind, "%s}" % ind), (ind + "\t", e.els), (ind, "%s} else {" % ind), (ind + "\t", e.then)]
+        elif isinstance(e, Panic):
             out.append("%spanic" % ind)
-            return
-        out.append("%sreturn %s" % (ind, print_expr(e)))
-        return
+        else:
+            out.append("%sreturn %s" % (ind, print_expr(e)))
 
 
 def _print_main_body(e: Expr, ind: str, out: list) -> None:
@@ -372,30 +382,26 @@ def pretty_print(program: Program) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _show_node(e: Expr, kids) -> str:
+    t = type(e)
+    if t is If:
+        return "if (%s) { %s } else { %s }" % tuple(kids)
+    if t is Seq:
+        return "%s; %s" % tuple(kids)
+    if t is Panic:
+        return "panic"
+    if t is Binop:
+        return "(%s %s %s)" % (kids[0], e.op, kids[1])
+    if t is Neq:
+        return "(%s != %s)" % tuple(kids)
+    return _print_node(e, [(k, _PREC_PRIMARY) for k in kids])[0]
+
+
 def show_expr(e: Expr) -> str:
     """Single-line rendering for traces and diagnostics. Unlike print_expr
     it renders the statement forms inline, so the output is not guaranteed
     to re-parse."""
-    if isinstance(e, If):
-        return "if (%s) { %s } else { %s }" % (show_expr(e.cond), show_expr(e.then), show_expr(e.els))
-    if isinstance(e, Seq):
-        return "%s; %s" % (show_expr(e.first), show_expr(e.rest))
-    if isinstance(e, Panic):
-        return "panic"
-    if isinstance(e, StructLit):
-        return "%s{%s}" % (print_type(e.type), ", ".join(show_expr(a) for a in e.args))
-    if isinstance(e, FieldSel):
-        return "%s.%s" % (show_expr(e.recv), e.fieldname)
-    if isinstance(e, MethodCall):
-        targs = "[%s]" % ", ".join(print_type(t) for t in e.targs) if e.targs else ""
-        return "%s.%s%s(%s)" % (show_expr(e.recv), e.name, targs, ", ".join(show_expr(a) for a in e.args))
-    if isinstance(e, TypeAssert):
-        return "%s.(%s)" % (show_expr(e.recv), print_type(e.type))
-    if isinstance(e, Binop):
-        return "(%s %s %s)" % (show_expr(e.left), e.op, show_expr(e.right))
-    if isinstance(e, Neq):
-        return "(%s != %s)" % (show_expr(e.left), show_expr(e.right))
-    return print_expr(e)
+    return fold(e, _show_node)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +464,64 @@ def plug(spine, e: Expr) -> Expr:
     for node, kids, i in reversed(spine):
         e = rebuild(node, kids[:i] + (e,) + kids[i + 1:])
     return e
+
+
+def fold(e: Expr, f, kids=subexprs):
+    """The bottom-up dual of ``walk``: ``f(node, results)`` for every node in
+    post-order, ``results`` being f's values for ``kids(node)`` in order;
+    returns f's value at ``e``. Iterative, so term depth is not bounded by
+    the recursion limit. A pass that already knows a subterm's result prunes
+    there with a ``kids`` that returns () for it."""
+    ks = kids(e)
+    if not ks:
+        return f(e, ())
+    out = []
+    todo = [(e, len(ks)), *reversed(ks)]
+    while todo:
+        n = todo.pop()
+        if type(n) is tuple:  # (node, k): the node's k subexpressions are folded
+            node, k = n
+            vals = out[-k:]
+            del out[-k:]
+            out.append(f(node, vals))
+            continue
+        ks = kids(n)
+        if ks:
+            todo.append((n, len(ks)))
+            todo.extend(reversed(ks))
+        else:
+            out.append(f(n, ()))
+    return out[0]
+
+
+# what an expression holds besides its subexpressions (origin tags aside)
+_HEAD = {
+    Var: attrgetter("name"), IntLit: attrgetter("value"), BoolLit: attrgetter("value"),
+    StructLit: attrgetter("type"), FieldSel: attrgetter("fieldname"), MethodCall: attrgetter("name", "targs"),
+    TypeAssert: attrgetter("type"), Binop: attrgetter("op"),
+}
+
+
+def _expr_eq(a, b):
+    """Structural equality of expressions, origin tags excepted. Iterative,
+    like the traversals above."""
+    if type(b) is not type(a):
+        return NotImplemented
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is not y:
+            kx, ky, head = subexprs(x), subexprs(y), _HEAD.get(type(x))
+            if type(x) is not type(y) or len(kx) != len(ky):
+                return False
+            if head and head(x) is not head(y) and head(x) != head(y):
+                return False
+            todo += zip(kx, ky)
+    return True
+
+
+for _cls in Expr.__args__:
+    _cls.__eq__ = _expr_eq
 
 
 # every node class -> its fields that may hold nodes, last field first (origin

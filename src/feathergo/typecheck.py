@@ -42,7 +42,9 @@ from .syntax import (
     TypeAssert,
     TypeParam,
     Var,
+    fold,
     print_type,
+    subexprs,
     walk,
 )
 
@@ -287,6 +289,9 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
     types each of them once. Holding the node keeps its id from being
     reused while the table lives.
     """
+    hit = types.get(id(e)) if types is not None and expected is None else None
+    if hit is not None:
+        return hit[1]
 
     def sub(t, u) -> bool:
         return fgg_subtype(t, u, delta, decls)
@@ -297,135 +302,155 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
             return "param"
         return decls.kind_of(t.name)
 
-    def check(e, expected=None):
-        # one frame per node: the side table is consulted inline
-        memo = types is not None and expected is None
+    # ``expected`` reaches only the tail positions: the root and, below a
+    # tail, the branches of an ``if`` and the rest of a sequence
+    tails, todo = set(), [e] if expected is not None else []
+    while todo:
+        n = todo.pop()
+        tails.add(id(n))
+        todo += (n.then, n.els) if type(n) is If else (n.rest,) if type(n) is Seq else ()
+
+    def unknown(n):  # a subterm the side table holds is not descended into
+        return () if id(n) in types and id(n) not in tails else subexprs(n)
+
+    def check(e, ts):
+        # one call per node, after its subexpressions: ts holds each one's
+        # type, or the CheckError typing it raised, which _need raises where
+        # the rule first needs that subexpression, so a rule's own checks
+        # that come before that point still report first
+        exp = expected if expected is not None and id(e) in tails else None
+        memo = types is not None and exp is None
         if memo:
             hit = types.get(id(e))
             if hit is not None:
                 return hit[1]
-        if isinstance(e, Var):
-            if e.name not in gamma:
-                raise CheckError("t-var: unknown variable %s" % e.name)
-            t = gamma[e.name]
-        elif isinstance(e, IntLit):
-            t = TypeApp("int")
-        elif isinstance(e, BoolLit):
-            t = TypeApp("bool")
-        elif isinstance(e, StructLit):
-            if decls.kind_of(e.type.name) != "struct":
-                raise CheckError("t-literal: %s is not a struct" % print_type(e.type))
-            fgg_wf(e.type, delta, decls)
-            d = decls.structs[e.type.name]
-            eta = {fp.name: a for fp, a in zip(d.formal, e.type.args)}
-            fields = [(f.name, subst_type(f.type, eta)) for f in d.fields]
-            if len(fields) != len(e.args):
-                raise CheckError(
-                    "t-literal: struct %s expects %d fields, got %d"
-                    % (print_type(e.type), len(fields), len(e.args))
-                )
-            for (fname, ftype), a in zip(fields, e.args):
-                ta = check(a)
-                if not sub(ta, ftype):
+        try:
+            if isinstance(e, Var):
+                if e.name not in gamma:
+                    raise CheckError("t-var: unknown variable %s" % e.name)
+                t = gamma[e.name]
+            elif isinstance(e, IntLit):
+                t = TypeApp("int")
+            elif isinstance(e, BoolLit):
+                t = TypeApp("bool")
+            elif isinstance(e, StructLit):
+                if decls.kind_of(e.type.name) != "struct":
+                    raise CheckError("t-literal: %s is not a struct" % print_type(e.type))
+                fgg_wf(e.type, delta, decls)
+                d = decls.structs[e.type.name]
+                eta = {fp.name: a for fp, a in zip(d.formal, e.type.args)}
+                fields = [(f.name, subst_type(f.type, eta)) for f in d.fields]
+                if len(fields) != len(e.args):
                     raise CheckError(
-                        "t-literal: field %s of %s needs %s, got %s"
-                        % (fname, print_type(e.type), print_type(ftype), print_type(ta))
+                        "t-literal: struct %s expects %d fields, got %d"
+                        % (print_type(e.type), len(fields), len(e.args))
                     )
-            t = e.type
-        elif isinstance(e, FieldSel):
-            tr = check(e.recv)
-            if kindish(tr) != "struct":
-                raise CheckError("t-field: selecting %s on non-struct %s" % (e.fieldname, print_type(tr)))
-            d = decls.structs[tr.name]
-            eta = {fp.name: a for fp, a in zip(d.formal, tr.args)}
-            for f in d.fields:
-                if f.name == e.fieldname:
-                    t = subst_type(f.type, eta)
-                    break
+                for (fname, ftype), ta in zip(fields, ts):
+                    if not sub(_need(ta), ftype):
+                        raise CheckError(
+                            "t-literal: field %s of %s needs %s, got %s"
+                            % (fname, print_type(e.type), print_type(ftype), print_type(ta))
+                        )
+                t = e.type
+            elif isinstance(e, FieldSel):
+                tr = _need(ts[0])
+                if kindish(tr) != "struct":
+                    raise CheckError("t-field: selecting %s on non-struct %s" % (e.fieldname, print_type(tr)))
+                d = decls.structs[tr.name]
+                eta = {fp.name: a for fp, a in zip(d.formal, tr.args)}
+                for f in d.fields:
+                    if f.name == e.fieldname:
+                        t = subst_type(f.type, eta)
+                        break
+                else:
+                    raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
+            elif isinstance(e, MethodCall):
+                tr = _need(ts[0])
+                if isinstance(tr, Bottom):
+                    raise CheckError("t-call: call on panic")
+                mset = fgg_methods(tr, delta, decls)
+                sig = mset.get(e.name)
+                if sig is None:
+                    raise CheckError("t-call: no method %s on %s" % (e.name, print_type(tr)))
+                eta = {}
+                if sig.tformal or e.targs:  # as for fgg_wf: no formals, nothing to bind
+                    for ta in e.targs:
+                        fgg_wf(ta, delta, decls)
+                    eta = fgg_bounds_check(
+                        sig.tformal, e.targs, delta, decls, "t-call: %s.%s" % (print_type(tr), e.name)
+                    )
+                if len(sig.params) != len(e.args):
+                    raise CheckError(
+                        "t-call: %s.%s expects %d arguments, got %d"
+                        % (print_type(tr), e.name, len(sig.params), len(e.args))
+                    )
+                for p, ta in zip(sig.params, ts[1:]):
+                    want = subst_type(p.type, eta)
+                    if not sub(_need(ta), want):
+                        raise CheckError(
+                            "t-call: argument %s of %s.%s: %s does not implement %s"
+                            % (p.name, print_type(tr), e.name, print_type(ta), print_type(want))
+                        )
+                t = subst_type(sig.ret, eta)
+            elif isinstance(e, TypeAssert):
+                fgg_wf(e.type, delta, decls)
+                tr = _need(ts[0])
+                t = e.type
+                # t-stupid on a struct receiver, t-assert_I on an interface or
+                # parameter target, otherwise t-assert_S
+                if not (
+                    isinstance(tr, Bottom)
+                    or kindish(tr) == "struct"
+                    or kindish(e.type) in ("interface", "param")
+                ):
+                    bound = fgg_bounds_of(tr, delta)
+                    if not sub(e.type, bound):
+                        raise CheckError(
+                            "t-assert_S: %s does not implement %s"
+                            % (print_type(e.type), print_type(bound))
+                        )
+            elif isinstance(e, Binop):
+                for ts_side in ts:
+                    if _need(ts_side) != TypeApp("int"):
+                        raise CheckError("t-binop: operand of %s must be int, got %s" % (e.op, print_type(ts_side)))
+                t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
+            elif isinstance(e, If):
+                if _need(ts[0]) != TypeApp("bool"):
+                    raise CheckError("t-if: condition must be bool, got %s" % print_type(ts[0]))
+                tt, te = _need(ts[1]), _need(ts[2])
+                try:
+                    t = _join(tt, te, exp, sub)
+                except CheckError:
+                    # mid-reduction the branches may hold distinct struct values;
+                    # join them at the least declared interface both implement
+                    t = _fgg_interface_join(tt, te, delta, decls)
+                    if t is None:
+                        raise
+            elif isinstance(e, Seq):
+                _need(ts[0])
+                t = _need(ts[1])
+            elif isinstance(e, Neq):
+                _need(ts[0])
+                _need(ts[1])
+                t = TypeApp("bool")
+            elif isinstance(e, Panic):
+                t = exp if exp is not None else BOTTOM
             else:
-                raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
-        elif isinstance(e, MethodCall):
-            tr = check(e.recv)
-            if isinstance(tr, Bottom):
-                raise CheckError("t-call: call on panic")
-            mset = fgg_methods(tr, delta, decls)
-            sig = mset.get(e.name)
-            if sig is None:
-                raise CheckError("t-call: no method %s on %s" % (e.name, print_type(tr)))
-            eta = {}
-            if sig.tformal or e.targs:  # as for fgg_wf: no formals, nothing to bind
-                for ta in e.targs:
-                    fgg_wf(ta, delta, decls)
-                eta = fgg_bounds_check(
-                    sig.tformal, e.targs, delta, decls, "t-call: %s.%s" % (print_type(tr), e.name)
-                )
-            if len(sig.params) != len(e.args):
-                raise CheckError(
-                    "t-call: %s.%s expects %d arguments, got %d"
-                    % (print_type(tr), e.name, len(sig.params), len(e.args))
-                )
-            for p, a in zip(sig.params, e.args):
-                ta = check(a)
-                want = subst_type(p.type, eta)
-                if not sub(ta, want):
-                    raise CheckError(
-                        "t-call: argument %s of %s.%s: %s does not implement %s"
-                        % (p.name, print_type(tr), e.name, print_type(ta), print_type(want))
-                    )
-            t = subst_type(sig.ret, eta)
-        elif isinstance(e, TypeAssert):
-            fgg_wf(e.type, delta, decls)
-            tr = check(e.recv)
-            t = e.type
-            # t-stupid on a struct receiver, t-assert_I on an interface or
-            # parameter target, otherwise t-assert_S
-            if not (
-                isinstance(tr, Bottom)
-                or kindish(tr) == "struct"
-                or kindish(e.type) in ("interface", "param")
-            ):
-                bound = fgg_bounds_of(tr, delta)
-                if not sub(e.type, bound):
-                    raise CheckError(
-                        "t-assert_S: %s does not implement %s"
-                        % (print_type(e.type), print_type(bound))
-                    )
-        elif isinstance(e, Binop):
-            for side in (e.left, e.right):
-                ts = check(side)
-                if ts != TypeApp("int"):
-                    raise CheckError("t-binop: operand of %s must be int, got %s" % (e.op, print_type(ts)))
-            t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
-        elif isinstance(e, If):
-            tc = check(e.cond)
-            if tc != TypeApp("bool"):
-                raise CheckError("t-if: condition must be bool, got %s" % print_type(tc))
-            tt = check(e.then, expected)
-            te = check(e.els, expected)
-            try:
-                t = _join(tt, te, expected, sub)
-            except CheckError:
-                # mid-reduction the branches may hold distinct struct values;
-                # join them at the least declared interface both implement
-                t = _fgg_interface_join(tt, te, delta, decls)
-                if t is None:
-                    raise
-        elif isinstance(e, Seq):
-            check(e.first)
-            t = check(e.rest, expected)
-        elif isinstance(e, Neq):
-            check(e.left)
-            check(e.right)
-            t = TypeApp("bool")
-        elif isinstance(e, Panic):
-            t = expected if expected is not None else BOTTOM
-        else:
-            raise CheckError("unsupported expression %r" % type(e).__name__)
+                raise CheckError("unsupported expression %r" % type(e).__name__)
+        except CheckError as err:
+            return err
         if memo:
             types[id(e)] = (e, t)
         return t
 
-    return check(e, expected)
+    return _need(fold(e, check, subexprs if types is None else unknown))
+
+
+def _need(t):
+    """A subexpression's type, or the CheckError that typing it raised."""
+    if isinstance(t, CheckError):
+        raise t
+    return t
 
 
 def _join(tt, te, expected, sub):
@@ -447,23 +472,13 @@ def _join(tt, te, expected, sub):
     )
 
 
-def _type_subterms(t: Type, out=None) -> set:
-    if out is None:
-        out = set()
-    out.add(t)
-    if isinstance(t, TypeApp):
-        for a in t.args:
-            _type_subterms(a, out)
-    return out
-
-
 def _fgg_interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
     """Least declared interface instantiation implemented by both types.
     Candidate type arguments are drawn from the types occurring in either
     side; deterministic (declaration order, then printed form)."""
     import itertools
 
-    pool = sorted(_type_subterms(tt) | _type_subterms(te), key=print_type)
+    pool = sorted(set(walk(tt)) | set(walk(te)), key=print_type)
     cands = []
     for iface in decls.interfaces.values():
         for args in itertools.product(pool, repeat=len(iface.formal)):

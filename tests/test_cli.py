@@ -59,6 +59,8 @@ def test_run_fg_listing_panics(capsys):
 def test_run_max_steps(capsys):
     code, out, _ = run_cli(capsys, "run", corpus_path("omega.fgg"), "--max-steps", "100")
     assert code == 0 and "budget exhausted after 100 steps" in out
+    code, out, _ = run_cli(capsys, "run", corpus_path("nilmain.fgg"), "--max-steps", "0")
+    assert code == 0 and out == "Nil{}\n"  # a value main needs no steps
 
 
 def test_run_trace(capsys):
@@ -135,6 +137,7 @@ def test_usage_error_exit_code(capsys):
         ["bench", "--family", "a", "--range", "0..1"],  # family a needs a parameter >= 2
         ["bench", "--family", "a", "--range", "2..3", "--iterations", "0"],
         ["bench", "--family", "a", "--range", "2-3"],
+        ["bench", "--family", "b", "--range", "1..1", "--no-run", "--mode", "bogus"],
         ["run", gtfunc, "--max-steps", "-5"],
         ["cosim", gtfunc, "--steps", "-1"],
     ):
@@ -155,9 +158,18 @@ def test_unknown_flag_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["parse", "typecheck", "run"])
 def test_deep_input_fails_cleanly(capsys, tmp_path, default_recursion_limit, command):
+    # a deep expression goes through; only nested type arguments, which are
+    # parsed and checked recursively, still reach the one-line exit 3
     deep = tmp_path / "deep.fgg"
     deep.write_text("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * 3000))
-    code, _, err = run_cli(capsys, command, str(deep))
+    code, out, err = run_cli(capsys, command, str(deep), *(["--max-steps", "10"] if command == "run" else []))
+    assert code == 0 and err == ""
+    want = {"parse": "package main\n", "typecheck": "ok\n", "run": "budget exhausted after 10 steps\n"}[command]
+    assert out.startswith(want) and (command == "parse" or out == want)
+
+    deep_type = tmp_path / "deep_type.fgg"
+    nested = "Box[" * 3000 + "int" + "]" * 3000
+    deep_type.write_text("package main\ntype Any interface {}\ntype Box[T Any] struct {}\nfunc main() { _ = %s{} }\n" % nested)
+    code, _, err = run_cli(capsys, command, str(deep_type))
     assert code == 3
-    assert "Traceback" not in err
-    assert err == "%s: error: input nested too deeply\n" % deep
+    assert err == "%s: error: input nested too deeply\n" % deep_type

@@ -159,6 +159,17 @@ def test_settle_discharges_only_succeeding_erase_asserts():
     assert settle(sim, tdecls) == sim
 
 
+def test_settle_returns_its_input_when_nothing_settles():
+    from feathergo.syntax import TypeAssert, walk
+
+    _, out, _, tdecls = translated("typerep.fgg")
+    erase_over_value = [
+        n for n in walk(out.main) if isinstance(n, TypeAssert) and n.origin == "erase" and is_value(n.recv)
+    ]
+    assert erase_over_value == []
+    assert settle(out.main, tdecls) is out.main
+
+
 def _sampled_states(rng, with_positions=False):
     pool = []
     for name in SAMPLE_PROGRAMS:

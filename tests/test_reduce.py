@@ -89,6 +89,10 @@ def test_budget_exhaustion_on_divergence():
 
 def test_step_count_zero_for_value_main():
     assert step_count(load("nilmain.fgg")) == 0
+    # the term is looked at before the budget: a value needs no steps
+    assert step_count(load("nilmain.fgg"), 0) == 0
+    res = run(load("nilmain.fgg"), 0)
+    assert res.kind == "value" and res.steps == 0
 
 
 def test_box_nest_steps_strictly_increase_with_depth():

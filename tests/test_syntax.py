@@ -197,3 +197,15 @@ def _call_chain(depth: int):
 def test_node_count_of_deep_chain(default_recursion_limit):
     counts = [node_count(_call_chain(d)) for d in (1, 2, 999, 1000)]
     assert counts[1] - counts[0] == counts[3] - counts[2] == 1
+
+
+def test_deep_terms_compare_without_origin_tags(default_recursion_limit):
+    def chain(innermost, origin):
+        e = StructLit(TypeApp("Box", (INT,)), (innermost,))
+        for _ in range(10_000):
+            e = MethodCall(e, "Id", origin=origin)
+        return e
+
+    assert chain(IntLit(1), None) == chain(IntLit(1), "dict")
+    assert not chain(IntLit(1), None) == chain(IntLit(2), "dict")
+    assert chain(IntLit(1), None) != chain(IntLit(2), None)
