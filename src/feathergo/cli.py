@@ -3,7 +3,8 @@
 Subcommands: parse, typecheck, run, translate, cosim, bench. Primary output
 goes to stdout, diagnostics to stderr as ``file:line:col: message`` (or JSON
 lines with ``--json``). Exit codes: 0 success, 1 diagnostics or
-correspondence mismatch, 2 usage error, 3 input nested too deeply.
+correspondence mismatch, 2 usage error or a file that cannot be read or
+written, 3 input nested too deeply.
 
 The dialect is detected from the file extension (.fg / .fgg) and can be
 overridden with ``--lang``; .fg files parse in the extended dialect by
@@ -253,6 +254,10 @@ def main(argv=None) -> int:
         return ex.code if isinstance(ex.code, int) else 1
     except BrokenPipeError:
         return 0
+    except (OSError, UnicodeDecodeError) as ex:  # an input or output file, as argparse reports one
+        path = getattr(ex, "filename", None) or getattr(args, "file", "feathergo")
+        print("%s: error: %s" % (path, getattr(ex, "strerror", None) or ex), file=sys.stderr)
+        return 2
     except RecursionError:
         print("%s: error: input nested too deeply" % getattr(args, "file", "feathergo"), file=sys.stderr)
         return 3

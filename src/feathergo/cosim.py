@@ -2,9 +2,8 @@
 
 The harness implements, as executable artifacts:
 
-* redex classification into erase / sim / dict / ordinary (via the origin
-  tags the translator leaves on generated nodes, falling back to the
-  syntactic patterns);
+* redex classification into erase / sim / dict / ordinary by the origin
+  tags the translator leaves on generated nodes (untagged is ordinary);
 * the macro step: exhaust erasure asserts, take one ordinary step, exhaust
   assertion-simulation steps -- one macro step corresponds to one source
   step;
@@ -59,48 +58,13 @@ class NormalizeOverflow(Exception):
 # Redex classification
 
 
-def classify(redex: Expr, info: TransInfo) -> str:
+def classify(redex: Expr) -> str:
     """Classify a contractible redex as "erase", "sim", "dict" or "ordinary".
 
-    Origin tags are authoritative (they disambiguate the bare value-assert
-    pattern, which occurs in both the erase and sim sets); the generated
-    dictionary / method-pointer / type-rep patterns are never ordinary.
+    The origin tag the translator left on the node decides; an untagged
+    redex, or one of a class without tags (``Binop``), is ordinary.
     """
-    origin = getattr(redex, "origin", None)
-    if origin in ("erase", "sim"):
-        return origin
-    if isinstance(redex, TypeAssert):
-        if origin == "dict":
-            return "dict"
-        if (
-            isinstance(redex.type, TypeApp)
-            and redex.type.name in info.dict_structs
-            and isinstance(redex.recv, StructLit)
-            and redex.recv.type.name in info.dict_structs
-        ):
-            return "dict"
-        return "ordinary"
-    if isinstance(redex, FieldSel):
-        if origin == "dict":
-            return "dict"
-        if isinstance(redex.recv, StructLit) and redex.recv.type.name in info.dict_structs:
-            return "dict"
-        if RESERVED_NAME.fullmatch(redex.fieldname):
-            return "dict"
-        return "ordinary"
-    if isinstance(redex, MethodCall):
-        if origin == "dict":
-            return "dict"
-        if (
-            redex.name == "Apply"
-            and isinstance(redex.recv, StructLit)
-            and redex.recv.type.name in info.ptr_structs
-        ):
-            return "dict"
-        if redex.name in info.spec_methods:
-            return "sim"
-        return "ordinary"
-    return "ordinary"
+    return getattr(redex, "origin", None) or "ordinary"
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +217,7 @@ class MacroOutcome:
     panic: PanicOutcome | None = None
 
 
-def macro_step(d: Expr, decls: Decls, info: TransInfo) -> MacroOutcome:
+def macro_step(d: Expr, decls: Decls) -> MacroOutcome:
     """One target macro step: erase-asserts, one ordinary step, then all
     enabled simulation steps. Panics surface as a panic outcome (the
     simulated assertion error); the result has no enabled sim redex."""
@@ -266,7 +230,7 @@ def macro_step(d: Expr, decls: Decls, info: TransInfo) -> MacroOutcome:
             return MacroOutcome("panic", None, erase_steps, None, 0, panic=out)
         if isinstance(out, Stuck):
             raise RuntimeError("target stuck: %s" % out.reason)
-        if classify(out.redex, info) != "erase":
+        if classify(out.redex) != "erase":
             break
         d = out.expr
         erase_steps += 1
@@ -282,7 +246,7 @@ def macro_step(d: Expr, decls: Decls, info: TransInfo) -> MacroOutcome:
             return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, panic=out)
         if isinstance(out, Stuck):
             raise RuntimeError("target stuck: %s" % out.reason)
-        if classify(out.redex, info) != "sim":
+        if classify(out.redex) != "sim":
             break
         d = out.expr
         sim_steps += 1
@@ -400,7 +364,7 @@ def check_correspondence(
                 mismatch,
             )
         if isinstance(src, PanicOutcome):
-            tgt = macro_step(t_norm, tdecls, info)
+            tgt = macro_step(t_norm, tdecls)
             agree = matched and tgt.kind == "panic"
             detail = src.message if agree else "target did not panic: %s" % tgt.kind
             return CorrespondenceReport(
@@ -409,7 +373,7 @@ def check_correspondence(
         if isinstance(src, Stuck):
             raise RuntimeError("source stuck: %s" % src.reason)
 
-        tgt = macro_step(t_norm, tdecls, info)
+        tgt = macro_step(t_norm, tdecls)
         records.append(
             StepRecord(i, src.rule, tgt.erase_steps, tgt.mid_rule, tgt.sim_steps, dsteps, matched)
         )

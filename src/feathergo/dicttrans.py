@@ -10,8 +10,10 @@ function values.
 
 Generated nodes carry origin tags ("erase" for erasure-inserted asserts,
 "sim" for assertion-simulation machinery, "dict" for dictionary plumbing);
-the co-simulation harness classifies redexes by them. Tags do not affect
-equality.
+they are the one record of which rule emitted a node, and the
+co-simulation harness classifies redexes by them alone. Tags do not affect
+equality. The generated type names are listed once, each with its role;
+that list serves both the collision check and ``TransInfo``.
 
 Optional flags, both off by default: ``skip_redundant_asserts`` drops the
 receiver asserts of field selects and calls when the translated receiver
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .erasure import check_erased_any
 from .syntax import (
     ANY,
     Binop,
@@ -86,11 +89,9 @@ class InventoryEntry:
 
 @dataclass(frozen=True)
 class TransInfo:
+    # the struct names dictionary resolution contracts, and the inventory
     dict_structs: frozenset
-    meta_structs: frozenset
     ptr_structs: frozenset
-    spec_methods: frozenset
-    func_arities: tuple
     inventory: tuple
 
 
@@ -200,25 +201,26 @@ class Translator:
         return sorted(out)
 
     def _generated_type_names(self) -> list:
+        """(name, role) of every generated type, in collision-check order;
+        the role is "dict", "ptr" (a method pointer) or "other"."""
         names = [TYPE_MDATA, "Int_meta", "Bool_meta"]
         names += [func_iface_name(n) for n in self.arities]
         names += [fn_meta_name(n) for n in self.arities]
         names += [param_index_name(i) for i in range(self.max_formal)]
+        out = [(n, "other") for n in names]
         for d in self.program.decls:
             if isinstance(d, InterfaceDecl):
-                names.append(dict_name(d.name))
-                names.append(meta_name(d.name))
-                names += [ptr_name(d.name, s.name) for s in d.specs]
+                out += [(dict_name(d.name), "dict"), (meta_name(d.name), "other")]
+                out += [(ptr_name(d.name, s.name), "ptr") for s in d.specs]
             elif isinstance(d, StructDecl):
-                names.append(meta_name(d.name))
+                out.append((meta_name(d.name), "other"))
             else:
-                names.append(ptr_name(d.recv_type, d.name))
-        return names
+                out.append((ptr_name(d.recv_type, d.name), "ptr"))
+        return out
 
     def _check_collisions(self) -> None:
-        generated = self._generated_type_names()
         seen = set()
-        for n in generated:
+        for n, _ in self._generated_type_names():
             if n in seen:
                 raise TranslationError("generated name collision: %s" % n)
             seen.add(n)
@@ -230,10 +232,7 @@ class Translator:
             raise TranslationError(
                 "source type names collide with generated names: %s" % ", ".join(sorted(clash))
             )
-        if "Any" in source_types:
-            d = self.decls.interfaces.get("Any")
-            if d is None or d.formal or d.specs:
-                raise TranslationError("source declares Any incompatibly with the erased Any")
+        check_erased_any(self.decls, TranslationError)
         for d in self.program.decls:
             if isinstance(d, StructDecl):
                 for f in d.fields:
@@ -611,32 +610,10 @@ class Translator:
         return Program(tuple(decls), main)
 
     def info(self) -> TransInfo:
-        dicts, metas, ptrs = set(), set(), set()
-        for d in self.program.decls:
-            if isinstance(d, InterfaceDecl):
-                dicts.add(dict_name(d.name))
-                metas.add(meta_name(d.name))
-                ptrs.update(ptr_name(d.name, s.name) for s in d.specs)
-            elif isinstance(d, StructDecl):
-                metas.add(meta_name(d.name))
-            else:
-                ptrs.add(ptr_name(d.recv_type, d.name))
-        metas.update(meta_name(b) for b in BUILTIN_STRUCTS)
-        metas.update(param_index_name(i) for i in range(self.max_formal))
-        specs = {
-            spec_method_name(d.name)
-            for d in self.program.decls
-            if isinstance(d, MethodDecl)
-        }
-        for d in self.program.decls:
-            if isinstance(d, InterfaceDecl):
-                specs.update(spec_method_name(s.name) for s in d.specs)
+        names = self._generated_type_names()
         return TransInfo(
-            frozenset(dicts),
-            frozenset(metas),
-            frozenset(ptrs),
-            frozenset(specs),
-            tuple(self.arities),
+            frozenset(n for n, role in names if role == "dict"),
+            frozenset(n for n, role in names if role == "ptr"),
             tuple(self.inventory),
         )
 

@@ -49,6 +49,15 @@ class ErasureError(Exception):
     pass
 
 
+def check_erased_any(decls: Decls, error: type) -> None:
+    """Both translators declare ``type Any interface {}`` unless the source
+    does; a source ``Any`` must be that interface, with no formals and no
+    specs, or ``error`` is raised."""
+    d = decls.interfaces.get("Any")
+    if "Any" in decls.structs or (d is not None and (d.formal or d.specs)):
+        raise error("source declares Any incompatibly with the erased Any")
+
+
 class _Eraser:
     def __init__(self, program: Program):
         diags = fgg_typecheck_program(program)
@@ -126,11 +135,10 @@ class _Eraser:
             self.warnings.append(
                 "program contains type assertions; erasure does not preserve assertion behaviour"
             )
+        check_erased_any(self.decls, ErasureError)
         decls = []
         if "Any" not in self.decls.interfaces:
             decls.append(InterfaceDecl("Any"))
-        elif self.decls.interfaces["Any"].formal or self.decls.interfaces["Any"].specs:
-            raise ErasureError("source declares Any incompatibly with the erased Any")
         decls.extend(self.erase_decl(d) for d in self.program.decls)
         main, _ = self.erase_expr(self.program.main, {}, {}, {})
         return Program(tuple(decls), main)

@@ -150,6 +150,31 @@ def test_usage_error_exit_code(capsys):
         assert ": error: " in err.splitlines()[-1], argv
 
 
+@pytest.mark.parametrize("case", ["missing-input", "not-utf8", "translate-output", "bench-output"])
+def test_io_error_exit_code(capsys, tmp_path, case):
+    # an unreadable input or an unwritable output ends like an argument
+    # argparse cannot open: exit 2 and one line naming the file
+    bad = tmp_path / "bad.fgg"
+    bad.write_bytes(b"package main\n\xff\xfe\n")
+    missing_dir = tmp_path / "no-such-dir"
+    argv, path = {
+        "missing-input": (["parse", str(missing_dir / "x.fg")], missing_dir / "x.fg"),
+        "not-utf8": (["parse", str(bad)], bad),
+        "translate-output": (
+            ["translate", corpus_path("gtfunc.fgg"), "--mode", "dict", "-o", str(missing_dir / "x.fg")],
+            missing_dir / "x.fg",
+        ),
+        "bench-output": (
+            ["bench", "--family", "a", "--range", "2..2", "--no-run", "--out", str(missing_dir / "x.csv")],
+            missing_dir / "x.csv",
+        ),
+    }[case]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("%s: error: " % path), err
+
+
 def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["run", "--definitely-not-a-flag"])

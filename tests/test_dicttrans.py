@@ -1,7 +1,8 @@
 import pytest
 
-from feathergo import dicttrans
+from feathergo import bench, dicttrans
 from feathergo.dicttrans import (
+    RESERVED_NAME,
     Ctx,
     TransOptions,
     Translator,
@@ -16,16 +17,19 @@ from feathergo.reduce import run
 from feathergo.syntax import (
     FieldSel,
     InterfaceDecl,
+    MethodCall,
     MethodDecl,
     StructDecl,
     StructLit,
     TypeApp,
+    TypeAssert,
     TypeParam,
     Var,
     node_count,
     pretty_print,
     print_decl,
     print_expr,
+    walk,
 )
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
@@ -452,19 +456,59 @@ def test_reserved_field_name_rejected():
     [("dict_0", True), ("_type", True), ("_type_12", True), ("dict_²", False), ("dict_٣", False), ("dict_", False)],
 )
 def test_reserved_names_have_one_definition(name, reserved):
-    # the translator's collision check and cosim's redex classification use
-    # the same definition; generated names are numbered with ASCII digits, so
+    # the translator's collision check and cosim's dictionary resolution
+    # share RESERVED_NAME; generated names are numbered with ASCII digits, so
     # dict_² (an identifier, as "²".isalnum()) is an ordinary source name
-    from feathergo.cosim import classify
-
     src = "package main\ntype S struct { %s int }\nfunc main() { _ = S{1}.%s }\n" % (name, name)
-    _, info = translate_with_info(load("gtfunc.fgg"))
-    assert classify(FieldSel(Var("x"), name), info) == ("dict" if reserved else "ordinary")
     if reserved:
         with pytest.raises(dicttrans.TranslationError, match="field name %s is reserved" % name):
             translate_program(parse_fgg(src))
     else:
         assert run(translate_program(parse_fgg(src)), lang="fg").value == run(parse_fgg(src)).value
+
+
+def _untagged_generated_shapes(out, info) -> list:
+    """The nodes of ``out`` shaped like generated dictionary plumbing or
+    assertion simulation that carry no origin tag."""
+
+    def dictionary(e) -> bool:  # a dictionary parameter, field or literal
+        if isinstance(e, Var):
+            return bool(RESERVED_NAME.fullmatch(e.name))
+        if isinstance(e, FieldSel):
+            return bool(RESERVED_NAME.fullmatch(e.fieldname))
+        return isinstance(e, StructLit) and e.type.name in info.dict_structs
+
+    def generated(n) -> bool:
+        if isinstance(n, FieldSel):
+            return RESERVED_NAME.fullmatch(n.fieldname) or dictionary(n.recv)
+        if isinstance(n, MethodCall):
+            if n.name == "Apply":
+                return isinstance(n.recv, FieldSel) and dictionary(n.recv.recv)
+            return n.name.startswith("spec_")
+        return isinstance(n, TypeAssert) and n.type.name in info.dict_structs
+
+    return [n for n in walk(out) if generated(n) and n.origin is None]
+
+
+FAMILY_INPUTS = [(f, n) for f in bench.FAMILIES for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "source",
+    FGG_FILES + FAMILY_INPUTS,
+    ids=lambda x: x.name if hasattr(x, "name") else "%s%d" % x,
+)
+def test_generated_shapes_carry_origin_tags(source):
+    # cosim classifies a redex by its origin tag alone, so every node of a
+    # shape that only the translator generates must carry one: selects of
+    # reserved fields or on dictionary literals, applicator calls on a
+    # dictionary field, spec_ calls and asserts to a dictionary struct
+    if isinstance(source, tuple):
+        program = bench.generate(bench.BenchConfig(source[0], source[1], 1))
+    else:
+        program = parse_fgg(source.read_text())
+    out, info = translate_with_info(program)
+    assert _untagged_generated_shapes(out, info) == []
 
 
 @pytest.mark.parametrize("where", ["spec", "method"])

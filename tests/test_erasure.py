@@ -100,9 +100,17 @@ def test_erasure_smaller_than_dict():
         assert node_count(erased) <= node_count(translate_program(p))
 
 
-def test_incompatible_any_rejected():
-    src = "package main\ntype Any interface { M() int }\ntype S struct {}\nfunc (this S) M() int { return 1 }\nfunc main() { _ = S{} }\n"
-    with pytest.raises(ErasureError):
+@pytest.mark.parametrize(
+    "src",
+    [
+        "package main\ntype Any interface { M() int }\ntype S struct {}\nfunc (this S) M() int { return 1 }\nfunc main() { _ = S{} }\n",
+        "package main\ntype Any struct {}\nfunc main() { _ = Any{} }\n",
+    ],
+    ids=["interface-with-spec", "struct"],
+)
+def test_incompatible_any_rejected(src):
+    # the same check, and message, as the dictionary translation's
+    with pytest.raises(ErasureError, match="source declares Any incompatibly with the erased Any"):
         erase_program(parse_fgg(src))
 
 
