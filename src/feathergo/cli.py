@@ -42,8 +42,8 @@ def _emit_diags(diags, path: str, as_json: bool) -> None:
 
 
 def _load(path: str, lang: str, as_json: bool):
-    if path == "-":
-        source = sys.stdin.read()
+    if path == "-":  # strict UTF-8, as for a named file
+        source = sys.stdin.buffer.read().decode("utf-8")
     else:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .dicttrans import RESERVED_NAME, TransInfo, Translator
+from .dicttrans import RESERVED_NAME, Ctx, TransInfo, Translator
 from .reduce import (
     PanicOutcome,
     Stuck,
@@ -105,14 +105,17 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
             and vtype(e.recv).name == e.type.name
         ):
             return e.recv
-        # assertion refinement: |- recv : u and u <: t strictly
+        # assertion refinement: |- recv : u and u <: t strictly, which needs
+        # an interface t (a struct type, int and bool included, has no
+        # proper subtype), so no other receiver is typed
+        if not (isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"):
+            return None
         try:
             u = fgg_typecheck_expr(e.recv, {}, {}, decls, types=types)
         except CheckError:
             return None
         if (
             isinstance(u, TypeApp)
-            and isinstance(e.type, TypeApp)
             and u.name != e.type.name
             and fg_subtype(u.name, e.type.name, decls)
         ):
@@ -153,7 +156,56 @@ def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=
     return plug(spine, out)
 
 
-def settle(e: Expr, decls: Decls) -> Expr:
+MEMO_MIN_ENTRIES = 4096
+
+
+class RunMemo:
+    """The tables one correspondence check carries from step to step.
+
+    Every table is keyed by ``id(node)`` and holds its node, so no id is
+    reused while an entry lives; none is keyed by the expression, whose
+    generated hash costs its size.
+
+    * ``ctx``: the translator's empty-environment context, holding the
+      source type side table and the translation of every source subterm
+      translated so far (``Translator.translate_closed_expr``);
+    * ``types``: the type side table of target subterms under the target
+      declarations, kept apart from the source one;
+    * ``normal``: target subterms that hold no dictionary-resolution redex;
+    * ``settled``: target subterm -> its settled form, and settled form ->
+      itself.
+
+    A step leaves the subterms off its spine in place, so it adds entries
+    only for the nodes it creates. ``trim``, called once per step, clears
+    all the tables together once their total size exceeds four times the
+    size one step after the last clear (at least ``MEMO_MIN_ENTRIES``),
+    which keeps them within a fixed multiple of the live terms.
+    """
+
+    def __init__(self):
+        self.ctx = Ctx({}, {}, {}, {})
+        self.types: dict = {}
+        self.normal: dict = {}
+        self.settled: dict = {}
+        self.limit: int | None = None  # None: set by the next trim
+
+    def tables(self) -> tuple:
+        return (self.ctx.types, self.ctx.trans, self.types, self.normal, self.settled)
+
+    def size(self) -> int:
+        return sum(map(len, self.tables()))
+
+    def trim(self) -> None:
+        size = self.size()
+        if self.limit is None:
+            self.limit = max(MEMO_MIN_ENTRIES, 4 * size)
+        elif size > self.limit:
+            for table in self.tables():
+                table.clear()
+            self.limit = None
+
+
+def settle(e: Expr, decls: Decls, memo: RunMemo | None = None) -> Expr:
     """Discharge pending erasure asserts over values: an erase-tagged
     ``v.(t)`` with ``vtype(v) <: t`` contracts to ``v``.
 
@@ -163,41 +215,97 @@ def settle(e: Expr, decls: Decls) -> Expr:
     comparison runs on settled forms. Only succeeding asserts are
     discharged: a failing one stays put and surfaces as a divergence. A
     term with nothing to discharge comes back as the same object.
+    ``memo.settled`` gives the settled form of every subterm settled so
+    far, and settling does not descend into them; without a memo a fresh
+    table serves this call.
     """
+    done = {} if memo is None else memo.settled
 
     def settled(e, kids):
-        if kids and any(k is not s for k, s in zip(kids, subexprs(e))):
-            e = rebuild(e, kids)
+        hit = done.get(id(e))
+        if hit is not None:
+            return hit[1]
+        if not kids:
+            return e
+        out = e
+        if any(k is not s for k, s in zip(kids, subexprs(e))):
+            out = rebuild(e, kids)
         while (
-            isinstance(e, TypeAssert)
-            and e.origin == "erase"
-            and is_value(e.recv)
-            and isinstance(e.type, TypeApp)
-            and fg_subtype(vtype(e.recv).name, e.type.name, decls)
+            isinstance(out, TypeAssert)
+            and out.origin == "erase"
+            and is_value(out.recv)
+            and isinstance(out.type, TypeApp)
+            and fg_subtype(vtype(out.recv).name, out.type.name, decls)
         ):
-            e = e.recv
-        return e
+            out = out.recv
+        done[id(e)] = (e, out)
+        done[id(out)] = (out, out)
+        return out
 
-    return fold(e, settled)
+    return fold(e, settled, lambda n: () if id(n) in done else subexprs(n))
 
 
 DEFAULT_NORMALIZE_BOUND = 10_000
 
 
-def dict_normalize(e: Expr, decls: Decls, info: TransInfo, bound: int = DEFAULT_NORMALIZE_BOUND):
+def _first_redex(e: Expr, decls: Decls, info: TransInfo, memo: RunMemo):
+    """The path of the first dictionary-resolution redex of ``e`` in
+    preorder, or None. Subterms in ``memo.normal`` are skipped, and every
+    subterm scanned whole without a redex is added to it."""
+    normal, types = memo.normal, memo.types
+    spine, path = [], []  # the kids of each node above ``node``, and its index there
+    node = e
+    while True:
+        if id(node) not in normal:
+            if _dict_contract(node, decls, info, types) is not None:
+                return tuple(path)
+            kids = subexprs(node)
+            if kids:
+                spine.append((node, kids))
+                path.append(0)
+                node = kids[0]
+                continue
+        # ``node`` holds no redex: go on to its next sibling, or up
+        while spine:
+            parent, kids = spine[-1]
+            i = path[-1] + 1
+            if i < len(kids):
+                path[-1] = i
+                node = kids[i]
+                break
+            spine.pop()
+            path.pop()
+            normal[id(parent)] = parent
+        else:
+            return None
+
+
+def dict_normalize(
+    e: Expr,
+    decls: Decls,
+    info: TransInfo,
+    bound: int = DEFAULT_NORMALIZE_BOUND,
+    memo: RunMemo | None = None,
+):
     """Exhaust dictionary resolution, leftmost-outermost first; returns
     (normal form, steps taken). By confluence the normal form is unique;
     the bound guards against a harness or translator bug and raises
-    NormalizeOverflow on overflow. One type side table serves every scan:
-    subterms a contraction leaves in place keep their identity, so each
-    is typed once per normalisation."""
+    NormalizeOverflow on overflow.
+
+    Each step contracts the first redex in preorder. The search skips the
+    subterms ``memo.normal`` knows to hold no redex and records those it
+    scans whole, so after a contraction only the rebuilt spine and the
+    contractum are scanned again; ``memo.types`` types each assertion
+    receiver once. A caller that normalises successive states of one run
+    passes the same memo, and the subterms a step leaves in place are not
+    scanned or typed again. Without a memo a fresh one serves this call."""
+    memo = RunMemo() if memo is None else memo
     steps = 0
-    types: dict = {}
     while True:
-        positions = dict_redex_positions(e, decls, info, types)
-        if not positions:
+        path = _first_redex(e, decls, info, memo)
+        if path is None:
             return e, steps
-        e = contract_dict_at(e, positions[0], decls, info, types)
+        e = contract_dict_at(e, path, decls, info, memo.types)
         steps += 1
         if steps > bound:
             raise NormalizeOverflow("no normal form within %d steps" % bound)
@@ -324,6 +432,10 @@ def check_correspondence(
     state and of the freshly translated source state must agree; terminally
     both sides must agree on value (up to value translation), panic, or
     budget exhaustion.
+
+    One ``RunMemo`` serves the whole run: re-translation, normalisation and
+    settling each redo only the nodes the last step created, so the work
+    per step follows the step's spine and contractum, not the term size.
     """
     translator = Translator(program)
     target = translator.translate_program()
@@ -331,22 +443,26 @@ def check_correspondence(
     sdecls = Decls(program)
     tdecls = Decls(target)
 
+    memo = RunMemo()
     e = program.main
-    t = target.main
+    # target.main, translated under the run's context: the two sides then
+    # share every subterm no step has touched, and compare by identity there
+    t = translator.translate_closed_expr(e, memo.ctx)
     records = []
 
     def norm(x):
-        nf, steps = dict_normalize(x, tdecls, info, normalize_bound)
-        return settle(nf, tdecls), steps
+        nf, steps = dict_normalize(x, tdecls, info, normalize_bound, memo)
+        return settle(nf, tdecls, memo), steps
 
     for i in range(max_steps):
         try:
             t_norm, dsteps = norm(t)
-            e_trans, dsteps2 = norm(translator.translate_closed_expr(e))
+            e_trans, dsteps2 = norm(translator.translate_closed_expr(e, memo.ctx))
         except NormalizeOverflow as ov:
             return CorrespondenceReport(
                 tuple(records), Terminal("budget", False, "normalization overflow: %s" % ov)
             )
+        memo.trim()
         matched = t_norm == e_trans
         mismatch = (
             ""

@@ -54,6 +54,7 @@ from .syntax import (
     Var,
     fold,
     print_type,
+    subexprs,
     walk,
 )
 from .typecheck import (
@@ -156,14 +157,19 @@ def max_formal(decl) -> int:
 @dataclass
 class Ctx:
     """Per-method translation context: type bounds, the dictionary map
-    (type parameter -> dictionary expression), variable typing, and the
-    type side table of the subterms typed so far under (delta; gamma)."""
+    (type parameter -> dictionary expression), variable typing, the type
+    side table of the subterms typed so far under (delta; gamma), and the
+    translations made so far under it. A subterm translates the same way
+    wherever it occurs under one context, so ``trans`` maps ``id(node)`` to
+    ``(node, (translated expression, fg type name))``; holding the node
+    keeps its id from being reused while the entry lives."""
 
     delta: dict
     eta: dict
     gamma: dict
     fg_types: dict  # var name -> concrete fg type name (receiver only)
     types: dict = field(default_factory=dict)
+    trans: dict = field(default_factory=dict)
 
 
 def _this(name: str = "this") -> Var:
@@ -368,9 +374,12 @@ class Translator:
         """Returns (translated expression, concrete fg type name or None).
 
         The fg type is tracked so redundant receiver asserts can be skipped
-        and so int/bool positions only assert erased operands.
+        and so int/bool positions only assert erased operands. A subterm in
+        ``ctx.trans`` is not translated again: its recorded translation,
+        the same object, is reused.
         """
         skip = self.options.skip_redundant_asserts
+        done = ctx.trans
 
         def asserted(te, fgname, want: str):
             # d-field / d-call always reassert the receiver; the flag drops
@@ -380,6 +389,12 @@ class Translator:
             return TypeAssert(te, TypeApp(want), origin="erase")
 
         def translated(e, kids):
+            hit = done.get(id(e))
+            if hit is None:
+                hit = done[id(e)] = (e, translated_node(e, kids))
+            return hit[1]
+
+        def translated_node(e, kids):
             # kids: the (translated expression, fg type name) of each subexpression
             t = type(e)
             if t is Var:
@@ -420,11 +435,16 @@ class Translator:
                 return Seq(kids[0][0], kids[1][0]), kids[1][1]
             raise TranslationError("cannot translate %r" % t.__name__)
 
-        return fold(e, translated)
+        return fold(e, translated, lambda n: () if id(n) in done else subexprs(n))
 
-    def translate_closed_expr(self, e: Expr) -> Expr:
-        """Translate a closed (runtime) expression under empty environments."""
-        return self.translate_expr(e, Ctx({}, {}, {}, {}))[0]
+    def translate_closed_expr(self, e: Expr, ctx: Ctx | None = None) -> Expr:
+        """Translate a closed (runtime) expression under empty environments.
+
+        ``ctx``, if given, is an empty-environment context kept across
+        calls: a caller that translates successive states of one run passes
+        the same one, so the subterms a step leaves in place keep their
+        translation objects and only the new nodes are translated."""
+        return self.translate_expr(e, Ctx({}, {}, {}, {}) if ctx is None else ctx)[0]
 
     # -- declarations -----------------------------------------------------------
 

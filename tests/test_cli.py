@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -150,16 +152,21 @@ def test_usage_error_exit_code(capsys):
         assert ": error: " in err.splitlines()[-1], argv
 
 
-@pytest.mark.parametrize("case", ["missing-input", "not-utf8", "translate-output", "bench-output"])
-def test_io_error_exit_code(capsys, tmp_path, case):
+@pytest.mark.parametrize("case", ["missing-input", "not-utf8", "not-utf8-stdin", "translate-output", "bench-output"])
+def test_io_error_exit_code(capsys, monkeypatch, tmp_path, case):
     # an unreadable input or an unwritable output ends like an argument
     # argparse cannot open: exit 2 and one line naming the file
     bad = tmp_path / "bad.fgg"
     bad.write_bytes(b"package main\n\xff\xfe\n")
+    # standard input as a POSIX-locale interpreter opens it: decoding errors
+    # become surrogates, so only the raw bytes show the input is not UTF-8
+    stdin = io.TextIOWrapper(io.BytesIO(bad.read_bytes()), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
     missing_dir = tmp_path / "no-such-dir"
     argv, path = {
         "missing-input": (["parse", str(missing_dir / "x.fg")], missing_dir / "x.fg"),
         "not-utf8": (["parse", str(bad)], bad),
+        "not-utf8-stdin": (["parse", "-"], "-"),
         "translate-output": (
             ["translate", corpus_path("gtfunc.fgg"), "--mode", "dict", "-o", str(missing_dir / "x.fg")],
             missing_dir / "x.fg",

@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
+from feathergo import cosim
+from feathergo.bench import BenchConfig, generate
 from feathergo.cosim import (
+    MEMO_MIN_ENTRIES,
+    RunMemo,
     check_correspondence,
     classify,
     contract_dict_at,
@@ -26,6 +31,7 @@ from feathergo.syntax import (
     Panic,
     StructLit,
     TypeApp,
+    fold,
     show_expr,
     walk,
 )
@@ -218,14 +224,15 @@ def _sampled_states(rng, with_positions=False):
     return pool
 
 
-def _reference_normalize(e, tdecls, info):
-    """Leftmost-outermost resolution from the table-free oracle functions."""
+def _reference_normalize(e, tdecls, info, types=None):
+    """Leftmost-outermost resolution from the oracle functions: every redex
+    position listed, the first contracted, to a fixpoint."""
     steps = 0
     while True:
-        positions = dict_redex_positions(e, tdecls, info)
+        positions = dict_redex_positions(e, tdecls, info, types)
         if not positions:
             return e, steps
-        e = contract_dict_at(e, positions[0], tdecls, info)
+        e = contract_dict_at(e, positions[0], tdecls, info, types)
         steps += 1
 
 
@@ -341,3 +348,107 @@ def test_correspondence_budget_terminal():
     assert report.ok
     assert report.terminal.kind == "budget"
     assert len(report.records) == 50
+
+
+# -- the memos one correspondence check carries ---------------------------------------
+
+
+def _traced_correspondence(program, reference):
+    """check_correspondence's JSON report, and the digest of the repr of each
+    settled normal form (origin tags included) and the step count of each
+    normalisation, in order. ``reference`` swaps in stand-ins that use no
+    memo and redo each step from scratch: the oracle functions to a fixpoint
+    under a type side table of that normalisation alone, a fresh settle, and
+    a fresh translation."""
+    seen = []
+    normalize, settle_, translate = cosim.dict_normalize, cosim.settle, Translator.translate_closed_expr
+
+    def traced_normalize(e, decls, info, bound, memo):
+        if reference:
+            nf, steps = _reference_normalize(e, decls, info, {})
+        else:
+            nf, steps = normalize(e, decls, info, bound, memo)
+        seen.append(steps)
+        return nf, steps
+
+    def traced_settle(e, decls, memo):
+        out = settle_(e, decls, None if reference else memo)
+        seen.append(hashlib.blake2b(repr(out).encode(), digest_size=16).digest())
+        return out
+
+    def traced_translate(self, e, ctx=None):
+        return translate(self, e, None if reference else ctx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosim, "dict_normalize", traced_normalize)
+        mp.setattr(cosim, "settle", traced_settle)
+        mp.setattr(Translator, "translate_closed_expr", traced_translate)
+        report = check_correspondence(program)
+    return report.to_json(), seen
+
+
+DIFFERENTIAL_PROGRAMS = [(p.name, lambda p=p: load(p.name)) for p in FGG_FILES] + [
+    ("%s%d" % (f, k), lambda f=f, k=k: generate(BenchConfig(f, k, 1))) for f in "abcde" for k in range(2, 6)
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in DIFFERENTIAL_PROGRAMS], ids=[n for n, _ in DIFFERENTIAL_PROGRAMS])
+def test_carried_memos_match_a_from_scratch_run(make):
+    # per step the same settled normal forms on both sides and the same
+    # normalisation step counts, and the same report, as a run that carries
+    # nothing from one step to the next
+    program = make()
+    report, seen = _traced_correspondence(program, reference=False)
+    ref_report, ref_seen = _traced_correspondence(program, reference=True)
+    assert len(seen) == len(ref_seen)
+    for i, (got, want) in enumerate(zip(seen, ref_seen)):
+        assert got == want, "normalisation %d of the run differs" % (i // 2)
+    assert report == ref_report
+
+
+def _expr_nodes(e) -> int:
+    return fold(e, lambda n, kids: 1 + sum(kids))
+
+
+def test_run_memo_stays_within_a_multiple_of_the_live_terms(monkeypatch):
+    # 3000 steps of a loop: the tables are cleared whenever they outgrow the
+    # terms the run holds, and never hold more than a fixed multiple of the
+    # live terms' nodes plus the minimum
+    sizes, live = [], []
+
+    class RecordingMemo(RunMemo):
+        def trim(self):
+            sizes.append(self.size())
+            super().trim()
+
+    settle_ = cosim.settle
+
+    def recording_settle(e, decls, memo=None):
+        out = settle_(e, decls, memo)
+        live.append(_expr_nodes(out))
+        return out
+
+    monkeypatch.setattr(cosim, "RunMemo", RecordingMemo)
+    monkeypatch.setattr(cosim, "settle", recording_settle)
+    report = check_correspondence(load("omega.fgg"), max_steps=3000)
+    assert report.ok and len(report.records) == 3000
+    assert len(sizes) == 3000
+    clears = sum(b < a for a, b in zip(sizes, sizes[1:]))
+    assert clears >= 2
+    assert max(sizes) <= 16 * max(live) + MEMO_MIN_ENTRIES
+
+
+def test_run_memo_limit_follows_the_size_after_a_clear():
+    memo = RunMemo()
+    memo.types.update((i, None) for i in range(3000))
+    memo.trim()  # the first step: the limit is four times what it holds, at least the minimum
+    assert memo.limit == 4 * 3000 and memo.size() == 3000
+    memo.normal.update((i, None) for i in range(9000))
+    memo.trim()
+    assert memo.size() == 12_000  # not over the limit: kept
+    memo.settled[0] = None
+    memo.trim()
+    assert memo.size() == 0 and memo.limit is None  # over it: every table cleared
+    memo.ctx.trans[0] = None
+    memo.trim()
+    assert memo.limit == MEMO_MIN_ENTRIES
