@@ -15,6 +15,7 @@ to core FG.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -42,8 +43,12 @@ def _emit_diags(diags, path: str, as_json: bool) -> None:
 
 
 def _load(path: str, lang: str, as_json: bool):
-    if path == "-":  # strict UTF-8, as for a named file
-        source = sys.stdin.buffer.read().decode("utf-8")
+    if path == "-":  # strict UTF-8 and universal newlines, as for a named file
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            source = stdin.read()
+        finally:
+            stdin.detach()  # leaves sys.stdin open
     else:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()

@@ -124,10 +124,21 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
     return None
 
 
-def dict_redex_positions(e: Expr, decls: Decls, info: TransInfo, types=None) -> list:
-    """All positions (paths) where a dictionary-resolution step applies, in
+def dict_redex_positions(
+    e: Expr, decls: Decls, info: TransInfo, types=None, memo: RunMemo | None = None
+) -> list:
+    """Positions (paths) where a dictionary-resolution step applies, in
     preorder. A path is a tuple of indices into ``subexprs``, one per level
-    from the root down."""
+    from the root down.
+
+    Without ``memo`` the list is complete: the full scan that C5 and the
+    confluence tests take as their oracle. With one it is the scan
+    ``dict_normalize`` makes per step: it lists only the first position,
+    types receivers in ``memo.types``, skips the subterms ``memo.normal``
+    knows to hold no redex and records those it scans whole."""
+    if memo is not None:
+        path = _first_redex(e, decls, info, memo)
+        return [] if path is None else [path]
     out = []
     stack = [(e, None)]  # (node, its position: None at the root, else (parent's position, index))
     while stack:
@@ -166,9 +177,10 @@ class RunMemo:
     reused while an entry lives; none is keyed by the expression, whose
     generated hash costs its size.
 
-    * ``ctx``: the translator's empty-environment context, holding the
-      source type side table and the translation of every source subterm
-      translated so far (``Translator.translate_closed_expr``);
+    * ``src_types`` and ``trans``: the source type side table and the
+      translation of every source subterm translated so far, which ``ctx``,
+      the translator's empty-environment context, uses as its own
+      (``Translator.translate_closed_expr``);
     * ``types``: the type side table of target subterms under the target
       declarations, kept apart from the source one;
     * ``normal``: target subterms that hold no dictionary-resolution redex;
@@ -183,14 +195,16 @@ class RunMemo:
     """
 
     def __init__(self):
-        self.ctx = Ctx({}, {}, {}, {})
+        self.src_types: dict = {}
+        self.trans: dict = {}
+        self.ctx = Ctx({}, {}, {}, {}, types=self.src_types, trans=self.trans)
         self.types: dict = {}
         self.normal: dict = {}
         self.settled: dict = {}
         self.limit: int | None = None  # None: set by the next trim
 
     def tables(self) -> tuple:
-        return (self.ctx.types, self.ctx.trans, self.types, self.normal, self.settled)
+        return (self.src_types, self.trans, self.types, self.normal, self.settled)
 
     def size(self) -> int:
         return sum(map(len, self.tables()))
@@ -292,7 +306,8 @@ def dict_normalize(
     the bound guards against a harness or translator bug and raises
     NormalizeOverflow on overflow.
 
-    Each step contracts the first redex in preorder. The search skips the
+    Each step contracts the first redex in preorder, which
+    ``dict_redex_positions`` finds under the memo. The search skips the
     subterms ``memo.normal`` knows to hold no redex and records those it
     scans whole, so after a contraction only the rebuilt spine and the
     contractum are scanned again; ``memo.types`` types each assertion
@@ -302,10 +317,10 @@ def dict_normalize(
     memo = RunMemo() if memo is None else memo
     steps = 0
     while True:
-        path = _first_redex(e, decls, info, memo)
-        if path is None:
+        positions = dict_redex_positions(e, decls, info, memo=memo)
+        if not positions:
             return e, steps
-        e = contract_dict_at(e, path, decls, info, memo.types)
+        e = contract_dict_at(e, positions[0], decls, info, memo.types)
         steps += 1
         if steps > bound:
             raise NormalizeOverflow("no normal form within %d steps" % bound)

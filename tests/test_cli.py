@@ -182,6 +182,20 @@ def test_io_error_exit_code(capsys, monkeypatch, tmp_path, case):
     assert len(err.splitlines()) == 1 and err.startswith("%s: error: " % path), err
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_stdin_line_ends_read_as_for_a_named_file(capsys, monkeypatch, tmp_path, newline):
+    # CRLF and lone CR end lines on standard input as they do in a named
+    # file, so a diagnostic names the same line either way
+    src = tmp_path / "src.fgg"
+    src.write_bytes(newline.join([b"package main", b"", b"func main() { _ = @ }", b""]))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes()), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "parse", "-")
+    file_code, file_out, file_err = run_cli(capsys, "parse", str(src))
+    assert code == file_code == 1
+    assert err.startswith("-:3:") and err == file_err.replace(str(src), "-")
+    assert out == file_out
+
+
 def test_unknown_flag_exit_code(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["run", "--definitely-not-a-flag"])
