@@ -4,8 +4,26 @@ Evaluation is deterministic, and one rule gives every evaluation context: a
 term's strict subexpressions are all of ``syntax.subexprs`` (a call's
 receiver before its arguments), except that ``if`` and sequencing have only
 their first, and the context descends into the leftmost strict
-subexpression that is not a value. Where all of them are values, the term
-contracts in place. The decomposition is a loop over an explicit spine, so
+subexpression that is not a value. Where all of them are values, that
+subterm, the focus, contracts in place.
+
+``run`` drives a refocusing machine. It keeps the evaluation context as a
+spine of ``(node, kids, i)`` frames from the root down, the hole being
+``kids[i]`` of the last frame, and contracts at the focus. Then it resumes
+at the hole, not at the root:
+
+* a contractum that is not a value is descended into;
+* a value fills the hole, and the machine moves on to the next strict
+  sibling that is not a value;
+* when no such sibling is left, it rebuilds the frame's node once and
+  contracts there, or climbs on if that node is a struct literal (a value).
+
+Climbing out of a subterm shows that it is a value, so only siblings not yet
+visited are tested for value-ness. A step costs work in what it changed, not
+in the depth of the hole, and the whole term is built only as the final
+value. ``fg_step`` and ``fgg_step`` are one-shot wrappers over the same
+descent: descend from the root, contract, ``plug`` the contractum back in.
+Co-simulation steps with them. Every loop runs over the explicit spine, so
 term depth is not bounded by the recursion limit. The stepper holds no
 global state; distinct runs are independent.
 
@@ -185,33 +203,58 @@ def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
     return Stuck("free variable %s" % e.name)  # subexprs rejects any class but Var here
 
 
-def _step(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
-    # Decompose e into an evaluation context (the spine of (node, kids, i):
-    # the hole is kids[i] of node) and a subterm whose strict subexpressions
-    # are values, contract that subterm, and plug the result back in.
-    spine = []
+def _descend(e: Expr, spine: list) -> Expr:
+    """Push the evaluation context of ``e`` onto ``spine`` and return its
+    focus: the leftmost innermost subterm that is not a value and whose
+    strict subexpressions all are. A value ``e`` is its own focus, with
+    nothing pushed."""
     while True:
+        t = type(e)
+        if t is IntLit or t is BoolLit:
+            return e
         kids = subexprs(e)
-        n = 1 if type(e) is If or type(e) is Seq else len(kids)
-        for i in range(n):
+        for i in range(1 if t is If or t is Seq else len(kids)):
             if not is_value(kids[i]):
                 spine.append((e, kids, i))
                 e = kids[i]
                 break
         else:
-            break
-    out = _contract(e, decls, generic)
+            return e
+
+
+_VALUE_HEADS = (StructLit, IntLit, BoolLit)  # a focus with one of these is a value
+
+
+def _resume(e: Expr, spine: list) -> Expr:
+    """The next focus once ``e`` has replaced the focus at the hole of
+    ``spine``'s last frame."""
+    e = _descend(e, spine)
+    while spine and type(e) in _VALUE_HEADS:
+        node, kids, i = spine[-1]
+        kids = (*kids[:i], e, *kids[i + 1:])
+        for j in range(i + 1, 1 if type(node) is If or type(node) is Seq else len(kids)):
+            if not is_value(kids[j]):
+                spine[-1] = (node, kids, j)
+                return _descend(kids[j], spine)
+        spine.pop()
+        e = rebuild(node, kids)
+    return e
+
+
+def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
+    spine = []
+    out = _contract(_descend(e, spine), decls, generic)
     if not spine or type(out) is not Stepped:
         return out
     return Stepped(plug(spine, out.expr), out.rule, out.redex)
 
 
 def fg_step(e: Expr, decls: Decls) -> StepOutcome:
-    return _step(e, decls, generic=False)
+    return _step_once(e, decls, generic=False)
 
 
 def fgg_step(e: Expr, decls: Decls) -> StepOutcome:
-    return _step(e, decls, generic=True)
+    return _step_once(e, decls, generic=True)
 
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -233,7 +276,7 @@ class RunResult:
 
 
 def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg", trace=None) -> RunResult:
-    """Iterate the step function from main's expression.
+    """Run main's expression on the machine, one contraction per step.
 
     ``lang`` selects the stepper ("fgg" or any fg dialect). ``trace`` is an
     optional callback invoked with (rule, redex) per step. Never exceeds
@@ -241,21 +284,24 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
     """
     decls = Decls(program)
     generic = lang == "fgg"
-    e = program.main
-    for i in range(max_steps + 1):
-        out = _step(e, decls, generic)
-        if isinstance(out, Value):
-            return RunResult("value", i, value=out.value)
-        if isinstance(out, PanicOutcome):
-            return RunResult("panic", i, panic=out)
-        if isinstance(out, Stuck):
+    spine = []
+    e = _descend(program.main, spine)
+    steps = 0
+    while True:
+        out = _contract(e, decls, generic)
+        t = type(out)
+        if t is Value:
+            return RunResult("value", steps, value=out.value)
+        if t is PanicOutcome:
+            return RunResult("panic", steps, panic=out)
+        if t is Stuck:
             raise RuntimeError("stuck: %s (non-typechecked input?)" % out.reason)
-        if i == max_steps:  # the term is looked at before the budget
-            break
+        if steps == max_steps:  # the term is looked at before the budget
+            return RunResult("budget_exhausted", max_steps)
         if trace is not None:
             trace(out.rule, out.redex)
-        e = out.expr
-    return RunResult("budget_exhausted", max_steps)
+        steps += 1
+        e = _resume(out.expr, spine)
 
 
 def step_count(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg"):

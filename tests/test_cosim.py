@@ -5,7 +5,6 @@ import random
 import pytest
 
 from feathergo import cosim
-from feathergo.bench import BenchConfig, generate
 from feathergo.cosim import (
     MEMO_MIN_ENTRIES,
     RunMemo,
@@ -39,7 +38,7 @@ from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 
 from conftest import FGG_FILES, load
 
-from test_reduce import assert_unique_decomposition
+from test_reduce import FGG_SOURCES, assert_unique_decomposition
 
 
 def translated(name):
@@ -387,12 +386,7 @@ def _traced_correspondence(program, reference):
     return report.to_json(), seen
 
 
-DIFFERENTIAL_PROGRAMS = [(p.name, lambda p=p: load(p.name)) for p in FGG_FILES] + [
-    ("%s%d" % (f, k), lambda f=f, k=k: generate(BenchConfig(f, k, 1))) for f in "abcde" for k in range(2, 6)
-]
-
-
-@pytest.mark.parametrize("make", [m for _, m in DIFFERENTIAL_PROGRAMS], ids=[n for n, _ in DIFFERENTIAL_PROGRAMS])
+@pytest.mark.parametrize("make", [m for _, m in FGG_SOURCES], ids=[n for n, _ in FGG_SOURCES])
 def test_carried_memos_match_a_from_scratch_run(make):
     # per step the same settled normal forms on both sides and the same
     # normalisation step counts, and the same report, as a run that carries

@@ -1,6 +1,6 @@
 """Deep terms at the interpreter's default recursion limit: every expression
 pass folds iteratively, so 10^4 levels of nesting go through the whole
-pipeline."""
+pipeline, and the interpreter runs them to their value in linear time."""
 
 import pytest
 
@@ -44,3 +44,10 @@ def test_deep_input_goes_through_every_stage(default_recursion_limit, name):
         assert res.kind in ("value", "budget_exhausted")
         assert res.describe()  # the value printer folds too
     assert check_correspondence(program, max_steps=2).ok
+
+
+@pytest.mark.parametrize("name, steps, value", [("chain", DEPTH, "Box[int]{1}"), ("binop", DEPTH - 1, str(DEPTH))])
+def test_deep_input_runs_to_its_value(default_recursion_limit, name, steps, value):
+    res = run(parse_fgg(DEEP_INPUTS[name]), lang="fgg")
+    assert res.kind == "value" and res.steps == steps
+    assert res.describe() == value

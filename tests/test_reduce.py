@@ -2,11 +2,15 @@ import dataclasses
 
 import pytest
 
+from feathergo import reduce
+from feathergo.bench import BenchConfig, generate
 from feathergo.dicttrans import translate_program
+from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import (
     PanicOutcome,
     Stepped,
+    Stuck,
     Value,
     fg_step,
     fgg_step,
@@ -27,10 +31,11 @@ from feathergo.syntax import (
     StructLit,
     TypeApp,
     TypeAssert,
+    show_expr,
 )
 from feathergo.typecheck import Decls
 
-from conftest import TERMINATING, load, read
+from conftest import CORPUS, FGG_FILES, TERMINATING, load, read
 
 
 @pytest.fixture(scope="module")
@@ -237,24 +242,151 @@ def test_determinism_along_corpus_runs(path, generic):
         e = out.expr
 
 
-# -- deep terms: the decomposition is a loop ----------------------------------------
+# -- the machine against one-shot steps ------------------------------------------
+#
+# ``run`` keeps its evaluation context from step to step; ``fg_step`` and
+# ``fgg_step`` decompose from the root every time. Both must give the same
+# trace and the same outcome.
+
+DIFF_BUDGET = 3000
 
 
-def test_deep_receiver_chain_runs(default_recursion_limit):
-    depth = 1500
-    program = parse_fgg(
+def stepwise_run(program, max_steps, lang):
+    """``run`` as a loop of one-shot steps from main: the trace, then
+    (kind, steps, repr of the value, panic message or stuck reason)."""
+    decls = Decls(program)
+    step = fgg_step if lang == "fgg" else fg_step
+    e, trace = program.main, []
+    for i in range(max_steps + 1):
+        out = step(e, decls)
+        if isinstance(out, Value):
+            return trace, ("value", i, repr(out.value), None)
+        if isinstance(out, PanicOutcome):
+            return trace, ("panic", i, None, out.message)
+        if isinstance(out, Stuck):
+            return trace, ("stuck", None, None, "stuck: %s (non-typechecked input?)" % out.reason)
+        if i == max_steps:
+            break
+        trace.append((out.rule, show_expr(out.redex)))
+        e = out.expr
+    return trace, ("budget_exhausted", max_steps, None, None)
+
+
+def machine_run(program, max_steps, lang):
+    trace = []
+    try:
+        res = run(program, max_steps, lang, trace=lambda rule, redex: trace.append((rule, show_expr(redex))))
+    except RuntimeError as err:
+        return trace, ("stuck", None, None, str(err))
+    value = None if res.value is None else repr(res.value)  # repr shows origin tags
+    return trace, (res.kind, res.steps, value, res.panic and res.panic.message)
+
+
+def _corpus(name):
+    return lambda: (load(name), "fgg" if name.endswith(".fgg") else "fg")
+
+
+def _translated(make_source, mode):
+    def make():
+        source = make_source()
+        return (translate_program(source) if mode == "dict" else erase_program(source)[0]), "fg"
+
+    return make
+
+
+FAMILY_SOURCES = [("%s%d" % (f, k), lambda f=f, k=k: generate(BenchConfig(f, k, 1))) for f in "abcde" for k in range(2, 6)]
+FGG_SOURCES = [(p.name, lambda n=p.name: load(n)) for p in FGG_FILES] + FAMILY_SOURCES
+MACHINE_INPUTS = (
+    [(p.name, _corpus(p.name)) for p in sorted(CORPUS.glob("*.fg*"))]
+    + [(name, lambda m=make: (m(), "fgg")) for name, make in FAMILY_SOURCES]
+    + [("%s-%s" % (mode, name), _translated(make, mode)) for name, make in FGG_SOURCES for mode in ("dict", "erasure")]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in MACHINE_INPUTS], ids=[n for n, _ in MACHINE_INPUTS])
+def test_machine_matches_one_shot_steps(make):
+    program, lang = make()
+    want_trace, want = stepwise_run(program, DIFF_BUDGET, lang)
+    got_trace, got = machine_run(program, DIFF_BUDGET, lang)
+    assert got == want
+    assert got_trace == want_trace
+
+
+@pytest.mark.parametrize(
+    "name, budget, kind",
+    [
+        ("nilmain.fgg", 0, "value"),  # a value main: its value, in 0 steps
+        ("box.fgg", 0, "budget_exhausted"),  # a non-value main: no step
+        ("box.fgg", 9, "budget_exhausted"),  # out of budget mid-term (11 steps)
+        ("fgg_list.fgg", 15, "budget_exhausted"),  # 22 steps
+        ("fg_list.fg", 31, "budget_exhausted"),  # panics at step 32
+        ("permute.fgg", 50, "budget_exhausted"),  # 78 steps
+        ("omega.fgg", 300, "budget_exhausted"),
+    ],
+)
+def test_machine_matches_one_shot_steps_under_a_budget(name, budget, kind):
+    program, lang = _corpus(name)()
+    want_trace, want = stepwise_run(program, budget, lang)
+    got_trace, got = machine_run(program, budget, lang)
+    assert got == want and got[:2] == (kind, budget)
+    assert got_trace == want_trace and len(got_trace) == budget
+
+
+# -- deep terms: the machine keeps its spine ----------------------------------------
+
+
+def _chain(depth):
+    return parse_fgg(
         "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
         "func (b Box[T]) Id() Box[T] { return b }\n"
         "func main() { _ = Box[int]{1}" + ".Id()" * depth + " }\n"
     )
-    res = run(program, lang="fgg")
+
+
+def _binop(terms):
+    return parse_fg("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * terms))
+
+
+def test_deep_receiver_chain_runs(default_recursion_limit):
+    depth = 1500
+    res = run(_chain(depth), lang="fgg")
     assert res.kind == "value" and res.steps == depth
     assert res.value == StructLit(TypeApp("Box", (TypeApp("int"),)), (IntLit(1),))
 
 
 def test_deep_binop_chain_runs(default_recursion_limit):
     terms = 3000
-    program = parse_fg("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * terms))
-    res = run(program, lang="fg")
+    res = run(_binop(terms), lang="fg")
     assert res.kind == "value" and res.steps == terms - 1
     assert res.value == IntLit(terms)
+
+
+@pytest.mark.parametrize(
+    "make, lang",
+    [
+        (lambda: _chain(1000), "fgg"),
+        (lambda: _chain(2000), "fgg"),
+        (lambda: _binop(3000), "fg"),
+    ],
+    ids=["chain-1000", "chain-2000", "binop-3000"],
+)
+def test_machine_work_per_step_is_constant(monkeypatch, make, lang):
+    # the machine takes a term apart (subexprs) and puts a node back together
+    # (rebuild) a bounded number of times per step, however deep the hole is;
+    # decomposing from the root takes depth-many subexprs calls per step
+    program = make()
+    calls = {"subexprs": 0, "rebuild": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduce, name, counted(name, getattr(reduce, name)))
+    res = run(program, lang=lang)
+    assert res.kind == "value" and res.steps >= 1000
+    for name, n in calls.items():
+        assert n < 3 * res.steps, (name, n, res.steps)
