@@ -455,7 +455,6 @@ def check_correspondence(
     translator = Translator(program)
     target = translator.translate_program()
     info = translator.info()
-    sdecls = Decls(program)
     tdecls = Decls(target)
 
     memo = RunMemo()
@@ -486,7 +485,7 @@ def check_correspondence(
             % (i, show_expr(e_trans), show_expr(t_norm))
         )
 
-        src = fgg_step(e, sdecls)
+        src = fgg_step(e, translator.decls)
         if isinstance(src, Value):
             agree = matched and is_value(t_norm)
             return CorrespondenceReport(

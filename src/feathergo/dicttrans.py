@@ -59,11 +59,10 @@ from .syntax import (
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
-    Decls,
+    check_program,
     fgg_methods,
     fgg_subtype,
     fgg_typecheck_expr,
-    fgg_typecheck_program,
     subst_type,
 )
 
@@ -179,13 +178,12 @@ def _this(name: str = "this") -> Var:
 class Translator:
     def __init__(self, program: Program, options: TransOptions | None = None):
         self.options = options or TransOptions()
-        diags = fgg_typecheck_program(program)
+        self.decls, diags, self.envs = check_program(program)
         if diags:
             raise TranslationError(
                 "source program does not typecheck: " + "; ".join(d.message for d in diags)
             )
         self.program = program
-        self.decls = Decls(program)
         if not self.options.type_metadata and any(isinstance(n, TypeAssert) for n in walk(program)):
             raise TranslationError(
                 "type metadata can only be disabled for assertion-free programs"
@@ -523,17 +521,12 @@ class Translator:
 
     def translate_method(self, d: MethodDecl) -> list:
         meta = self.options.type_metadata
-        sd = self.decls.structs[d.recv_type]
-        ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, d.recv_params)}
-        delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, d.recv_params)}
-        delta.update({fp.name: fp.bound for fp in d.sig.tformal})
+        delta, gamma = self.envs[(d.recv_type, d.name)]
         eta = {
             r: FieldSel(Var(d.recv_name), "dict_%d" % i, origin="dict")
             for i, r in enumerate(d.recv_params)
         }
         eta.update({fp.name: Var("dict_%d" % j) for j, fp in enumerate(d.sig.tformal)})
-        gamma = {d.recv_name: TypeApp(d.recv_type, tuple(TypeParam(r) for r in d.recv_params))}
-        gamma.update({p.name: p.type for p in d.sig.params})
         ctx = Ctx(delta, eta, gamma, {d.recv_name: d.recv_type})
         body, _ = self.translate_expr(d.body, ctx)
 

@@ -31,17 +31,15 @@ from .syntax import (
     Type,
     TypeApp,
     TypeAssert,
-    TypeParam,
     Var,
     fold,
     walk,
 )
 from .typecheck import (
     Decls,
+    check_program,
     fgg_bounds_of,
     fgg_typecheck_expr,
-    fgg_typecheck_program,
-    subst_type,
 )
 
 
@@ -60,13 +58,12 @@ def check_erased_any(decls: Decls, error: type) -> None:
 
 class _Eraser:
     def __init__(self, program: Program):
-        diags = fgg_typecheck_program(program)
+        self.decls, diags, self.envs = check_program(program)
         if diags:
             raise ErasureError(
                 "source program does not typecheck: " + "; ".join(d.message for d in diags)
             )
         self.program = program
-        self.decls = Decls(program)
         self.warnings: list = []
 
     def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):
@@ -120,12 +117,7 @@ class _Eraser:
                 for s in d.specs
             )
             return InterfaceDecl(d.name, (), specs)
-        sd = self.decls.structs[d.recv_type]
-        ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, d.recv_params)}
-        delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, d.recv_params)}
-        delta.update({fp.name: fp.bound for fp in d.sig.tformal})
-        gamma = {d.recv_name: TypeApp(d.recv_type, tuple(TypeParam(r) for r in d.recv_params))}
-        gamma.update({p.name: p.type for p in d.sig.params})
+        delta, gamma = self.envs[(d.recv_type, d.name)]
         body, _ = self.erase_expr(d.body, delta, gamma, {d.recv_name: d.recv_type})
         sig = MethodSig((), tuple(Param(p.name, ANY) for p in d.sig.params), ANY)
         return MethodDecl(d.recv_name, d.recv_type, (), d.name, sig, body)

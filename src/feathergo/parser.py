@@ -130,10 +130,10 @@ def tokenize(source: str) -> list:
                 i += 1
                 col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes other scripts
             start = i
             startcol = col
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 i += 1
                 col += 1
             toks.append(Tok("int", source[start:i], line, startcol))
@@ -310,7 +310,10 @@ class _Parser:
                 continue
             if t.kind == "int":
                 self.next()
-                e = IntLit(int(t.text))
+                try:
+                    e = IntLit(int(t.text))
+                except ValueError:  # past the interpreter's limit on digits converted
+                    self.fail("integer literal too long (%d digits)" % len(t.text), t)
             elif t.text == "true" or t.text == "false":
                 self.next()
                 e = BoolLit(t.text == "true")

@@ -127,11 +127,11 @@ def subst_expr(e: Expr, varmap: dict, typemap: dict) -> Expr:
 def instantiate_body(m, recv: Expr, args, targs) -> Expr:
     """body(vtype(v).m): substitute receiver, value arguments and type
     actuals into the declared body. Used by r-call and, with unevaluated
-    arguments, by dictionary resolution."""
+    arguments, by dictionary resolution. ``recv`` must be a value: both
+    callers contract only a call whose receiver is one."""
     varmap = {m.recv_name: recv}
     varmap.update({p.name: a for p, a in zip(m.sig.params, args)})
-    rtargs = vtype(recv).args if is_value(recv) else ()
-    typemap = {r: t for r, t in zip(m.recv_params, rtargs)}
+    typemap = {r: t for r, t in zip(m.recv_params, vtype(recv).args)}
     typemap.update({fp.name: t for fp, t in zip(m.sig.tformal, targs)})
     return subst_expr(m.body, varmap, typemap)
 

@@ -278,6 +278,19 @@ def _print_sig(name: str, sig: MethodSig) -> str:
     return "%s%s(%s) %s" % (name, print_formal(sig.tformal), params, print_type(sig.ret))
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any size: past the interpreter's limit on
+    digits converted at once (640 or more), it converts 600 at a time."""
+    try:
+        return str(n)
+    except ValueError:
+        m, blocks = abs(n), []
+        while m:
+            m, r = divmod(m, 10**600)
+            blocks.append("%0600d" % r)
+        return "-" * (n < 0) + "".join(reversed(blocks)).lstrip("0")
+
+
 def _print_node(e: Expr, kids) -> tuple:
     """``e`` as (text, precedence), given its subexpressions' (text,
     precedence); the parent adds the parentheses a child needs."""
@@ -297,7 +310,7 @@ def _print_node(e: Expr, kids) -> tuple:
     if t is StructLit:
         return "%s{%s}" % (print_type(e.type), ", ".join([k[0] for k in kids])), _PREC_PRIMARY
     if t is IntLit:
-        return str(e.value), _PREC_PRIMARY
+        return _decimal(e.value), _PREC_PRIMARY
     if t is BoolLit:
         return "true" if e.value else "false", _PREC_PRIMARY
     if t is Binop:  # the left operand may bind as loosely as the operator, the right one not

@@ -5,9 +5,9 @@ is checked by the FGG rules under an empty type environment, after one walk
 that reports what the FG grammar lacks (type formals, type actuals and,
 under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
 
-The checker is a pure function of the program; the program-level entry
-points return a (possibly empty) list of diagnostics, each citing the rule
-that failed. Expression-level checking raises CheckError internally.
+The checker is a pure function of the program: ``check_program`` returns
+its ``Decls``, its diagnostics (each citing the rule that failed) and the
+typing environment of each method body, which the translators start from.
 
 ``int`` and ``bool`` are predeclared struct-kinded types with no fields;
 ``<``/``>``/``+``/``-`` are typed (int, int) -> bool/int. Users may declare
@@ -532,7 +532,7 @@ def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: l
 
 def fgg_typecheck_program(program: Program) -> list:
     """Check a whole FGG program; returns a list of diagnostics (empty = ok)."""
-    return _check_program(program)
+    return check_program(program)[1]
 
 
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
@@ -542,7 +542,7 @@ def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     outside the fragment, then the FGG judgement checks the program under
     an empty type environment."""
     diags = [Diagnostic(m) for m in (_not_fg(n, dialect) for n in walk(program)) if m]
-    return diags + _check_program(program)
+    return diags + check_program(program)[1]
 
 
 def _not_fg(n, dialect: str):
@@ -565,12 +565,13 @@ def _not_fg(n, dialect: str):
     return None
 
 
-def _check_program(program: Program) -> list:
-    """The FGG program judgement behind both entry points. FG checking
-    calls it directly, so a count of ``fgg_typecheck_program`` calls
-    counts the FGG programs checked."""
+def check_program(program: Program) -> tuple:
+    """The FGG program judgement: returns ``(decls, diags, envs)``, where
+    ``envs[(recv_type, name)]`` is the ``(delta, gamma)`` that method's body
+    is typed under (none if its receiver is malformed). Do not mutate them."""
     decls = Decls(program)
     diags = [Diagnostic(m) for m in decls.duplicates]
+    envs = {}
 
     for name, d in list(decls.structs.items()):
         if name in BUILTIN_STRUCTS:
@@ -620,26 +621,24 @@ def _check_program(program: Program) -> list:
                 )
             )
             continue
-        # Receiver bounds come from the struct declaration, renamed to the
-        # receiver's parameter list.
-        ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, m.recv_params)}
-        recv_formal = tuple(
-            fp.__class__(r, subst_type(fp.bound, ren)) for fp, r in zip(sd.formal, m.recv_params)
-        )
         if len(set(m.recv_params)) != len(m.recv_params):
             diags.append(Diagnostic("t-func: receiver type parameters not distinct in %s" % where))
             continue
-        delta = {fp.name: fp.bound for fp in recv_formal}
+        # Receiver bounds come from the struct declaration, renamed to the
+        # receiver's parameter list.
+        ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, m.recv_params)}
+        delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, m.recv_params)}
         delta = _fgg_formal_ok(m.sig.tformal, delta, decls, where, diags)
         names = [m.recv_name] + [p.name for p in m.sig.params]
         if len(set(names)) != len(names):
             diags.append(Diagnostic("t-func: parameter names not distinct in %s" % where))
+        gamma = {m.recv_name: TypeApp(tname, tuple(TypeParam(r) for r in m.recv_params))}
+        gamma.update({p.name: p.type for p in m.sig.params})
+        envs[(tname, mname)] = (delta, gamma)
         try:
             for p in m.sig.params:
                 fgg_wf(p.type, delta, decls)
             fgg_wf(m.sig.ret, delta, decls)
-            gamma = {m.recv_name: TypeApp(tname, tuple(TypeParam(r) for r in m.recv_params))}
-            gamma.update({p.name: p.type for p in m.sig.params})
             t = fgg_typecheck_expr(m.body, delta, gamma, decls, expected=m.sig.ret)
             if not fgg_subtype(t, m.sig.ret, delta, decls):
                 diags.append(
@@ -655,4 +654,4 @@ def _check_program(program: Program) -> list:
         fgg_typecheck_expr(program.main, {}, {}, decls)
     except CheckError as err:
         diags.append(Diagnostic("main: %s" % err.message))
-    return diags
+    return decls, diags, envs

@@ -219,3 +219,25 @@ def test_deep_input_fails_cleanly(capsys, tmp_path, default_recursion_limit, com
     code, _, err = run_cli(capsys, command, str(deep_type))
     assert code == 3
     assert err == "%s: error: input nested too deeply\n" % deep_type
+
+
+def test_non_ascii_digit_is_a_diagnostic(capsys, tmp_path):
+    bad = tmp_path / "sup.fgg"
+    bad.write_text("package main\nfunc main() { _ = ² }\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(bad))
+    assert code == 1
+    assert err.splitlines() == ["%s:2:19: unexpected character '²'" % bad]
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["run", "trace"])
+def test_int_result_past_the_conversion_limit_prints(capsys, tmp_path, trace):
+    # each literal has 4300 digits, as many as str() converts at its default
+    # limit; their sum has one more, and is the second step's redex
+    nines = "9" * 4300
+    src = tmp_path / "sum.fgg"
+    src.write_text("package main\nfunc main() { _ = %s + %s + 1 }\n" % (nines, nines))
+    code, out, err = run_cli(capsys, "run", str(src), *(["--trace"] if trace else []))
+    assert code == 0
+    assert out == "1%s\n" % nines  # 2 * (10**4300 - 1) + 1
+    if trace:
+        assert err.splitlines()[-1] == "r-ext-binop: (1%s8 + 1)" % nines[1:]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from feathergo.parser import ParseError, parse_fg, parse_fgg
@@ -135,3 +137,22 @@ def test_diagnostics_are_deterministic_and_positioned():
     assert msgs[0] == msgs[1]
     # points at the token that broke the declaration (the `func` on line 3)
     assert msgs[0][1] == 3 and msgs[0][2] == 1
+
+
+@pytest.mark.parametrize(
+    "literal, col, message",
+    [
+        ("²", 19, "unexpected character '²'"),  # a superscript digit
+        ("1٣", 20, "unexpected character '٣'"),  # an Arabic-Indic digit
+        ("1" * 5000, 19, "integer literal too long (5000 digits)"),
+    ],
+    ids=["superscript", "arabic-indic", "5000-digits"],
+)
+def test_int_literal_is_ascii_digits_int_can_convert(literal, col, message):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if len(literal) > 1000 and not 0 < limit < len(literal):
+        pytest.skip("no limit on the digits int() converts")
+    with pytest.raises(ParseError) as ei:
+        parse_fgg("package main\nfunc main() { _ = %s }\n" % literal)
+    d = ei.value.diagnostics[0]
+    assert (d.message, d.line, d.col) == (message, 2, col)

@@ -5,7 +5,8 @@ import pytest
 
 from feathergo import typecheck
 from feathergo.bench import BenchConfig, generate
-from feathergo.dicttrans import translate_program
+from feathergo.cosim import check_correspondence
+from feathergo.dicttrans import Translator, translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.syntax import Binop, FieldSel, If, IntLit, Panic, TypeApp, TypeParam, walk
@@ -310,6 +311,23 @@ def test_translations_typecheck_as_extended_fg(name):
     program = generate(BenchConfig(name[0], int(name[1:]))) if name[1:].isdigit() else load(name)
     assert fg_typecheck_program(translate_program(program), "extended") == []
     assert fg_typecheck_program(erase_program(program)[0], "extended") == []
+
+
+def test_translators_reuse_the_checkers_decls(monkeypatch):
+    # one Decls per program: the checker's, reused by each translator and
+    # by co-simulation's source side; the target has its own
+    program = load("gtfunc.fgg")
+    built = []
+    init = Decls.__init__
+    monkeypatch.setattr(Decls, "__init__", lambda self, p: built.append(p) or init(self, p))
+    for run, want in (
+        (lambda: Translator(program), 1),
+        (lambda: erase_program(program), 1),
+        (lambda: check_correspondence(program, max_steps=5), 2),
+    ):
+        built.clear()
+        run()
+        assert len(built) == want
 
 
 _FGG_DECLS = (
