@@ -59,10 +59,10 @@ from .syntax import (
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
-    check_program,
     fgg_methods,
     fgg_subtype,
     fgg_typecheck_expr,
+    fgg_typecheck_program,
     subst_type,
 )
 
@@ -178,12 +178,13 @@ def _this(name: str = "this") -> Var:
 class Translator:
     def __init__(self, program: Program, options: TransOptions | None = None):
         self.options = options or TransOptions()
-        self.decls, diags, self.envs = check_program(program)
+        diags = fgg_typecheck_program(program)
         if diags:
             raise TranslationError(
                 "source program does not typecheck: " + "; ".join(d.message for d in diags)
             )
         self.program = program
+        self.decls, self.envs = diags.decls, diags.envs
         if not self.options.type_metadata and any(isinstance(n, TypeAssert) for n in walk(program)):
             raise TranslationError(
                 "type metadata can only be disabled for assertion-free programs"

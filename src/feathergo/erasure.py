@@ -37,9 +37,9 @@ from .syntax import (
 )
 from .typecheck import (
     Decls,
-    check_program,
     fgg_bounds_of,
     fgg_typecheck_expr,
+    fgg_typecheck_program,
 )
 
 
@@ -58,12 +58,13 @@ def check_erased_any(decls: Decls, error: type) -> None:
 
 class _Eraser:
     def __init__(self, program: Program):
-        self.decls, diags, self.envs = check_program(program)
+        diags = fgg_typecheck_program(program)
         if diags:
             raise ErasureError(
                 "source program does not typecheck: " + "; ".join(d.message for d in diags)
             )
         self.program = program
+        self.decls, self.envs = diags.decls, diags.envs
         self.warnings: list = []
 
     def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):

@@ -5,9 +5,10 @@ is checked by the FGG rules under an empty type environment, after one walk
 that reports what the FG grammar lacks (type formals, type actuals and,
 under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
 
-The checker is a pure function of the program: ``check_program`` returns
-its ``Decls``, its diagnostics (each citing the rule that failed) and the
-typing environment of each method body, which the translators start from.
+The checker is a pure function of the program; the program-level entry
+points return a (possibly empty) list of diagnostics, each citing the rule
+that failed (for FGG, a ``Checked`` list, which the translators start
+from). Expression-level checking raises CheckError internally.
 
 ``int`` and ``bool`` are predeclared struct-kinded types with no fields;
 ``<``/``>``/``+``/``-`` are typed (int, int) -> bool/int. Users may declare
@@ -530,9 +531,19 @@ def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: l
     return delta
 
 
-def fgg_typecheck_program(program: Program) -> list:
-    """Check a whole FGG program; returns a list of diagnostics (empty = ok)."""
-    return check_program(program)[1]
+class Checked(list):
+    """A program's diagnostics, with the ``decls`` the check built and
+    ``envs[(recv_type, name)]``, the ``(delta, gamma)`` that method's body
+    is typed under (none if its receiver is malformed). Do not mutate."""
+
+    def __init__(self, diags: list, decls: Decls, envs: dict):
+        super().__init__(diags)
+        self.decls, self.envs = decls, envs
+
+
+def fgg_typecheck_program(program: Program) -> Checked:
+    """Check a whole FGG program; returns its diagnostics (empty = ok)."""
+    return _check_program(program)
 
 
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
@@ -542,7 +553,7 @@ def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     outside the fragment, then the FGG judgement checks the program under
     an empty type environment."""
     diags = [Diagnostic(m) for m in (_not_fg(n, dialect) for n in walk(program)) if m]
-    return diags + check_program(program)[1]
+    return diags + _check_program(program)
 
 
 def _not_fg(n, dialect: str):
@@ -565,10 +576,10 @@ def _not_fg(n, dialect: str):
     return None
 
 
-def check_program(program: Program) -> tuple:
-    """The FGG program judgement: returns ``(decls, diags, envs)``, where
-    ``envs[(recv_type, name)]`` is the ``(delta, gamma)`` that method's body
-    is typed under (none if its receiver is malformed). Do not mutate them."""
+def _check_program(program: Program) -> Checked:
+    """The FGG program judgement behind both entry points. FG checking
+    calls it directly, so a count of ``fgg_typecheck_program`` calls
+    counts the FGG programs checked, the translators' included."""
     decls = Decls(program)
     diags = [Diagnostic(m) for m in decls.duplicates]
     envs = {}
@@ -654,4 +665,4 @@ def check_program(program: Program) -> tuple:
         fgg_typecheck_expr(program.main, {}, {}, decls)
     except CheckError as err:
         diags.append(Diagnostic("main: %s" % err.message))
-    return decls, diags, envs
+    return Checked(diags, decls, envs)
