@@ -94,7 +94,7 @@ def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
         if isinstance(recv, StructLit) and recv.type.name in info.ptr_structs and is_value(recv):
             m = decls.methods.get((recv.type.name, "Apply"))
             if m is not None and len(m.sig.params) == len(e.args):
-                return instantiate_body(m, recv, e.args, ())
+                return instantiate_body(decls, m, recv, e.args, ())
         return None
     if isinstance(e, TypeAssert):
         if (

@@ -27,6 +27,14 @@ Co-simulation steps with them. Every loop runs over the explicit spine, so
 term depth is not bounded by the recursion limit. The stepper holds no
 global state; distinct runs are independent.
 
+r-call substitutes the receiver, arguments and type actuals into the
+method's body through the body's template (``compile_body``): compiled once
+per program, at the method's first call, and kept in the program's
+``Decls``. It rebuilds only the nodes above a variable or type parameter
+and shares every other subterm, so a call costs work in the nodes that hold
+a hole, not a traversal of the body. ``subst_expr``, a ``fold`` over the
+body, is the reference the templates are tested against.
+
 Outcomes:
 
 * ``Stepped(expr, rule, redex)`` -- one reduction happened; ``rule`` names the
@@ -41,6 +49,7 @@ Outcomes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .syntax import (
     Binop,
@@ -50,6 +59,7 @@ from .syntax import (
     If,
     IntLit,
     MethodCall,
+    MethodDecl,
     Neq,
     Panic,
     Program,
@@ -58,6 +68,7 @@ from .syntax import (
     Type,
     TypeApp,
     TypeAssert,
+    TypeParam,
     Var,
     fold,
     plug,
@@ -119,21 +130,152 @@ def vtype(v: Expr) -> TypeApp:
 
 def subst_expr(e: Expr, varmap: dict, typemap: dict) -> Expr:
     """Capture-free substitution of variables and type parameters. Method
-    bodies contain no binders, so no renaming is ever needed."""
+    bodies contain no binders, so no renaming is ever needed. The reference
+    that body templates are tested against."""
     ft = (lambda t: subst_type(t, typemap)) if typemap else None
     return fold(e, lambda n, kids: varmap.get(n.name, n) if type(n) is Var else rebuild(n, kids, ft))
 
 
-def instantiate_body(m, recv: Expr, args, targs) -> Expr:
+def _mentions(t: Type, names) -> bool:
+    """Whether type ``t`` mentions a type parameter in ``names``."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is TypeParam:
+            if t.name in names:
+                return True
+        else:
+            todo += t.args
+    return False
+
+
+def _types(e: Expr) -> tuple:
+    """The types ``e`` carries (see ``rebuild``)."""
+    t = type(e)
+    if t is MethodCall:
+        return e.targs
+    if t is StructLit or t is TypeAssert:
+        return (e.type,)
+    return ()
+
+
+def _getter(ix):
+    """regs -> the tuple of ``regs[i]`` for ``i`` in ``ix``."""
+    if len(ix) > 1:
+        return itemgetter(*ix)
+    if ix:
+        (i,) = ix
+        return lambda regs: (regs[i],)
+    return lambda regs: ()
+
+
+def _op(n: Expr, ix: list, typed: bool):
+    """The closure that builds ``n`` anew: it reads ``n``'s subexpressions
+    from registers ``ix``, substitutes its types when ``typed`` and appends
+    the node to the registers. ``rebuild`` specialised by class: a closure
+    over ``rebuild`` made omega's steps about 20% slower."""
+    t, o = type(n), getattr(n, "origin", None)
+    if t is MethodCall:
+        r, args, name, targs = ix[0], _getter(ix[1:]), n.name, n.targs
+        if typed:
+            return lambda regs, tm: regs.append(
+                MethodCall(regs[r], name, tuple([subst_type(a, tm) for a in targs]), args(regs), origin=o)
+            )
+        return lambda regs, tm: regs.append(MethodCall(regs[r], name, targs, args(regs), origin=o))
+    if t is FieldSel:
+        r, fieldname = ix[0], n.fieldname
+        return lambda regs, tm: regs.append(FieldSel(regs[r], fieldname, origin=o))
+    if t is StructLit:
+        args, st = _getter(ix), n.type
+        if typed:
+            return lambda regs, tm: regs.append(StructLit(subst_type(st, tm), args(regs)))
+        return lambda regs, tm: regs.append(StructLit(st, args(regs)))
+    if t is TypeAssert:
+        r, at = ix[0], n.type
+        if typed:
+            return lambda regs, tm: regs.append(TypeAssert(regs[r], subst_type(at, tm), origin=o))
+        return lambda regs, tm: regs.append(TypeAssert(regs[r], at, origin=o))
+    if t is Binop:
+        op, (a, b) = n.op, ix
+        return lambda regs, tm: regs.append(Binop(op, regs[a], regs[b]))
+    get = itemgetter(*ix)  # Neq, If, Seq: two or three subexpressions and a tag
+    return lambda regs, tm: regs.append(t(*get(regs), origin=o))
+
+
+def compile_body(m: MethodDecl):
+    """The substitution template of ``m``'s body: a function ``(recv, args,
+    targs, rtype)`` returning what ``subst_expr`` gives for the receiver,
+    value arguments and type actuals.
+
+    The holes are the ``Var``s the receiver or a value parameter binds (a
+    parameter shadows a receiver of the same name) and the types that
+    mention a type parameter of the receiver or the method. A subterm
+    without a hole is the same object in every instantiation; a body
+    without one is returned as it is. Each node above a hole becomes a
+    closure (Feeley & Lapalme, "Using closures for code generation",
+    1987), listed in post-order. An instantiation runs them over a register
+    list that starts as ``[recv, *args, *consts]``, ``consts`` being the
+    closed subterms they read: each reads its subexpressions from it and
+    appends the node it builds. So it costs one call per open node, and no
+    recursion, however deep the body. The type map is built only when some
+    type holds a hole. Built through ``fold``, so iterative too."""
+    slots = {x: i for i, x in enumerate([m.recv_name, *[p.name for p in m.sig.params]])}
+    tparams = {*m.recv_params, *[fp.name for fp in m.sig.tformal]}
+    consts, opens = [], []  # closed subterms read by open nodes; the open nodes
+    # fold's value at a node: the node itself if it holds no hole, else a
+    # register (kind, i): argument slot (0), constant (1) or built node (2)
+
+    def node(n, kids):
+        if type(n) is Var:
+            return n if n.name not in slots else (0, slots[n.name])
+        typed = any(_mentions(t, tparams) for t in _types(n))
+        if not typed and not any(type(k) is tuple for k in kids):
+            return n
+        refs = []
+        for k in kids:
+            if type(k) is not tuple:
+                consts.append(k)
+                k = (1, len(consts) - 1)
+            refs.append(k)
+        opens.append((n, refs, typed))
+        return (2, len(opens) - 1)
+
+    root = fold(m.body, node)
+    if type(root) is not tuple:
+        return lambda recv, args, targs, rtype: root
+    k = 1 + len(m.sig.params)
+    base = (0, k, k + len(consts))  # registers: [recv, *args, *consts, *built]
+    ops = [_op(n, [base[kind] + i for kind, i in refs], typed) for n, refs, typed in opens]
+    out = base[root[0]] + root[1]
+    typed_body = any(typed for _, _, typed in opens)
+    rparams, tformal = m.recv_params, [fp.name for fp in m.sig.tformal]
+
+    def instantiate(recv, args, targs, rtype):
+        tm = None
+        if typed_body:
+            tm = dict(zip(rparams, (rtype or vtype(recv)).args))
+            tm.update(zip(tformal, targs))
+        regs = [recv, *args, *consts]
+        for op in ops:
+            op(regs, tm)
+        return regs[out]
+
+    return instantiate
+
+
+def instantiate_body(decls: Decls, m: MethodDecl, recv: Expr, args, targs, rtype=None) -> Expr:
     """body(vtype(v).m): substitute receiver, value arguments and type
-    actuals into the declared body. Used by r-call and, with unevaluated
-    arguments, by dictionary resolution. ``recv`` must be a value: both
-    callers contract only a call whose receiver is one."""
-    varmap = {m.recv_name: recv}
-    varmap.update({p.name: a for p, a in zip(m.sig.params, args)})
-    typemap = {r: t for r, t in zip(m.recv_params, vtype(recv).args)}
-    typemap.update({fp.name: t for fp, t in zip(m.sig.tformal, targs)})
-    return subst_expr(m.body, varmap, typemap)
+    actuals into the declared body, ``m`` being ``decls.methods[(m.recv_type,
+    m.name)]``. Used by r-call and, with unevaluated arguments, by
+    dictionary resolution. ``recv`` must be a value, ``rtype`` its
+    ``vtype`` if the caller has it, and ``args`` one per value parameter:
+    both callers contract only such a call. The body's template is built
+    at the method's first instantiation and kept in ``decls.templates``."""
+    key = (m.recv_type, m.name)
+    tpl = decls.templates.get(key)
+    if tpl is None:
+        tpl = decls.templates[key] = compile_body(m)
+    return tpl(recv, args, targs, rtype)
 
 
 _BINOPS = {
@@ -148,12 +290,13 @@ def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
     """Head contraction of ``e``, whose strict subexpressions are values."""
     t = type(e)
     if t is MethodCall:
-        m = decls.methods.get((vtype(e.recv).name, e.name))
+        rt = vtype(e.recv)
+        m = decls.methods.get((rt.name, e.name))
         if m is None:
-            return Stuck("no method %s on %s" % (e.name, print_type(vtype(e.recv))))
+            return Stuck("no method %s on %s" % (e.name, print_type(rt)))
         if len(m.sig.params) != len(e.args):
             return Stuck("arity mismatch calling %s" % e.name)
-        return Stepped(instantiate_body(m, e.recv, e.args, e.targs), "r-call", e)
+        return Stepped(instantiate_body(decls, m, e.recv, e.args, e.targs, rt), "r-call", e)
 
     if t is FieldSel:
         v = e.recv

@@ -533,8 +533,21 @@ def _expr_eq(a, b):
     return True
 
 
+def _hash_node(e, kids) -> int:
+    head = _HEAD.get(type(e))
+    return hash((type(e), head and head(e), *kids))
+
+
+def _expr_hash(e) -> int:
+    """A hash that agrees with ``_expr_eq``: it reads the class, the head
+    and the subexpressions' hashes, not the origin tag. A fold, so term
+    depth is not bounded by the recursion limit."""
+    return fold(e, _hash_node)
+
+
 for _cls in Expr.__args__:
     _cls.__eq__ = _expr_eq
+    _cls.__hash__ = _expr_hash
 
 
 # every node class -> its fields that may hold nodes, last field first (origin

@@ -74,12 +74,14 @@ BOTTOM = Bottom()
 class Decls:
     """Indexed declaration tables for one program (plus builtins).
 
-    Three memo tables, filled lazily, answer each question once per
+    Four memo tables, filled lazily, answer each question once per
     program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``,
     ``fgg_sub`` maps ``(tau, sigma)`` to ``fgg_subtype`` under an empty
-    delta (a closed goal cannot depend on delta), and ``msets`` maps a
+    delta (a closed goal cannot depend on delta), ``msets`` maps a
     ``TypeApp`` to its substituted method set (which never depends on
-    delta). All rely on a ``Decls`` never being mutated after
+    delta), and ``templates`` maps a method's ``(recv_type, name)`` to the
+    substitution template ``reduce.instantiate_body`` compiles its body
+    into at its first call. All rely on a ``Decls`` never being mutated after
     construction: build a new one for a new program. The tables live on
     the instance, so checks of distinct programs never share an entry.
     """
@@ -89,6 +91,7 @@ class Decls:
         self.fg_sub: dict = {}
         self.fgg_sub: dict = {}
         self.msets: dict = {}
+        self.templates: dict = {}
         self.structs: dict = {s: StructDecl(s) for s in BUILTIN_STRUCTS}
         self.interfaces: dict = {}
         self.methods: dict = {}  # (recv_type, name) -> MethodDecl

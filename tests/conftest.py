@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from feathergo.parser import parse_program
+from feathergo.reduce import subst_expr, vtype
+from feathergo.syntax import Panic, rebuild, subexprs
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -47,3 +49,26 @@ def default_recursion_limit():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(limit)
+
+
+def reference_body(m, recv, args, targs):
+    """body(vtype(recv).m) by ``subst_expr``, with the maps built as r-call
+    built them before bodies were compiled."""
+    varmap = {m.recv_name: recv}
+    varmap.update({p.name: a for p, a in zip(m.sig.params, args)})
+    typemap = {r: t for r, t in zip(m.recv_params, vtype(recv).args)}
+    typemap.update({fp.name: t for fp, t in zip(m.sig.tformal, targs)})
+    return subst_expr(m.body, varmap, typemap)
+
+
+def shallow_reprs(e) -> list:
+    """The ``repr`` of every node of ``e`` in preorder, its subexpressions
+    shown as ``Panic()``. Equal lists mean equal reprs, origin tags
+    included; building them does not recurse."""
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        kids = subexprs(n)
+        out.append(repr(rebuild(n, (Panic(),) * len(kids))))
+        todo.extend(reversed(kids))
+    return out

@@ -9,9 +9,11 @@ from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
-from feathergo.reduce import run
-from feathergo.syntax import pretty_print
-from feathergo.typecheck import fg_typecheck_program, fgg_typecheck_program
+from feathergo.reduce import instantiate_body, run
+from feathergo.syntax import INT, IntLit, StructLit, TypeApp, pretty_print
+from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
+
+from conftest import reference_body, shallow_reprs
 
 DEPTH = 10_000
 BOX = "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
@@ -51,3 +53,13 @@ def test_deep_input_runs_to_its_value(default_recursion_limit, name, steps, valu
     res = run(parse_fgg(DEEP_INPUTS[name]), lang="fgg")
     assert res.kind == "value" and res.steps == steps
     assert res.describe() == value
+
+
+def test_deep_body_template_matches_subst_expr(default_recursion_limit):
+    program = parse_fgg(DEEP_INPUTS["statements"])
+    decls = Decls(program)
+    m = decls.methods[("Box", "Many")]
+    recv = StructLit(TypeApp("Box", (INT,)), (IntLit(1),))
+    out = instantiate_body(decls, m, recv, (), ())
+    assert shallow_reprs(out) == shallow_reprs(reference_body(m, recv, (), ()))
+    assert len(shallow_reprs(out)) == 3 * DEPTH + 1  # per statement a Seq, the receiver and its field; then 1

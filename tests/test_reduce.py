@@ -12,30 +12,39 @@ from feathergo.reduce import (
     Stepped,
     Stuck,
     Value,
+    compile_body,
     fg_step,
     fgg_step,
+    instantiate_body,
     is_value,
     run,
     step_count,
     vtype,
 )
 from feathergo.syntax import (
+    INT,
     Binop,
     BoolLit,
     FieldSel,
+    FormalParam,
     If,
     IntLit,
     MethodCall,
+    MethodDecl,
+    MethodSig,
     Neq,
+    Param,
     Seq,
     StructLit,
     TypeApp,
     TypeAssert,
+    TypeParam,
+    Var,
     show_expr,
 )
 from feathergo.typecheck import Decls
 
-from conftest import CORPUS, FGG_FILES, TERMINATING, load, read
+from conftest import CORPUS, FGG_FILES, TERMINATING, load, read, reference_body
 
 
 @pytest.fixture(scope="module")
@@ -390,3 +399,96 @@ def test_machine_work_per_step_is_constant(monkeypatch, make, lang):
     assert res.kind == "value" and res.steps >= 1000
     for name, n in calls.items():
         assert n < 3 * res.steps, (name, n, res.steps)
+
+
+# ---------------------------------------------------------------------------
+# Body templates: instantiate_body against subst_expr, the reference
+
+
+def instantiations(m) -> list:
+    """(recv, args, targs) to instantiate ``m`` with: distinct type
+    arguments for every type parameter, and value arguments, then
+    unevaluated ones as dictionary resolution passes them, which name the
+    body's own variables."""
+    rtype = TypeApp(m.recv_type, tuple(TypeApp("R%d" % i, (INT,)) for i in range(len(m.recv_params))))
+    recv = StructLit(rtype, (IntLit(7),))
+    targs = tuple(TypeApp("T%d" % i) for i in range(len(m.sig.tformal)))
+    values = tuple(StructLit(TypeApp("A%d" % i)) for i in range(len(m.sig.params)))
+    unevaluated = tuple(MethodCall(Var(m.recv_name), "Apply", (), (Var(p.name),), origin="dict") for p in m.sig.params)
+    return [(recv, values, targs), (recv, unevaluated, targs)]
+
+
+@pytest.mark.parametrize("make", [m for _, m in MACHINE_INPUTS], ids=[n for n, _ in MACHINE_INPUTS])
+def test_templates_match_subst_expr(make):
+    program, _ = make()
+    decls = Decls(program)
+    for m in decls.methods.values():
+        for recv, args, targs in instantiations(m):
+            out = instantiate_body(decls, m, recv, args, targs)
+            assert repr(out) == repr(reference_body(m, recv, args, targs)), (m.recv_type, m.name)
+
+
+def test_templates_substitute_type_parameters_and_shadowed_receivers():
+    t, u = TypeParam("T"), TypeParam("U")
+    body = Seq(
+        StructLit(TypeApp("Pair", (t, u)), (Var("x"), Var("y"), Var("z"))),
+        If(
+            Neq(Var("x"), IntLit(0), origin="sim"),
+            TypeAssert(FieldSel(Var("x"), "v", origin="dict"), TypeApp("Box", (u,)), origin="erase"),
+            MethodCall(Var("x"), "Go", (t, TypeApp("Box", (TypeApp("Box", (u,)),)), INT), (Binop("+", Var("y"), IntLit(1)),)),
+        ),
+        origin="sim",
+    )
+    recv = StructLit(TypeApp("Box", (TypeApp("Nat", (INT,)),)), (IntLit(1),))
+    methods = [
+        MethodDecl("x", "Box", ("T",), "M", MethodSig((), (Param("y", INT),)), body),
+        # a value parameter named like the receiver shadows it
+        MethodDecl("x", "Box", ("T",), "M", MethodSig((), (Param("x", INT), Param("y", INT))), body),
+        MethodDecl("x", "Box", ("T",), "M", MethodSig((FormalParam("U", TypeApp("Any")),), (Param("y", INT),)), body),
+    ]
+    for m in methods:
+        args = tuple(IntLit(10 + i) for i in range(len(m.sig.params)))
+        for targs in [(), (TypeApp("Q"),)][: 1 + len(m.sig.tformal)]:
+            out = compile_body(m)(recv, args, targs, None)
+            assert repr(out) == repr(reference_body(m, recv, args, targs))
+    assert "Nat" in repr(out) and "name='Q'" in repr(out)  # both maps were applied
+
+
+def test_templates_share_what_holds_no_hole():
+    program = parse_fgg(
+        "package main\ntype Any interface {}\ntype A struct {}\ntype Box[T Any] struct { v T }\n"
+        "func (x A) One() Box[int] { return Box[int]{1} }\n"
+        "func (x A) Two[T Any](y T) Box[T] { return Box[T]{A{}.One().v.(T)}.Id(y, Box[int]{2}) }\n"
+        "func (b Box[T]) Id(y T, z Box[int]) Box[T] { return b }\n"
+        "func main() { _ = A{}.Two[int](1) }\n"
+    )
+    decls = Decls(program)
+    one, two = decls.methods[("A", "One")], decls.methods[("A", "Two")]
+    a = StructLit(TypeApp("A"))
+    assert instantiate_body(decls, one, a, (), ()) is one.body
+    first = instantiate_body(decls, two, a, (IntLit(1),), (INT,))
+    second = instantiate_body(decls, two, a, (IntLit(2),), (TypeApp("bool"),))
+    assert first.args[1] is second.args[1] is two.body.args[1]  # Box[int]{2}
+    assert first.recv.args[0].recv is second.recv.args[0].recv is two.body.recv.args[0].recv  # A{}.One().v
+    assert first.recv.type == TypeApp("Box", (INT,)) and second.recv.args[0].type == TypeApp("bool")
+
+
+def test_r_call_costs_no_fold_and_no_type_substitution(monkeypatch):
+    # the first r-call compiles omega's body; every later one applies the
+    # template without a generic traversal
+    calls = {"fold": 0, "subst_type": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduce, name, counted(name, getattr(reduce, name)))
+    at_first_call = []
+    res = run(load("omega.fgg"), max_steps=10_000, trace=lambda rule, redex: at_first_call or at_first_call.append(dict(calls)))
+    assert res.kind == "budget_exhausted" and res.steps == 10_000
+    assert at_first_call == [{"fold": 1, "subst_type": 0}]
+    assert calls == at_first_call[0]

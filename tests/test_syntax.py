@@ -87,6 +87,8 @@ def test_origin_tags_do_not_affect_equality():
     b = MethodCall(IntLit(1), "m", (), (), origin="dict")
     assert a == b
     assert TypeAssert(IntLit(1), TypeApp("int")) == TypeAssert(IntLit(1), TypeApp("int"), origin="erase")
+    assert hash(a) == hash(b)
+    assert hash(TypeAssert(a, TypeApp("int"))) == hash(TypeAssert(b, TypeApp("int"), origin="erase"))
 
 
 # ---------------------------------------------------------------------------
@@ -209,3 +211,13 @@ def test_deep_terms_compare_without_origin_tags(default_recursion_limit):
     assert chain(IntLit(1), None) == chain(IntLit(1), "dict")
     assert not chain(IntLit(1), None) == chain(IntLit(2), "dict")
     assert chain(IntLit(1), None) != chain(IntLit(2), None)
+
+
+def test_deep_terms_hash_without_origin_tags(default_recursion_limit):
+    # the hash agrees with equality: it reads no origin tag, and it folds
+    tagged = StructLit(TypeApp("Box", (INT,)), (IntLit(1),))
+    for _ in range(10_000):
+        tagged = MethodCall(tagged, "Id", origin="dict")
+    assert hash(tagged) == hash(_call_chain(10_000))
+    assert len({tagged, _call_chain(10_000)}) == 1
+    assert hash(_call_chain(10_000)) != hash(_call_chain(9_999))
