@@ -16,29 +16,38 @@ The harness implements, as executable artifacts:
   every index that the target state and the freshly translated source state
   have the same dictionary-resolution normal form, with agreeing terminals
   (value with translated-value equality, panic, or budget on both sides).
+  Both sides step on ``reduce``'s refocusing machine and keep their
+  evaluation contexts across steps, so each stage works on the hole a step
+  plugged and the frames it reopens, not on the whole term.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from .dicttrans import RESERVED_NAME, Ctx, TransInfo, Translator
 from .reduce import (
+    _VALUE_HEADS,
     PanicOutcome,
     Stuck,
     Value,
-    fg_step,
-    fgg_step,
+    _contract,
+    _descend,
     instantiate_body,
     is_value,
     vtype,
 )
 from .syntax import (
+    _HEAD,
     Expr,
     FieldSel,
+    If,
     MethodCall,
+    Panic,
     Program,
+    Seq,
     StructLit,
     TypeApp,
     TypeAssert,
@@ -135,10 +144,12 @@ def dict_redex_positions(
     confluence tests take as their oracle. With one it is the scan
     ``dict_normalize`` makes per step: it lists only the first position,
     types receivers in ``memo.types``, skips the subterms ``memo.normal``
-    knows to hold no redex and records those it scans whole."""
+    knows to hold no redex and records those it scans whole. That path is
+    a ``Redex``: it carries the contractum the scan built, so
+    ``contract_dict_at`` does not build it again."""
     if memo is not None:
-        path = _first_redex(e, decls, info, memo)
-        return [] if path is None else [path]
+        found = _first_redex(e, decls, info, memo)
+        return [] if found is None else [found]
     out = []
     stack = [(e, None)]  # (node, its position: None at the root, else (parent's position, index))
     while stack:
@@ -155,7 +166,19 @@ def dict_redex_positions(
     return out
 
 
+class Redex(tuple):
+    """The path to the first redex of ``root``, with the context ``spine``
+    above it (frames as ``syntax.plug`` takes them) and its ``contractum``."""
+
+    def __new__(cls, path, root, spine, contractum):
+        out = super().__new__(cls, path)
+        out.root, out.spine, out.contractum = root, spine, contractum
+        return out
+
+
 def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=None) -> Expr:
+    if type(path) is Redex and path.root is e:  # the scan built it already
+        return plug(path.spine, path.contractum)
     spine = []
     for i in path:
         kids = subexprs(e)
@@ -173,9 +196,9 @@ MEMO_MIN_ENTRIES = 4096
 class RunMemo:
     """The tables one correspondence check carries from step to step.
 
-    Every table is keyed by ``id(node)`` and holds its node, so no id is
-    reused while an entry lives; none is keyed by the expression, whose
-    generated hash costs its size.
+    Every table is keyed by ``id(node)`` (``pairs`` by a pair of them) and
+    holds its node, so no id is reused while an entry lives; none is keyed
+    by the expression, whose generated hash costs its size.
 
     * ``src_types`` and ``trans``: the source type side table and the
       translation of every source subterm translated so far, which ``ctx``,
@@ -185,13 +208,14 @@ class RunMemo:
       declarations, kept apart from the source one;
     * ``normal``: target subterms that hold no dictionary-resolution redex;
     * ``settled``: target subterm -> its settled form, and settled form ->
-      itself.
+      itself;
+    * ``pairs``: pairs of target subterms the state comparison found equal.
 
-    A step leaves the subterms off its spine in place, so it adds entries
-    only for the nodes it creates. ``trim``, called once per step, clears
-    all the tables together once their total size exceeds four times the
-    size one step after the last clear (at least ``MEMO_MIN_ENTRIES``),
-    which keeps them within a fixed multiple of the live terms.
+    A step adds entries only for the nodes it creates. ``trim``, called
+    once per step, clears all the tables together once their total size
+    exceeds four times the size one step after the last clear (at least
+    ``MEMO_MIN_ENTRIES``), which keeps them within a fixed multiple of the
+    live terms.
     """
 
     def __init__(self):
@@ -201,10 +225,11 @@ class RunMemo:
         self.types: dict = {}
         self.normal: dict = {}
         self.settled: dict = {}
+        self.pairs: dict = {}
         self.limit: int | None = None  # None: set by the next trim
 
     def tables(self) -> tuple:
-        return (self.src_types, self.trans, self.types, self.normal, self.settled)
+        return (self.src_types, self.trans, self.types, self.normal, self.settled, self.pairs)
 
     def size(self) -> int:
         return sum(map(len, self.tables()))
@@ -263,16 +288,17 @@ DEFAULT_NORMALIZE_BOUND = 10_000
 
 
 def _first_redex(e: Expr, decls: Decls, info: TransInfo, memo: RunMemo):
-    """The path of the first dictionary-resolution redex of ``e`` in
-    preorder, or None. Subterms in ``memo.normal`` are skipped, and every
+    """The first dictionary-resolution redex of ``e`` in preorder, as a
+    ``Redex``, or None. Subterms in ``memo.normal`` are skipped, and every
     subterm scanned whole without a redex is added to it."""
     normal, types = memo.normal, memo.types
     spine, path = [], []  # the kids of each node above ``node``, and its index there
     node = e
     while True:
         if id(node) not in normal:
-            if _dict_contract(node, decls, info, types) is not None:
-                return tuple(path)
+            out = _dict_contract(node, decls, info, types)
+            if out is not None:
+                return Redex(path, e, [(n, kids, i) for (n, kids), i in zip(spine, path)], out)
             kids = subexprs(node)
             if kids:
                 spine.append((node, kids))
@@ -300,6 +326,7 @@ def dict_normalize(
     info: TransInfo,
     bound: int = DEFAULT_NORMALIZE_BOUND,
     memo: RunMemo | None = None,
+    cut: Cut | None = None,
 ):
     """Exhaust dictionary resolution, leftmost-outermost first; returns
     (normal form, steps taken). By confluence the normal form is unique;
@@ -313,17 +340,370 @@ def dict_normalize(
     contractum are scanned again; ``memo.types`` types each assertion
     receiver once. A caller that normalises successive states of one run
     passes the same memo, and the subterms a step leaves in place are not
-    scanned or typed again. Without a memo a fresh one serves this call."""
+    scanned or typed again. Without a memo a fresh one serves this call.
+
+    With a ``cut``, ``e`` is the hole of the checked frames above it: the
+    count starts at ``cut.steps``, and before each scan the cut reopens
+    the frames that may read ``e`` differently now (``Cut.widen``), so the
+    redexes are met in the order a scan of the whole term meets them."""
     memo = RunMemo() if memo is None else memo
-    steps = 0
+    steps = 0 if cut is None else cut.steps
     while True:
+        if steps > bound:
+            raise NormalizeOverflow("no normal form within %d steps" % bound)
+        if cut is not None:
+            e = cut.widen(e)
         positions = dict_redex_positions(e, decls, info, memo=memo)
         if not positions:
             return e, steps
         e = contract_dict_at(e, positions[0], decls, info, memo.types)
         steps += 1
-        if steps > bound:
-            raise NormalizeOverflow("no normal form within %d steps" % bound)
+
+
+# ---------------------------------------------------------------------------
+# Both sides as zippers
+#
+# A check keeps each side's state as a machine context (``reduce``'s spine
+# of ``(node, kids, i)`` frames, root first) and its focus, and carries the
+# frames from step to step. A stage (re-translation, dictionary resolution,
+# settling, the comparison, the macro step) works on the hole at the cut
+# and on the frames it reopens, never on the whole spine.
+
+
+def _refocus(e: Expr, frames: list):
+    """``reduce._resume``, also telling how far up it went: the next focus
+    once ``e`` fills the hole of ``frames``, and the number of leading
+    frames left in place."""
+    low = len(frames)
+    e = _descend(e, frames)
+    while frames and type(e) in _VALUE_HEADS:
+        node, kids, i = frames[-1]
+        kids = (*kids[:i], e, *kids[i + 1:])
+        for j in range(i + 1, 1 if type(node) is If or type(node) is Seq else len(kids)):
+            if not is_value(kids[j]):
+                frames[-1] = (node, kids, j)
+                low = min(low, len(frames) - 1)
+                return _descend(kids[j], frames), low
+        frames.pop()
+        low = min(low, len(frames))
+        e = rebuild(node, kids)
+    return e, low
+
+
+def _type_of(e: Expr, decls: Decls, types: dict):
+    """The type of closed ``e``, or None if it does not type."""
+    try:
+        return fgg_typecheck_expr(e, {}, {}, decls, types=types)
+    except CheckError:
+        return None
+
+
+def _passes_type(node: Expr, i: int) -> bool:
+    """Whether a frame's node has a type that follows its content's: a call
+    or a select on it."""
+    return i == 0 and (type(node) is MethodCall or type(node) is FieldSel)
+
+
+def _reads_type(node: Expr, i: int, decls: Decls) -> bool:
+    """Whether a frame's node is an assert its content's type could refine."""
+    return (
+        i == 0
+        and type(node) is TypeAssert
+        and isinstance(node.type, TypeApp)
+        and decls.kind_of(node.type.name) == "interface"
+    )
+
+
+class Zipper:
+    """A target-side state: the machine context ``frames`` and its
+    ``focus``, plus what the check knows of the frames.
+
+    * The first ``len(ctypes)`` frames are checked: each holds no
+      resolution redex and no dischargeable assert, its other
+      subexpressions are values or normal and settled, and it stays so
+      while its content is a non-value whose type, if ``ctypes[j]`` is not
+      None, is ``ctypes[j]``. That is recorded where the frame, or a frame
+      above through calls and selects on their content, is an assert the
+      content's type could refine; elsewhere the frames above do not read
+      the type.
+    * ``fresh``: the number of leading frames unchanged since the last
+      refocus, so that ``frames[j][1][i]`` is still frame ``j``'s content
+      there, for checking it later.
+    * ``kept``: the number of leading frames unchanged since the last
+      comparison.
+    """
+
+    def __init__(self, e: Expr):
+        self.frames: list = []
+        self.focus = e
+        self.ctypes: list = []
+        self.fresh = self.kept = 0
+
+    def term(self) -> Expr:
+        return plug(self.frames, self.focus)
+
+    def reset(self, e: Expr) -> None:
+        """Make ``e``, a whole term, the state, with no frame checked."""
+        self.__init__(e)
+        self.focus = _descend(e, self.frames)
+
+    def moved(self, focus: Expr, low: int) -> None:
+        """The machine left the first ``low`` frames in place."""
+        self.focus = focus
+        del self.ctypes[low:]
+        self.fresh, self.kept = min(self.fresh, low), min(self.kept, low)
+
+
+def _check_frames(z: Zipper, upto: int, decls: Decls, info: TransInfo, memo: RunMemo) -> None:
+    """Check ``z``'s frames below ``len(z.ctypes)`` up to ``upto``, up to the
+    first that does not pass."""
+    frames, ctypes = z.frames, z.ctypes
+    for j in range(len(ctypes), min(upto, z.fresh)):
+        node, kids, i = frames[j]
+        if any(a is not b for a, b in zip(kids, subexprs(node))):
+            node = rebuild(node, kids)  # a frame the machine moved to the next sibling
+        if _dict_contract(node, decls, info, memo.types) is not None:
+            return
+        for k in kids[i + 1:]:
+            if _first_redex(k, decls, info, memo) is not None or settle(k, decls, memo) is not k:
+                return
+        t = None
+        if _reads_type(node, i, decls) or _passes_type(node, i) and j and ctypes[j - 1] is not None:
+            t = _type_of(kids[i], decls, memo.types)
+            if t is None:
+                return
+        ctypes.append(t)
+
+
+class Cut:
+    """Where the checked frames of zipper ``z`` end and the hole a stage
+    works on begins: ``z.frames[:c]`` stay, and ``c`` moves up only to a
+    position in ``bounds`` (every position when None). ``steps``: the
+    resolution steps the frames above took."""
+
+    def __init__(self, z: Zipper, c: int, decls: Decls, memo: RunMemo, bounds=None, steps: int = 0):
+        self.z, self.c, self.decls, self.memo, self.bounds, self.steps = z, c, decls, memo, bounds, steps
+
+    def pop(self, e: Expr) -> Expr:
+        """Reopen the frames just above the cut: ``e`` plugged into them."""
+        c = self.c
+        self.c = c - 1 if self.bounds is None else self.bounds[bisect_left(self.bounds, c) - 1]
+        return plug(self.z.frames[self.c:c], e)
+
+    def widen(self, e: Expr) -> Expr:
+        """``e`` grown until the frames above read it as when they were
+        checked: a non-value of the recorded type. Then none of them holds
+        a redex, and a scan of the whole term meets its first redex in
+        ``e``."""
+        while self.c:
+            t = self.z.ctypes[self.c - 1]
+            if not is_value(e) and (t is None or _type_of(e, self.decls, self.memo.types) == t):
+                break
+            e = self.pop(e)
+        return e
+
+
+def _settle_into(z: Zipper, cut: Cut, e: Expr, decls: Decls, memo: RunMemo) -> int:
+    """Settle ``e``, the normal form at ``cut``, and refocus ``z`` on the
+    result; returns the number of leading frames left in place. A
+    settled value reopens the frame above, whose node may then settle."""
+    e = settle(e, decls, memo)
+    while cut.c and is_value(e):
+        e = settle(cut.pop(e), decls, memo)
+    del z.frames[cut.c:], z.ctypes[cut.c:]
+    z.focus, low = _refocus(e, z.frames)
+    del z.ctypes[low:]
+    z.fresh, z.kept = len(z.frames), min(z.kept, low)
+    return low
+
+
+def target_normal_form(z: Zipper, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> int:
+    """Bring the target state ``z`` to its settled resolution normal form;
+    returns the resolution steps taken. Works on the hole below the checked
+    frames and on the frames it reopens."""
+    _check_frames(z, len(z.frames), decls, info, memo)
+    cut = Cut(z, len(z.ctypes), decls, memo)
+    e, steps = dict_normalize(plug(z.frames[cut.c:], z.focus), decls, info, bound, memo, cut)
+    _settle_into(z, cut, e, decls, memo)
+    return steps
+
+
+class Source:
+    """The source side: the machine context ``frames`` of the source state
+    and its ``focus``, and ``out``, the settled resolution normal form of
+    its translation.
+
+    The first ``len(stypes)`` source frames are certified: source frame
+    ``j`` translates, resolves and settles to ``out.frames[align[j]:
+    align[j + 1]]`` while its content has source type ``stypes[j]`` (None
+    where its translation does not read it: only a call or a select on
+    the content does), and the frames above it take ``cum[j]``
+    resolution steps. ``low``: the number of leading source frames
+    unchanged since the last stage."""
+
+    def __init__(self, translator: Translator, e: Expr):
+        self.translator = translator
+        self.frames: list = []
+        self.focus = _descend(e, self.frames)
+        self.low = 0
+        self.out = Zipper(None)
+        self.stypes, self.align, self.cum = [], [0], [0]
+
+    def term(self) -> Expr:
+        return plug(self.frames, self.focus)
+
+    def reset(self, e: Expr) -> None:
+        """Make ``e`` the normal form of the translation, with nothing certified."""
+        self.out.reset(e)
+        self.stypes, self.align, self.cum = [], [0], [0]
+
+    def step(self, e: Expr) -> None:
+        """Put the contractum ``e`` in place of the focus."""
+        self.focus, low = _refocus(e, self.frames)
+        self.low = min(self.low, low)
+
+    def keep(self, k: int) -> None:
+        """Keep the first ``k`` source frames certified."""
+        del self.stypes[k:], self.align[k + 1:], self.cum[k + 1:]
+
+
+def source_normal_form(src: Source, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> int:
+    """Bring ``src.out`` to the settled resolution normal form of the
+    source state's translation; returns the resolution steps, counting
+    those a fresh translation takes in the certified frames. Translates
+    only the hole below the certified frames whose content kept its type,
+    and the frames the resolution reopens."""
+    frames, sdecls = src.frames, src.translator.decls
+    n, c = len(frames), min(src.low, len(src.stypes))
+    built = [src.focus]  # built[n - j]: frame j's node with the current content plugged in
+    for f in reversed(frames[c:]):
+        built.append(plug((f,), built[-1]))
+    while c and src.stypes[c - 1] is not None:
+        if _type_of(built[-1], sdecls, memo.src_types) == src.stypes[c - 1]:
+            break
+        c -= 1
+        built.append(plug((frames[c],), built[-1]))
+    src.keep(c)
+    cut = Cut(src.out, src.align[c], decls, memo, src.align, src.cum[c])
+    e = src.translator.translate_closed_expr(built[-1], memo.ctx)
+    e, steps = dict_normalize(e, decls, info, bound, memo, cut)
+    low = _settle_into(src.out, cut, e, decls, memo)
+    src.keep(bisect_right(src.align, low) - 1)
+    _certify(src, built, decls, info, bound, memo)
+    src.low = n
+    return steps
+
+
+def _hole_frames(t: Expr, h: Expr):
+    """The frames from ``t`` down to its one occurrence of ``h`` within two
+    levels, or None."""
+    found = []
+    kids = subexprs(t)
+    for p, k in enumerate(kids):
+        if k is h:
+            found.append([(t, kids, p)])
+        else:
+            kk = subexprs(k)
+            found += [[(t, kids, p), (k, kk, q)] for q, g in enumerate(kk) if g is h]
+    return found[0] if len(found) == 1 else None
+
+
+def _frames_match(raw, frames, decls: Decls, info: TransInfo, bound: int, memo: RunMemo):
+    """The resolution steps the subexpressions of the ``raw`` frames take,
+    if resolving and settling them one by one gives ``frames``; else
+    None. An ``if`` or a sequence must have none to take, as its type
+    follows its branches."""
+    steps = 0
+    for (rn, rk, ri), (fn, fk, fi) in zip(raw, frames):
+        if type(rn) is not type(fn) or ri != fi or len(rk) != len(fk):
+            return None
+        head = _HEAD.get(type(rn))
+        if getattr(rn, "origin", None) != getattr(fn, "origin", None) or head and head(rn) != head(fn):
+            return None
+        for q, (r, f) in enumerate(zip(rk, fk)):
+            if q != ri:
+                nf, k = dict_normalize(r, decls, info, bound, memo)
+                s = settle(nf, decls, memo)
+                if s is not f and s != f or s is not r and type(rn) in (If, Seq):
+                    return None
+                steps += k
+    return steps
+
+
+def _certify(src: Source, built: list, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> None:
+    """Certify the source frames below the certified ones, top down, while
+    each one's translation lands on the frames of ``src.out`` there."""
+    frames, out = src.frames, src.out
+    n = len(frames)
+    while len(built) < n - len(src.stypes) + 1:
+        built.append(plug((frames[n - len(built)],), built[-1]))
+    ctx = memo.ctx
+    pos = src.align[-1]
+    for j in range(len(src.stypes), n):
+        raw = _hole_frames(
+            src.translator.translate_expr(built[n - j], ctx)[0],
+            src.translator.translate_expr(built[n - j - 1], ctx)[0],
+        )
+        if raw is None:
+            return
+        _check_frames(out, pos + len(raw), decls, info, memo)
+        if len(out.ctypes) < pos + len(raw):
+            return
+        steps = _frames_match(raw, out.frames[pos:pos + len(raw)], decls, info, bound, memo)
+        if steps is None:
+            return
+        t = None
+        if _passes_type(frames[j][0], frames[j][2]):
+            t = _type_of(built[n - j - 1], src.translator.decls, memo.src_types)
+            if t is None:
+                return
+        pos += len(raw)
+        src.stypes.append(t)
+        src.align.append(pos)
+        src.cum.append(src.cum[-1] + steps)
+
+
+def _same(a: Expr, b: Expr, pairs: dict) -> bool:
+    """``a == b``, skipping the node pairs in ``pairs`` and adding to it
+    every pair found equal."""
+    todo, seen = [(a, b)], []
+    while todo:
+        x, y = todo.pop()
+        if x is y or (id(x), id(y)) in pairs:
+            continue
+        kx, ky, head = subexprs(x), subexprs(y), _HEAD.get(type(x))
+        if type(x) is not type(y) or len(kx) != len(ky) or head and head(x) != head(y):
+            return False
+        seen.append((x, y))
+        todo += zip(kx, ky)
+    for x, y in seen:
+        pairs[(id(x), id(y))] = (x, y)
+    return True
+
+
+def _same_frame(f, g, pairs: dict) -> bool:
+    (x, kx, i), (y, ky, j) = f, g
+    if i != j or type(x) is not type(y) or len(kx) != len(ky):
+        return False
+    head = _HEAD.get(type(x))
+    if head and head(x) != head(y):
+        return False
+    return all(k == i or _same(a, b, pairs) for k, (a, b) in enumerate(zip(kx, ky)))
+
+
+def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
+    """Whether ``a`` and ``b`` hold equal terms, origin tags aside, and the
+    number of leading frames they agree on. Equal terms have equal machine
+    contexts and foci, so they compare frame by frame; the first ``known``
+    frames agreed at the last comparison, and those neither side has
+    changed since are not compared again."""
+    fa, fb = a.frames, b.frames
+    k = min(known, a.kept, b.kept)
+    n = min(len(fa), len(fb))
+    while k < n and _same_frame(fa[k], fb[k], pairs):
+        k += 1
+    a.kept, b.kept = len(fa), len(fb)
+    return k == len(fa) == len(fb) and _same(a.focus, b.focus, pairs), k
 
 
 # ---------------------------------------------------------------------------
@@ -338,42 +718,65 @@ class MacroOutcome:
     mid_rule: str | None
     sim_steps: int
     panic: PanicOutcome | None = None
+    low: int = field(default=0, compare=False)  # with frames: those left in place
 
 
-def macro_step(d: Expr, decls: Decls) -> MacroOutcome:
+def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcome:
     """One target macro step: erase-asserts, one ordinary step, then all
     enabled simulation steps. Panics surface as a panic outcome (the
-    simulated assertion error); the result has no enabled sim redex."""
+    simulated assertion error); the result has no enabled sim redex.
+
+    It runs on the refocusing machine and reads each focus's origin tag
+    before contracting it: a focus that is neither a simulation step nor
+    an assertion (or ``panic``) ends the macro step uncontracted. With
+    ``frames``, ``d`` is the focus of that machine context, which the step
+    advances in place: the outcome's ``expr`` is the new focus, and
+    ``low`` the number of leading frames it left in place."""
+    whole = frames is None
+    if whole:
+        frames = []
+        d = _descend(d, frames)
+    low = len(frames)
+
+    def advance(e):
+        nonlocal low
+        e, k = _refocus(e, frames)
+        low = min(low, k)
+        return e
+
     erase_steps = 0
     while True:
-        out = fg_step(d, decls)
-        if isinstance(out, Value):
-            return MacroOutcome("value", d, erase_steps, None, 0)
-        if isinstance(out, PanicOutcome):
-            return MacroOutcome("panic", None, erase_steps, None, 0, panic=out)
-        if isinstance(out, Stuck):
+        out = _contract(d, decls, False)
+        t = type(out)
+        if t is Value:
+            return MacroOutcome("value", d, erase_steps, None, 0, low=low)
+        if t is PanicOutcome:
+            return MacroOutcome("panic", None, erase_steps, None, 0, panic=out, low=low)
+        if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
-        if classify(out.redex) != "erase":
+        if classify(d) != "erase":
             break
-        d = out.expr
+        d = advance(out.expr)
         erase_steps += 1
     # the single ordinary step
-    d = out.expr
     mid_rule = out.rule
+    d = advance(out.expr)
     sim_steps = 0
     while True:
-        out = fg_step(d, decls)
-        if isinstance(out, Value):
+        sim = classify(d) == "sim"
+        if not sim and type(d) is not TypeAssert and type(d) is not Panic:
             break
-        if isinstance(out, PanicOutcome):
-            return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, panic=out)
-        if isinstance(out, Stuck):
+        out = _contract(d, decls, False)
+        t = type(out)
+        if t is PanicOutcome:
+            return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, panic=out, low=low)
+        if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
-        if classify(out.redex) != "sim":
+        if not sim:
             break
-        d = out.expr
+        d = advance(out.expr)
         sim_steps += 1
-    return MacroOutcome("stepped", d, erase_steps, mid_rule, sim_steps)
+    return MacroOutcome("stepped", plug(frames, d) if whole else d, erase_steps, mid_rule, sim_steps, low=low)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +851,12 @@ def check_correspondence(
     both sides must agree on value (up to value translation), panic, or
     budget exhaustion.
 
-    One ``RunMemo`` serves the whole run: re-translation, normalisation and
-    settling each redo only the nodes the last step created, so the work
-    per step follows the step's spine and contractum, not the term size.
+    Both sides step on the refocusing machine and keep their evaluation
+    contexts as zippers across steps (``Zipper``, ``Source``).
+    Re-translation, resolution, settling and the comparison work on the
+    hole below the frames a step left in place and on the frames it
+    reopens, and one ``RunMemo`` carries what they found from step to
+    step, so the work per step follows the step, not the term's depth.
     """
     translator = Translator(program)
     target = translator.translate_program()
@@ -458,67 +864,64 @@ def check_correspondence(
     tdecls = Decls(target)
 
     memo = RunMemo()
-    e = program.main
     # target.main, translated under the run's context: the two sides then
     # share every subterm no step has touched, and compare by identity there
-    t = translator.translate_closed_expr(e, memo.ctx)
+    tgt = Zipper(translator.translate_closed_expr(program.main, memo.ctx))
+    src = Source(translator, program.main)
     records = []
-
-    def norm(x):
-        nf, steps = dict_normalize(x, tdecls, info, normalize_bound, memo)
-        return settle(nf, tdecls, memo), steps
+    agreed = 0  # leading frames the sides agreed on at the last comparison
 
     for i in range(max_steps):
         try:
-            t_norm, dsteps = norm(t)
-            e_trans, dsteps2 = norm(translator.translate_closed_expr(e, memo.ctx))
+            dsteps = target_normal_form(tgt, tdecls, info, normalize_bound, memo)
+            source_normal_form(src, tdecls, info, normalize_bound, memo)
         except NormalizeOverflow as ov:
             return CorrespondenceReport(
                 tuple(records), Terminal("budget", False, "normalization overflow: %s" % ov)
             )
         memo.trim()
-        matched = t_norm == e_trans
+        matched, agreed = _same_state(tgt, src.out, memo.pairs, agreed)
         mismatch = (
             ""
             if matched
             else "index %d:\n  source (translated): %s\n  target:              %s"
-            % (i, show_expr(e_trans), show_expr(t_norm))
+            % (i, show_expr(src.out.term()), show_expr(tgt.term()))
         )
 
-        src = fgg_step(e, translator.decls)
-        if isinstance(src, Value):
-            agree = matched and is_value(t_norm)
+        step = _contract(src.focus, translator.decls, True)
+        if isinstance(step, Value):
+            agree = matched and not tgt.frames and is_value(tgt.focus)
             return CorrespondenceReport(
                 tuple(records),
-                Terminal("value", agree, show_expr(t_norm) if agree else mismatch),
+                Terminal("value", agree, show_expr(tgt.term()) if agree else mismatch),
                 mismatch,
             )
-        if isinstance(src, PanicOutcome):
-            tgt = macro_step(t_norm, tdecls)
-            agree = matched and tgt.kind == "panic"
-            detail = src.message if agree else "target did not panic: %s" % tgt.kind
+        if isinstance(step, PanicOutcome):
+            m = macro_step(tgt.focus, tdecls, tgt.frames)
+            agree = matched and m.kind == "panic"
+            detail = step.message if agree else "target did not panic: %s" % m.kind
             return CorrespondenceReport(
                 tuple(records), Terminal("panic", agree, detail), mismatch
             )
-        if isinstance(src, Stuck):
-            raise RuntimeError("source stuck: %s" % src.reason)
+        if isinstance(step, Stuck):
+            raise RuntimeError("source stuck: %s" % step.reason)
 
-        tgt = macro_step(t_norm, tdecls)
+        m = macro_step(tgt.focus, tdecls, tgt.frames)
         records.append(
-            StepRecord(i, src.rule, tgt.erase_steps, tgt.mid_rule, tgt.sim_steps, dsteps, matched)
+            StepRecord(i, step.rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched)
         )
-        if tgt.kind != "stepped":
+        if m.kind != "stepped":
             return CorrespondenceReport(
                 tuple(records),
                 Terminal(
-                    "panic" if tgt.kind == "panic" else "value",
+                    "panic" if m.kind == "panic" else "value",
                     False,
-                    "target reached %s while source stepped" % tgt.kind,
+                    "target reached %s while source stepped" % m.kind,
                 ),
                 mismatch,
             )
-        e = src.expr
-        t = tgt.expr
+        tgt.moved(m.expr, m.low)
+        src.step(step.expr)
 
     return CorrespondenceReport(
         tuple(records), Terminal("budget", True, "both sides exceeded %d steps" % max_steps)

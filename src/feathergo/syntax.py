@@ -545,9 +545,49 @@ def _expr_hash(e) -> int:
     return fold(e, _hash_node)
 
 
+_EXPR_FIELDS = ("recv", "left", "right", "cond", "then", "els", "first", "rest")
+
+# every expression class -> its fields as (name, kind): 1 for a subexpression,
+# 2 for a tuple of them (``args``), 0 for anything else
+_REPR_FIELDS = {
+    cls: tuple(
+        (f.name, 2 if f.name == "args" else 1 if f.name in _EXPR_FIELDS else 0)
+        for f in dataclasses.fields(cls)
+        if f.repr
+    )
+    for cls in Expr.__args__
+}
+
+
+def _repr_node(e, kids) -> str:
+    """``e``'s generated repr, given its subexpressions' reprs."""
+    parts, k = [], 0
+    for name, kind in _REPR_FIELDS[type(e)]:
+        if kind == 1:
+            text, k = kids[k], k + 1
+        elif kind == 2:
+            n = len(e.args)
+            text = "(%s)" % (kids[k] + "," if n == 1 else ", ".join(kids[k:k + n]))
+            k += n
+        else:
+            text = repr(getattr(e, name))
+        parts.append("%s=%s" % (name, text))
+    return "%s(%s)" % (type(e).__qualname__, ", ".join(parts))
+
+
+def _expr_repr(e) -> str:
+    """The generated dataclass ``repr``, origin tags included, as a fold:
+    term depth is not bounded by the recursion limit."""
+    return fold(e, _repr_node)
+
+
+# the generated reprs, which the tests take as the reference
+GENERATED_REPRS = {cls: cls.__repr__ for cls in Expr.__args__}
+
 for _cls in Expr.__args__:
     _cls.__eq__ = _expr_eq
     _cls.__hash__ = _expr_hash
+    _cls.__repr__ = _expr_repr
 
 
 # every node class -> its fields that may hold nodes, last field first (origin

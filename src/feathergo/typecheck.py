@@ -17,6 +17,7 @@ methods with them as receivers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .parser import Diagnostic
@@ -74,10 +75,11 @@ BOTTOM = Bottom()
 class Decls:
     """Indexed declaration tables for one program (plus builtins).
 
-    Four memo tables, filled lazily, answer each question once per
+    Five memo tables, filled lazily, answer each question once per
     program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``,
     ``fgg_sub`` maps ``(tau, sigma)`` to ``fgg_subtype`` under an empty
-    delta (a closed goal cannot depend on delta), ``msets`` maps a
+    delta (a closed goal cannot depend on delta), ``joins`` maps ``(tt,
+    te)`` to ``_fgg_interface_join`` under an empty delta, ``msets`` maps a
     ``TypeApp`` to its substituted method set (which never depends on
     delta), and ``templates`` maps a method's ``(recv_type, name)`` to the
     substitution template ``reduce.instantiate_body`` compiles its body
@@ -90,6 +92,7 @@ class Decls:
         self.program = program
         self.fg_sub: dict = {}
         self.fgg_sub: dict = {}
+        self.joins: dict = {}
         self.msets: dict = {}
         self.templates: dict = {}
         self.structs: dict = {s: StructDecl(s) for s in BUILTIN_STRUCTS}
@@ -479,9 +482,17 @@ def _join(tt, te, expected, sub):
 def _fgg_interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
     """Least declared interface instantiation implemented by both types.
     Candidate type arguments are drawn from the types occurring in either
-    side; deterministic (declaration order, then printed form)."""
-    import itertools
+    side; deterministic (declaration order, then printed form). Closed
+    goals (empty delta) are memoised in ``decls``."""
+    if delta:
+        return _interface_join(tt, te, delta, decls)
+    key = (tt, te)
+    if key not in decls.joins:
+        decls.joins[key] = _interface_join(tt, te, delta, decls)
+    return decls.joins[key]
 
+
+def _interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
     pool = sorted(set(walk(tt)) | set(walk(te)), key=print_type)
     cands = []
     for iface in decls.interfaces.values():

@@ -28,10 +28,13 @@ from feathergo.syntax import (
     MethodCall,
     Neq,
     Panic,
+    Seq,
     StructLit,
     TypeApp,
+    TypeAssert,
     fold,
     show_expr,
+    subexprs,
     walk,
 )
 from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
@@ -354,34 +357,44 @@ def test_correspondence_budget_terminal():
 
 def _traced_correspondence(program, reference):
     """check_correspondence's JSON report, and the digest of the repr of each
-    settled normal form (origin tags included) and the step count of each
-    normalisation, in order. ``reference`` swaps in stand-ins that use no
-    memo and redo each step from scratch: the oracle functions to a fixpoint
-    under a type side table of that normalisation alone, a fresh settle, and
-    a fresh translation."""
+    whole settled normal form (origin tags included) and the step count of
+    each normalisation, in order. The two stages the check runs per step
+    are the hooks: each leaves its side as a zipper, and the digest is of
+    the whole term it holds. ``reference`` swaps in stand-ins that use no
+    memo and redo each step from scratch on the whole term: a fresh
+    translation of the whole source state, the oracle functions to a
+    fixpoint under a type side table of that normalisation alone, a fresh
+    settle, and ``==`` on the whole states for the comparison."""
     seen = []
-    normalize, settle_, translate = cosim.dict_normalize, cosim.settle, Translator.translate_closed_expr
+    target_stage, source_stage = cosim.target_normal_form, cosim.source_normal_form
 
-    def traced_normalize(e, decls, info, bound, memo):
+    def from_scratch(e, decls, info):
+        nf, steps = _reference_normalize(e, decls, info, {})
+        return settle(nf, decls), steps
+
+    def traced_target(z, decls, info, bound, memo):
         if reference:
-            nf, steps = _reference_normalize(e, decls, info, {})
+            nf, steps = from_scratch(z.term(), decls, info)
+            z.reset(nf)
         else:
-            nf, steps = normalize(e, decls, info, bound, memo)
-        seen.append(steps)
-        return nf, steps
+            steps = target_stage(z, decls, info, bound, memo)
+        seen.extend([steps, hashlib.blake2b(repr(z.term()).encode(), digest_size=16).digest()])
+        return steps
 
-    def traced_settle(e, decls, memo):
-        out = settle_(e, decls, None if reference else memo)
-        seen.append(hashlib.blake2b(repr(out).encode(), digest_size=16).digest())
-        return out
-
-    def traced_translate(self, e, ctx=None):
-        return translate(self, e, None if reference else ctx)
+    def traced_source(src, decls, info, bound, memo):
+        if reference:
+            nf, steps = from_scratch(src.translator.translate_closed_expr(src.term()), decls, info)
+            src.reset(nf)
+        else:
+            steps = source_stage(src, decls, info, bound, memo)
+        seen.extend([steps, hashlib.blake2b(repr(src.out.term()).encode(), digest_size=16).digest()])
+        return steps
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cosim, "dict_normalize", traced_normalize)
-        mp.setattr(cosim, "settle", traced_settle)
-        mp.setattr(Translator, "translate_closed_expr", traced_translate)
+        mp.setattr(cosim, "target_normal_form", traced_target)
+        mp.setattr(cosim, "source_normal_form", traced_source)
+        if reference:
+            mp.setattr(cosim, "_same_state", lambda a, b, pairs, known: (a.term() == b.term(), 0))
         report = check_correspondence(program)
     return report.to_json(), seen
 
@@ -396,7 +409,7 @@ def test_carried_memos_match_a_from_scratch_run(make):
     ref_report, ref_seen = _traced_correspondence(program, reference=True)
     assert len(seen) == len(ref_seen)
     for i, (got, want) in enumerate(zip(seen, ref_seen)):
-        assert got == want, "normalisation %d of the run differs" % (i // 2)
+        assert got == want, "normalisation %d of the run differs" % (i // 4)
     assert report == ref_report
 
 
@@ -415,15 +428,21 @@ def test_run_memo_stays_within_a_multiple_of_the_live_terms(monkeypatch):
             sizes.append(self.size())
             super().trim()
 
-    settle_ = cosim.settle
+    target_stage, source_stage = cosim.target_normal_form, cosim.source_normal_form
 
-    def recording_settle(e, decls, memo=None):
-        out = settle_(e, decls, memo)
-        live.append(_expr_nodes(out))
-        return out
+    def recording_target(z, *args):
+        steps = target_stage(z, *args)
+        live.append(_expr_nodes(z.term()))
+        return steps
+
+    def recording_source(src, *args):
+        steps = source_stage(src, *args)
+        live.append(_expr_nodes(src.out.term()))
+        return steps
 
     monkeypatch.setattr(cosim, "RunMemo", RecordingMemo)
-    monkeypatch.setattr(cosim, "settle", recording_settle)
+    monkeypatch.setattr(cosim, "target_normal_form", recording_target)
+    monkeypatch.setattr(cosim, "source_normal_form", recording_source)
     report = check_correspondence(load("omega.fgg"), max_steps=3000)
     assert report.ok and len(report.records) == 3000
     assert len(sizes) == 3000
@@ -446,3 +465,110 @@ def test_run_memo_limit_follows_the_size_after_a_clear():
     memo.trans[0] = None
     memo.trim()
     assert memo.limit == MEMO_MIN_ENTRIES
+
+
+# -- work per step ------------------------------------------------------------------
+
+CHAIN = (
+    "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
+    "func (b Box[T]) Id() Box[T] { return b }\nfunc main() { _ = Box[int]{1}%s }\n"
+)
+
+
+def _node_work_per_step(depth):
+    """Nodes translated, typed, settled, scanned for a redex and visited by
+    the comparison and the scans, per source step of the ``.Id()`` chain."""
+    from feathergo import dicttrans, syntax, typecheck
+
+    work = [0]
+
+    def counting(fn):
+        def counted(*args):
+            work[0] += 1
+            return fn(*args)
+        return counted
+
+    def counting_fold(e, f, kids=syntax.subexprs):
+        return syntax.fold(e, counting(f), kids)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cosim, dicttrans, typecheck):
+            mp.setattr(module, "fold", counting_fold)
+        mp.setattr(cosim, "_dict_contract", counting(cosim._dict_contract))
+        mp.setattr(cosim, "subexprs", counting(syntax.subexprs))
+        report = check_correspondence(parse_fgg(CHAIN % (".Id()" * depth)), max_steps=depth + 1)
+    assert report.ok and len(report.records) == depth
+    return work[0] / depth
+
+
+def test_work_per_step_does_not_grow_with_depth():
+    # the checker follows the step, not the spine: per source step it does
+    # about the same node work on a chain four times as deep
+    assert _node_work_per_step(400) <= 1.5 * _node_work_per_step(100)
+
+
+def test_macro_step_panics_on_a_failing_assert_after_the_ordinary_step():
+    # the redex after the ordinary step is an untagged assert, so no
+    # simulation step; it would panic, and the macro step says so
+    _, _, _, tdecls = translated("arith.fgg")
+    d = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("bool")))
+    m = macro_step(d, tdecls)
+    assert m.kind == "panic" and m.mid_rule == "r-ext-seq" and m.sim_steps == 0
+    ok = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("int")))
+    m = macro_step(ok, tdecls)
+    assert m.kind == "stepped" and m.expr == ok.rest  # left for the next macro step
+
+
+def test_each_dictionary_contractum_is_built_once(monkeypatch):
+    # under the run's memo, the scan hands the contractum it built to the
+    # plug: one contraction built per step, none built again
+    built = []
+
+    def recording(e, decls, info, types=None):
+        out = cosim_dict_contract(e, decls, info, types)
+        if out is not None:
+            built.append(out)
+        return out
+
+    cosim_dict_contract = cosim._dict_contract
+    monkeypatch.setattr(cosim, "_dict_contract", recording)
+    total = 0
+    for name in ("numzero.fgg", "gtfunc.fgg", "typerep.fgg"):
+        states, info, tdecls = reachable_states(name, cap=60)
+        for s in states:
+            before = len(built)
+            _, steps = dict_normalize(s, tdecls, info)
+            assert len(built) - before == steps
+            total += steps
+    assert total > 0
+
+
+def test_a_frame_is_checked_only_with_normal_settled_kids_beside_the_hole():
+    # a frame whose later subexpression holds a resolution redex, or an
+    # erase assert that settles, is not checked: it stays below the cut
+    _, out, info, tdecls = translated("numzero.fgg")
+    pending = macro_step(dict_normalize(out.main, tdecls, info)[0], tdecls).expr
+    assert dict_redex_positions(pending, tdecls, info)
+    hole = MethodCall(IntLit(1), "Missing")
+    settles = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
+    for rest, checked in ((IntLit(2), 1), (pending, 0), (settles, 0)):
+        z = cosim.Zipper(None)
+        node = Seq(hole, rest)
+        z.frames, z.fresh = [(node, (hole, rest), 0)], 1
+        cosim._check_frames(z, 1, tdecls, info, RunMemo())
+        assert len(z.ctypes) == checked
+
+
+def test_a_source_frame_is_certified_only_where_its_translation_lands():
+    # the frames of a call on the hole, resolved and settled one by one,
+    # must be the output frames there, subexpression for subexpression
+    _, out, info, tdecls = translated("arith.fgg")
+    hole = MethodCall(IntLit(1), "Missing")
+    call = MethodCall(TypeAssert(hole, TypeApp("int"), origin="erase"), "M", (), (IntLit(2), IntLit(3)))
+    raw = [(call, subexprs(call), 0)]
+    memo = RunMemo()
+    assert cosim._frames_match(raw, raw, tdecls, info, 10, memo) == 0
+    other = MethodCall(call.recv, "M", (), (IntLit(2), IntLit(4)))
+    assert cosim._frames_match(raw, [(other, subexprs(other), 0)], tdecls, info, 10, memo) is None
+    moved = [(call, subexprs(call), 1)]
+    assert cosim._frames_match(raw, moved, tdecls, info, 10, memo) is None

@@ -1,6 +1,7 @@
 """Deep terms at the interpreter's default recursion limit: every expression
-pass folds iteratively, so 10^4 levels of nesting go through the whole
-pipeline, and the interpreter runs them to their value in linear time."""
+pass folds iteratively (``repr`` included), so 10^4 levels of nesting go
+through the whole pipeline, and the interpreter runs them to their value in
+linear time."""
 
 import pytest
 
@@ -63,3 +64,14 @@ def test_deep_body_template_matches_subst_expr(default_recursion_limit):
     out = instantiate_body(decls, m, recv, (), ())
     assert shallow_reprs(out) == shallow_reprs(reference_body(m, recv, (), ()))
     assert len(shallow_reprs(out)) == 3 * DEPTH + 1  # per statement a Seq, the receiver and its field; then 1
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_deep_input_reprs(default_recursion_limit, name):
+    program = parse_fgg(DEEP_INPUTS[name])
+    text = repr(program)
+    assert text.count("(") == text.count(")") and len(text) > 10 * DEPTH
+    if name == "chain":
+        box = "StructLit(type=TypeApp(name='Box', args=(TypeApp(name='int', args=()),)), args=(IntLit(value=1),))"
+        want = "MethodCall(recv=" * DEPTH + box + ", name='Id', targs=(), args=(), origin=None)" * DEPTH
+        assert repr(program.main) == want

@@ -221,3 +221,37 @@ def test_deep_terms_hash_without_origin_tags(default_recursion_limit):
     assert hash(tagged) == hash(_call_chain(10_000))
     assert len({tagged, _call_chain(10_000)}) == 1
     assert hash(_call_chain(10_000)) != hash(_call_chain(9_999))
+
+
+def _states(program, lang, cap=60):
+    """The states of a run of ``program``, from main on."""
+    from feathergo.reduce import Stepped, fg_step, fgg_step
+    from feathergo.typecheck import Decls
+
+    step, decls = (fgg_step if lang == "fgg" else fg_step), Decls(program)
+    states = [program.main]
+    for _ in range(cap):
+        out = step(states[-1], decls)
+        if not isinstance(out, Stepped):
+            break
+        states.append(out.expr)
+    return states
+
+
+@pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)
+def test_repr_is_the_generated_dataclass_repr(path):
+    # on every node of the program, of its translations and of the states
+    # of their runs: the fold's repr, origin tags included, is byte for
+    # byte what the generated dataclass repr prints at that node (the
+    # generated one reprs the node's fields, so node by node is all of it)
+    program = parse_fgg(path.read_text())
+    outputs = [(program, "fgg"), (translate_program(program), "fg"), (erase_program(program)[0], "fg")]
+    checked = 0
+    for p, lang in outputs:
+        for state in [*(d.body for d in p.decls if isinstance(d, syntax.MethodDecl)), *_states(p, lang)]:
+            for n in syntax.walk(state):
+                if type(n) in syntax.GENERATED_REPRS:
+                    assert repr(n) == syntax.GENERATED_REPRS[type(n)](n)
+                    checked += 1
+    assert checked
+

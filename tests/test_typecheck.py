@@ -388,3 +388,43 @@ def test_fg_negatives(main, rule):
     assert fg_typecheck_program(parse_fg(_FG_DECLS + "func main() { _ = T{}.Get().(T) }\n"), "core") == []
     diags = fg_typecheck_program(parse_fg(_FG_DECLS + "func main() { _ = %s }\n" % main), "core")
     assert [d.message for d in diags] == ["main: " + rule]
+
+
+def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
+    # every join met in typing the states of the corpus's source runs and in
+    # their co-simulations (the checker joins an ``if`` whose branches became
+    # distinct struct values): the memoised answer is the one a fresh
+    # ``Decls`` computes, and a closed goal is computed once per program
+    from feathergo.reduce import Stepped, fgg_step
+
+    met, computed = [], []
+    join, compute = typecheck._fgg_interface_join, typecheck._interface_join
+
+    def recording_join(tt, te, delta, decls):
+        out = join(tt, te, delta, decls)
+        met.append((tt, te, delta, decls, out))
+        return out
+
+    def recording_compute(tt, te, delta, decls):
+        computed.append((tt, te, id(decls)) if not delta else None)
+        return compute(tt, te, delta, decls)
+
+    monkeypatch.setattr(typecheck, "_fgg_interface_join", recording_join)
+    monkeypatch.setattr(typecheck, "_interface_join", recording_compute)
+    for path in FGG_FILES:
+        program = parse_fgg(path.read_text())
+        decls, e = Decls(program), program.main
+        for _ in range(300):
+            fgg_typecheck_expr(e, {}, {}, decls)
+            out = fgg_step(e, decls)
+            if not isinstance(out, Stepped):
+                break
+            e = out.expr
+        assert check_correspondence(program).ok
+    closed = [m for m in met if not m[2]]
+    assert closed
+    for tt, te, _, decls, out in closed:
+        assert out == compute(tt, te, {}, Decls(decls.program))
+        assert decls.joins[(tt, te)] == out
+    keys = [c for c in computed if c is not None]
+    assert len(keys) == len(set(keys)) < len(closed)
