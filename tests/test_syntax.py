@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import typing
 
 import pytest
@@ -255,3 +256,79 @@ def test_repr_is_the_generated_dataclass_repr(path):
                     checked += 1
     assert checked
 
+
+# two sample values for each expression field, by name
+_SAMPLES = {
+    "name": ("x", "y"), "fieldname": ("f", "g"), "op": ("+", "<"), "targs": ((INT,), ()),
+    "type": (TypeApp("Box", (INT,)), syntax.ANY), "args": ((syntax.Var("b"), IntLit(2)), ()),
+    "origin": ("sim", "dict"),
+}
+
+
+def _samples(cls, k=0) -> dict:
+    """Sample field values for ``cls``: subexpressions are variables."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.name == "value":
+            out[f.name] = (True, False)[k] if cls is syntax.BoolLit else (7, 8)[k]
+        else:
+            out[f.name] = _SAMPLES.get(f.name, (syntax.Var(f.name), syntax.Var(f.name + "'")))[k]
+    return out
+
+
+def _generated(cls, *args, **kwargs):
+    """A node built through the dataclass-generated ``__init__``."""
+    node = object.__new__(cls)
+    syntax.GENERATED_INITS[cls](node, *args, **kwargs)
+    return node
+
+
+@pytest.mark.parametrize("cls", syntax.Expr.__args__, ids=lambda c: c.__name__)
+def test_node_init_keeps_the_generated_contract(cls):
+    # built through the replaced __init__, a node is the one the generated
+    # __init__ builds, field by field, and keeps the dataclass contract
+    fields = dataclasses.fields(cls)
+    vals, others = _samples(cls), _samples(cls, 1)
+    pos = [vals[f.name] for f in fields if not f.kw_only]
+    kw = {f.name: vals[f.name] for f in fields if f.kw_only}
+    want = _generated(cls, *pos, **kw)
+
+    def same(node, ref):
+        assert type(node) is cls
+        for f in fields:
+            assert getattr(node, f.name) is getattr(ref, f.name), f.name
+        assert node == ref and hash(node) == hash(ref)
+        assert repr(node) == syntax.GENERATED_REPRS[cls](ref)
+
+    # positional and keyword arguments, keyword-only origin
+    same(cls(*pos, **kw), want)
+    same(cls(**vals), want)
+    with pytest.raises(TypeError):
+        cls(*pos, *kw.values()) if kw else cls(*pos, 0)
+    required = {f.name: vals[f.name] for f in fields if f.default is dataclasses.MISSING}
+    if required:
+        with pytest.raises(TypeError):
+            cls()
+    # defaults: any field that has one may be left out
+    same(cls(**required), _generated(cls, **required))
+    params = lambda init: [(p.name, p.kind, p.default) for p in inspect.signature(init).parameters.values()]
+    assert params(cls.__init__) == params(syntax.GENERATED_INITS[cls])
+    # dataclasses' own functions, and frozen fields
+    node = cls(*pos, **kw)
+    assert dataclasses.fields(node) == fields
+    for f in fields:
+        changed = dataclasses.replace(node, **{f.name: others[f.name]})
+        assert [getattr(changed, g.name) for g in fields] == [(others if g is f else vals)[g.name] for g in fields]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, f.name, others[f.name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, f.name)
+    assert [getattr(node, f.name) for f in fields] == list(vals.values())
+
+
+def test_node_init_defaults():
+    x = syntax.Var("x")
+    assert TypeAssert(x).type == syntax.ANY and TypeAssert(x).origin is None
+    call = MethodCall(x, "M")
+    assert call.targs == () and call.args == () and call.origin is None
+    assert StructLit(TypeApp("Nil")).args == ()
