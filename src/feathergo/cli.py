@@ -106,8 +106,8 @@ def cmd_translate(args) -> int:
                 skip_redundant_asserts=args.skip_redundant_asserts,
                 type_metadata=not args.no_type_metadata,
             )
-            out, info = dicttrans.translate_with_info(program, options)
-            inventory = [e.as_dict() for e in info.inventory]
+            out, inventory = dicttrans.translate_with_info(program, options)
+            inventory = [e.as_dict() for e in inventory]
         else:
             out, warnings = erasure.erase_program(program)
             for w in warnings:

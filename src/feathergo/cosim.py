@@ -7,11 +7,13 @@ The harness implements, as executable artifacts:
 * the macro step: exhaust erasure asserts, take one ordinary step, exhaust
   assertion-simulation steps -- one macro step corresponds to one source
   step;
-* dictionary resolution: pre-congruence contraction of dictionary plumbing
-  (dictionary field lookups, applicator calls, dictionary self-asserts)
-  plus assertion refinement (replace an asserted type by the expression's
-  strictly more precise static type), applied to a fixpoint under a step
-  bound -- the relation is confluent, so the normal form is unique;
+* dictionary resolution: pre-congruence contraction of the plumbing the
+  translator tagged (dictionary field lookups, applicator calls and
+  dictionary self-asserts, and simulation field lookups), each contracted
+  as the machine contracts it, plus assertion refinement (replace an
+  asserted type by the expression's strictly more precise static type),
+  applied to a fixpoint under a step bound -- the relation is confluent,
+  so the normal form is unique;
 * the correspondence check: run source and target in lockstep and verify at
   every index that the target state and the freshly translated source state
   have the same dictionary-resolution normal form, with agreeing terminals
@@ -27,15 +29,14 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .dicttrans import RESERVED_NAME, Ctx, TransInfo, Translator
+from .dicttrans import Ctx, Translator
 from .reduce import (
-    _VALUE_HEADS,
     PanicOutcome,
     Stuck,
     Value,
     _contract,
     _descend,
-    instantiate_body,
+    _resume,
     is_value,
     vtype,
 )
@@ -48,7 +49,6 @@ from .syntax import (
     Panic,
     Program,
     Seq,
-    StructLit,
     TypeApp,
     TypeAssert,
     fold,
@@ -80,62 +80,44 @@ def classify(redex: Expr) -> str:
 # Dictionary resolution (pre-congruence contraction + assertion refinement)
 
 
-def _dict_contract(e: Expr, decls: Decls, info: TransInfo, types=None):
+def _dict_contract(e: Expr, decls: Decls, types=None):
     """One dictionary-resolution contraction at this node, or None.
 
-    Contractions never panic: dictionary field selects and self-asserts are
-    total on the generated shapes, applicator calls substitute (possibly
-    unevaluated) arguments linearly, and refinement only strengthens an
-    assert to the expression's own static type. ``types`` is an optional
-    side table of closed subterm types (see ``fgg_typecheck_expr``).
+    The origin tag alone says what is plumbing. The redexes are the
+    "dict"-tagged nodes (dictionary field selects, applicator calls and
+    dictionary self-asserts) and the "sim"-tagged field selects, once
+    their receiver is a value, and each contracts as the machine contracts
+    it (``reduce._contract``); a contraction the machine would not step is
+    no redex, so resolution never panics. The other subexpressions need
+    not be values: an applicator call substitutes its (possibly
+    unevaluated) arguments linearly. Assertion refinement only strengthens
+    an assert to the expression's own static type. ``types`` is an
+    optional side table of closed subterm types (see
+    ``fgg_typecheck_expr``).
     """
-    if isinstance(e, FieldSel) and isinstance(e.recv, StructLit) and is_value(e.recv):
-        dicty = e.recv.type.name in info.dict_structs or RESERVED_NAME.fullmatch(e.fieldname)
-        if dicty:
-            d = decls.structs.get(e.recv.type.name)
-            if d is not None:
-                for i, f in enumerate(d.fields):
-                    if f.name == e.fieldname:
-                        return e.recv.args[i]
+    t = type(e)
+    if t is not FieldSel and t is not MethodCall and t is not TypeAssert:
         return None
-    if isinstance(e, MethodCall) and e.name == "Apply":
-        recv = e.recv
-        if isinstance(recv, StructLit) and recv.type.name in info.ptr_structs and is_value(recv):
-            m = decls.methods.get((recv.type.name, "Apply"))
-            if m is not None and len(m.sig.params) == len(e.args):
-                return instantiate_body(decls, m, recv, e.args, ())
+    o = e.origin
+    if (o == "dict" or o == "sim" and t is FieldSel) and is_value(e.recv):
+        out = _contract(e, decls, False)
+        if type(out) is tuple:
+            return out[0]
+    # assertion refinement: |- recv : u and u <: t strictly, which needs an
+    # interface t (a struct type, int and bool included, has no proper
+    # subtype), so no other receiver is typed
+    if t is not TypeAssert or not (isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"):
         return None
-    if isinstance(e, TypeAssert):
-        if (
-            isinstance(e.type, TypeApp)
-            and e.type.name in info.dict_structs
-            and isinstance(e.recv, StructLit)
-            and is_value(e.recv)
-            and vtype(e.recv).name == e.type.name
-        ):
-            return e.recv
-        # assertion refinement: |- recv : u and u <: t strictly, which needs
-        # an interface t (a struct type, int and bool included, has no
-        # proper subtype), so no other receiver is typed
-        if not (isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"):
-            return None
-        try:
-            u = fgg_typecheck_expr(e.recv, {}, {}, decls, types=types)
-        except CheckError:
-            return None
-        if (
-            isinstance(u, TypeApp)
-            and u.name != e.type.name
-            and fg_subtype(u.name, e.type.name, decls)
-        ):
-            return TypeAssert(e.recv, TypeApp(u.name), origin=e.origin)
+    try:
+        u = fgg_typecheck_expr(e.recv, {}, {}, decls, types=types)
+    except CheckError:
         return None
+    if isinstance(u, TypeApp) and u.name != e.type.name and fg_subtype(u.name, e.type.name, decls):
+        return TypeAssert(e.recv, TypeApp(u.name), origin=e.origin)
     return None
 
 
-def dict_redex_positions(
-    e: Expr, decls: Decls, info: TransInfo, types=None, memo: RunMemo | None = None
-) -> list:
+def dict_redex_positions(e: Expr, decls: Decls, types=None, memo: RunMemo | None = None) -> list:
     """Positions (paths) where a dictionary-resolution step applies, in
     preorder. A path is a tuple of indices into ``subexprs``, one per level
     from the root down.
@@ -148,13 +130,13 @@ def dict_redex_positions(
     a ``Redex``: it carries the contractum the scan built, so
     ``contract_dict_at`` does not build it again."""
     if memo is not None:
-        found = _first_redex(e, decls, info, memo)
+        found = _first_redex(e, decls, memo)
         return [] if found is None else [found]
     out = []
     stack = [(e, None)]  # (node, its position: None at the root, else (parent's position, index))
     while stack:
         node, pos = stack.pop()
-        if _dict_contract(node, decls, info, types) is not None:
+        if _dict_contract(node, decls, types) is not None:
             path, up = [], pos
             while up is not None:
                 up, i = up
@@ -176,7 +158,7 @@ class Redex(tuple):
         return out
 
 
-def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=None) -> Expr:
+def contract_dict_at(e: Expr, path: tuple, decls: Decls, types=None) -> Expr:
     if type(path) is Redex and path.root is e:  # the scan built it already
         return plug(path.spine, path.contractum)
     spine = []
@@ -184,7 +166,7 @@ def contract_dict_at(e: Expr, path: tuple, decls: Decls, info: TransInfo, types=
         kids = subexprs(e)
         spine.append((e, kids, i))
         e = kids[i]
-    out = _dict_contract(e, decls, info, types)
+    out = _dict_contract(e, decls, types)
     if out is None:
         raise ValueError("no dictionary-resolution redex at path")
     return plug(spine, out)
@@ -287,7 +269,7 @@ def settle(e: Expr, decls: Decls, memo: RunMemo | None = None) -> Expr:
 DEFAULT_NORMALIZE_BOUND = 10_000
 
 
-def _first_redex(e: Expr, decls: Decls, info: TransInfo, memo: RunMemo):
+def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
     """The first dictionary-resolution redex of ``e`` in preorder, as a
     ``Redex``, or None. Subterms in ``memo.normal`` are skipped, and every
     subterm scanned whole without a redex is added to it."""
@@ -296,7 +278,7 @@ def _first_redex(e: Expr, decls: Decls, info: TransInfo, memo: RunMemo):
     node = e
     while True:
         if id(node) not in normal:
-            out = _dict_contract(node, decls, info, types)
+            out = _dict_contract(node, decls, types)
             if out is not None:
                 return Redex(path, e, [(n, kids, i) for (n, kids), i in zip(spine, path)], out)
             kids = subexprs(node)
@@ -320,18 +302,11 @@ def _first_redex(e: Expr, decls: Decls, info: TransInfo, memo: RunMemo):
             return None
 
 
-def dict_normalize(
-    e: Expr,
-    decls: Decls,
-    info: TransInfo,
-    bound: int = DEFAULT_NORMALIZE_BOUND,
-    memo: RunMemo | None = None,
-    cut: Cut | None = None,
-):
+def dict_normalize(e: Expr, decls: Decls, memo: RunMemo | None = None, cut: Cut | None = None):
     """Exhaust dictionary resolution, leftmost-outermost first; returns
     (normal form, steps taken). By confluence the normal form is unique;
-    the bound guards against a harness or translator bug and raises
-    NormalizeOverflow on overflow.
+    the module's ``DEFAULT_NORMALIZE_BOUND`` bounds the steps against a
+    harness or translator bug, and NormalizeOverflow is raised past it.
 
     Each step contracts the first redex in preorder, which
     ``dict_redex_positions`` finds under the memo. The search skips the
@@ -349,14 +324,14 @@ def dict_normalize(
     memo = RunMemo() if memo is None else memo
     steps = 0 if cut is None else cut.steps
     while True:
-        if steps > bound:
-            raise NormalizeOverflow("no normal form within %d steps" % bound)
+        if steps > DEFAULT_NORMALIZE_BOUND:
+            raise NormalizeOverflow("no normal form within %d steps" % DEFAULT_NORMALIZE_BOUND)
         if cut is not None:
             e = cut.widen(e)
-        positions = dict_redex_positions(e, decls, info, memo=memo)
+        positions = dict_redex_positions(e, decls, memo=memo)
         if not positions:
             return e, steps
-        e = contract_dict_at(e, positions[0], decls, info, memo.types)
+        e = contract_dict_at(e, positions[0], decls, memo.types)
         steps += 1
 
 
@@ -368,26 +343,6 @@ def dict_normalize(
 # frames from step to step. A stage (re-translation, dictionary resolution,
 # settling, the comparison, the macro step) works on the hole at the cut
 # and on the frames it reopens, never on the whole spine.
-
-
-def _refocus(e: Expr, frames: list):
-    """``reduce._resume``, also telling how far up it went: the next focus
-    once ``e`` fills the hole of ``frames``, and the number of leading
-    frames left in place."""
-    low = len(frames)
-    e = _descend(e, frames)
-    while frames and type(e) in _VALUE_HEADS:
-        node, kids, i = frames[-1]
-        kids = (*kids[:i], e, *kids[i + 1:])
-        for j in range(i + 1, 1 if type(node) is If or type(node) is Seq else len(kids)):
-            if not is_value(kids[j]):
-                frames[-1] = (node, kids, j)
-                low = min(low, len(frames) - 1)
-                return _descend(kids[j], frames), low
-        frames.pop()
-        low = min(low, len(frames))
-        e = rebuild(node, kids)
-    return e, low
 
 
 def _type_of(e: Expr, decls: Decls, types: dict):
@@ -454,7 +409,7 @@ class Zipper:
         self.fresh, self.kept = min(self.fresh, low), min(self.kept, low)
 
 
-def _check_frames(z: Zipper, upto: int, decls: Decls, info: TransInfo, memo: RunMemo) -> None:
+def _check_frames(z: Zipper, upto: int, decls: Decls, memo: RunMemo) -> None:
     """Check ``z``'s frames below ``len(z.ctypes)`` up to ``upto``, up to the
     first that does not pass."""
     frames, ctypes = z.frames, z.ctypes
@@ -462,10 +417,10 @@ def _check_frames(z: Zipper, upto: int, decls: Decls, info: TransInfo, memo: Run
         node, kids, i = frames[j]
         if any(a is not b for a, b in zip(kids, subexprs(node))):
             node = rebuild(node, kids)  # a frame the machine moved to the next sibling
-        if _dict_contract(node, decls, info, memo.types) is not None:
+        if _dict_contract(node, decls, memo.types) is not None:
             return
         for k in kids[i + 1:]:
-            if _first_redex(k, decls, info, memo) is not None or settle(k, decls, memo) is not k:
+            if _first_redex(k, decls, memo) is not None or settle(k, decls, memo) is not k:
                 return
         t = None
         if _reads_type(node, i, decls) or _passes_type(node, i) and j and ctypes[j - 1] is not None:
@@ -511,19 +466,19 @@ def _settle_into(z: Zipper, cut: Cut, e: Expr, decls: Decls, memo: RunMemo) -> i
     while cut.c and is_value(e):
         e = settle(cut.pop(e), decls, memo)
     del z.frames[cut.c:], z.ctypes[cut.c:]
-    z.focus, low = _refocus(e, z.frames)
+    z.focus, low = _resume(e, z.frames)
     del z.ctypes[low:]
     z.fresh, z.kept = len(z.frames), min(z.kept, low)
     return low
 
 
-def target_normal_form(z: Zipper, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> int:
+def target_normal_form(z: Zipper, decls: Decls, memo: RunMemo) -> int:
     """Bring the target state ``z`` to its settled resolution normal form;
     returns the resolution steps taken. Works on the hole below the checked
     frames and on the frames it reopens."""
-    _check_frames(z, len(z.frames), decls, info, memo)
+    _check_frames(z, len(z.frames), decls, memo)
     cut = Cut(z, len(z.ctypes), decls, memo)
-    e, steps = dict_normalize(plug(z.frames[cut.c:], z.focus), decls, info, bound, memo, cut)
+    e, steps = dict_normalize(plug(z.frames[cut.c:], z.focus), decls, memo, cut)
     _settle_into(z, cut, e, decls, memo)
     return steps
 
@@ -559,7 +514,7 @@ class Source:
 
     def step(self, e: Expr) -> None:
         """Put the contractum ``e`` in place of the focus."""
-        self.focus, low = _refocus(e, self.frames)
+        self.focus, low = _resume(e, self.frames)
         self.low = min(self.low, low)
 
     def keep(self, k: int) -> None:
@@ -567,7 +522,7 @@ class Source:
         del self.stypes[k:], self.align[k + 1:], self.cum[k + 1:]
 
 
-def source_normal_form(src: Source, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> int:
+def source_normal_form(src: Source, decls: Decls, memo: RunMemo) -> int:
     """Bring ``src.out`` to the settled resolution normal form of the
     source state's translation; returns the resolution steps, counting
     those a fresh translation takes in the certified frames. Translates
@@ -586,10 +541,10 @@ def source_normal_form(src: Source, decls: Decls, info: TransInfo, bound: int, m
     src.keep(c)
     cut = Cut(src.out, src.align[c], decls, memo, src.align, src.cum[c])
     e = src.translator.translate_closed_expr(built[-1], memo.ctx)
-    e, steps = dict_normalize(e, decls, info, bound, memo, cut)
+    e, steps = dict_normalize(e, decls, memo, cut)
     low = _settle_into(src.out, cut, e, decls, memo)
     src.keep(bisect_right(src.align, low) - 1)
-    _certify(src, built, decls, info, bound, memo)
+    _certify(src, built, decls, memo)
     src.low = n
     return steps
 
@@ -608,7 +563,7 @@ def _hole_frames(t: Expr, h: Expr):
     return found[0] if len(found) == 1 else None
 
 
-def _frames_match(raw, frames, decls: Decls, info: TransInfo, bound: int, memo: RunMemo):
+def _frames_match(raw, frames, decls: Decls, memo: RunMemo):
     """The resolution steps the subexpressions of the ``raw`` frames take,
     if resolving and settling them one by one gives ``frames``; else
     None. An ``if`` or a sequence must have none to take, as its type
@@ -622,7 +577,7 @@ def _frames_match(raw, frames, decls: Decls, info: TransInfo, bound: int, memo: 
             return None
         for q, (r, f) in enumerate(zip(rk, fk)):
             if q != ri:
-                nf, k = dict_normalize(r, decls, info, bound, memo)
+                nf, k = dict_normalize(r, decls, memo)
                 s = settle(nf, decls, memo)
                 if s is not f and s != f or s is not r and type(rn) in (If, Seq):
                     return None
@@ -630,7 +585,7 @@ def _frames_match(raw, frames, decls: Decls, info: TransInfo, bound: int, memo: 
     return steps
 
 
-def _certify(src: Source, built: list, decls: Decls, info: TransInfo, bound: int, memo: RunMemo) -> None:
+def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
     """Certify the source frames below the certified ones, top down, while
     each one's translation lands on the frames of ``src.out`` there."""
     frames, out = src.frames, src.out
@@ -646,10 +601,10 @@ def _certify(src: Source, built: list, decls: Decls, info: TransInfo, bound: int
         )
         if raw is None:
             return
-        _check_frames(out, pos + len(raw), decls, info, memo)
+        _check_frames(out, pos + len(raw), decls, memo)
         if len(out.ctypes) < pos + len(raw):
             return
-        steps = _frames_match(raw, out.frames[pos:pos + len(raw)], decls, info, bound, memo)
+        steps = _frames_match(raw, out.frames[pos:pos + len(raw)], decls, memo)
         if steps is None:
             return
         t = None
@@ -740,7 +695,7 @@ def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcom
 
     def advance(e):
         nonlocal low
-        e, k = _refocus(e, frames)
+        e, k = _resume(e, frames)
         low = min(low, k)
         return e
 
@@ -839,11 +794,7 @@ class CorrespondenceReport:
         )
 
 
-def check_correspondence(
-    program: Program,
-    max_steps: int = 500,
-    normalize_bound: int = DEFAULT_NORMALIZE_BOUND,
-) -> CorrespondenceReport:
+def check_correspondence(program: Program, max_steps: int = 500) -> CorrespondenceReport:
     """Run the FGG program and its dictionary translation in lockstep.
 
     At every index the dictionary-resolution normal forms of the target
@@ -860,7 +811,6 @@ def check_correspondence(
     """
     translator = Translator(program)
     target = translator.translate_program()
-    info = translator.info()
     tdecls = Decls(target)
 
     memo = RunMemo()
@@ -873,8 +823,8 @@ def check_correspondence(
 
     for i in range(max_steps):
         try:
-            dsteps = target_normal_form(tgt, tdecls, info, normalize_bound, memo)
-            source_normal_form(src, tdecls, info, normalize_bound, memo)
+            dsteps = target_normal_form(tgt, tdecls, memo)
+            source_normal_form(src, tdecls, memo)
         except NormalizeOverflow as ov:
             return CorrespondenceReport(
                 tuple(records), Terminal("budget", False, "normalization overflow: %s" % ov)

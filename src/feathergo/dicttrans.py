@@ -11,9 +11,9 @@ function values.
 Generated nodes carry origin tags ("erase" for erasure-inserted asserts,
 "sim" for assertion-simulation machinery, "dict" for dictionary plumbing);
 they are the one record of which rule emitted a node, and the
-co-simulation harness classifies redexes by them alone. Tags do not affect
-equality. The generated type names are listed once, each with its role;
-that list serves both the collision check and ``TransInfo``.
+co-simulation harness classifies redexes and resolves dictionaries by them
+alone. Tags do not affect equality. The generated type names are listed
+once, for the collision check.
 
 Optional flags, both off by default: ``skip_redundant_asserts`` drops the
 receiver asserts of field selects and calls when the translated receiver
@@ -85,14 +85,6 @@ class InventoryEntry:
 
     def as_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind, "source": self.source}
-
-
-@dataclass(frozen=True)
-class TransInfo:
-    # the struct names dictionary resolution contracts, and the inventory
-    dict_structs: frozenset
-    ptr_structs: frozenset
-    inventory: tuple
 
 
 # -- name constants ----------------------------------------------------------
@@ -206,26 +198,24 @@ class Translator:
         return sorted(out)
 
     def _generated_type_names(self) -> list:
-        """(name, role) of every generated type, in collision-check order;
-        the role is "dict", "ptr" (a method pointer) or "other"."""
-        names = [TYPE_MDATA, "Int_meta", "Bool_meta"]
-        names += [func_iface_name(n) for n in self.arities]
-        names += [fn_meta_name(n) for n in self.arities]
-        names += [param_index_name(i) for i in range(self.max_formal)]
-        out = [(n, "other") for n in names]
+        """The name of every generated type, in collision-check order."""
+        out = [TYPE_MDATA, "Int_meta", "Bool_meta"]
+        out += [func_iface_name(n) for n in self.arities]
+        out += [fn_meta_name(n) for n in self.arities]
+        out += [param_index_name(i) for i in range(self.max_formal)]
         for d in self.program.decls:
             if isinstance(d, InterfaceDecl):
-                out += [(dict_name(d.name), "dict"), (meta_name(d.name), "other")]
-                out += [(ptr_name(d.name, s.name), "ptr") for s in d.specs]
+                out += [dict_name(d.name), meta_name(d.name)]
+                out += [ptr_name(d.name, s.name) for s in d.specs]
             elif isinstance(d, StructDecl):
-                out.append((meta_name(d.name), "other"))
+                out.append(meta_name(d.name))
             else:
-                out.append((ptr_name(d.recv_type, d.name), "ptr"))
+                out.append(ptr_name(d.recv_type, d.name))
         return out
 
     def _check_collisions(self) -> None:
         seen = set()
-        for n, _ in self._generated_type_names():
+        for n in self._generated_type_names():
             if n in seen:
                 raise TranslationError("generated name collision: %s" % n)
             seen.add(n)
@@ -623,14 +613,6 @@ class Translator:
         main = self.translate_closed_expr(self.program.main)
         return Program(tuple(decls), main)
 
-    def info(self) -> TransInfo:
-        names = self._generated_type_names()
-        return TransInfo(
-            frozenset(n for n, role in names if role == "dict"),
-            frozenset(n for n, role in names if role == "ptr"),
-            tuple(self.inventory),
-        )
-
 
 def translate_program(program: Program, options: TransOptions | None = None) -> Program:
     """Translate a typechecked FGG program to FG-extended. Deterministic; a
@@ -639,6 +621,8 @@ def translate_program(program: Program, options: TransOptions | None = None) -> 
 
 
 def translate_with_info(program: Program, options: TransOptions | None = None):
+    """The translation and its inventory: one ``InventoryEntry`` per
+    generated declaration, in emission order."""
     t = Translator(program, options)
     out = t.translate_program()
-    return out, t.info()
+    return out, tuple(t.inventory)

@@ -23,9 +23,12 @@ visited are tested for value-ness. A step costs work in what it changed, not
 in the depth of the hole, and the whole term is built only as the final
 value. ``fg_step`` and ``fgg_step`` are one-shot wrappers over the same
 descent: descend from the root, contract, ``plug`` the contractum back in.
-Co-simulation steps with them. Every loop runs over the explicit spine, so
-term depth is not bounded by the recursion limit. The stepper holds no
-global state; distinct runs are independent.
+Co-simulation steps on the machine itself (``_contract`` and ``_resume``,
+which also tells it how many frames a step left in place), and its
+dictionary resolution contracts the tagged plumbing with ``_contract``
+too. Every loop runs over the explicit spine, so term depth is not bounded
+by the recursion limit. The stepper holds no global state; distinct runs
+are independent.
 
 r-call substitutes the receiver, arguments and type actuals into the
 method's body through the body's template (``compile_body``): compiled once
@@ -273,11 +276,11 @@ def compile_body(m: MethodDecl):
 def instantiate_body(decls: Decls, m: MethodDecl, recv: Expr, args, targs, rtype=None) -> Expr:
     """body(vtype(v).m): substitute receiver, value arguments and type
     actuals into the declared body, ``m`` being ``decls.methods[(m.recv_type,
-    m.name)]``. Used by r-call and, with unevaluated arguments, by
-    dictionary resolution. ``recv`` must be a value, ``rtype`` its
-    ``vtype`` if the caller has it, and ``args`` one per value parameter:
-    both callers contract only such a call. The body's template is built
-    at the method's first instantiation and kept in ``decls.templates``."""
+    m.name)]``. Used by r-call, which dictionary resolution also takes on
+    an applicator call with unevaluated arguments. ``recv`` must be a
+    value, ``rtype`` its ``vtype`` if the caller has it, and ``args`` one
+    per value parameter. The body's template is built at the method's
+    first instantiation and kept in ``decls.templates``."""
     key = (m.recv_type, m.name)
     tpl = decls.templates.get(key)
     if tpl is None:
@@ -377,20 +380,29 @@ def _descend(e: Expr, spine: list) -> Expr:
 _VALUE_HEADS = (StructLit, IntLit, BoolLit)  # a focus with one of these is a value
 
 
-def _resume(e: Expr, spine: list) -> Expr:
+def _resume(e: Expr, spine: list) -> tuple:
     """The next focus once ``e`` has replaced the focus at the hole of
-    ``spine``'s last frame."""
+    ``spine``'s last frame, and the number of leading frames of ``spine``
+    left in place."""
+    low = len(spine)
     e = _descend(e, spine)
-    while spine and type(e) in _VALUE_HEADS:
+    if type(e) not in _VALUE_HEADS:
+        return e, low
+    # a value pushed nothing, and the climb only pops: the frames left on
+    # exit are those left in place
+    while spine:
         node, kids, i = spine[-1]
         kids = (*kids[:i], e, *kids[i + 1:])
         for j in range(i + 1, 1 if type(node) is If or type(node) is Seq else len(kids)):
             if not is_value(kids[j]):
                 spine[-1] = (node, kids, j)
-                return _descend(kids[j], spine)
+                low = len(spine) - 1
+                return _descend(kids[j], spine), low
         spine.pop()
         e = rebuild(node, kids)
-    return e
+        if type(e) not in _VALUE_HEADS:
+            break
+    return e, len(spine)
 
 
 def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
@@ -440,21 +452,23 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
     generic = lang == "fgg"
     spine = []
     e = _descend(program.main, spine)
-    steps = 0
-    while True:
+    for steps in range(max_steps):
         out = _contract(e, decls, generic)
         if type(out) is not tuple:
-            if type(out) is Value:
-                return RunResult("value", steps, value=out.value)
-            if type(out) is PanicOutcome:
-                return RunResult("panic", steps, panic=out)
-            raise RuntimeError("stuck: %s (non-typechecked input?)" % out.reason)
-        if steps == max_steps:  # the term is looked at before the budget
-            return RunResult("budget_exhausted", max_steps)
+            break
         if trace is not None:
             trace(out[1], e)
-        steps += 1
-        e = _resume(out[0], spine)
+        e = _resume(out[0], spine)[0]
+    else:
+        out = _contract(e, decls, generic)  # the term is looked at before the budget
+        if type(out) is tuple:
+            return RunResult("budget_exhausted", max_steps)
+        steps = max_steps
+    if type(out) is Value:
+        return RunResult("value", steps, value=out.value)
+    if type(out) is PanicOutcome:
+        return RunResult("panic", steps, panic=out)
+    raise RuntimeError("stuck: %s (non-typechecked input?)" % out.reason)
 
 
 def step_count(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg"):

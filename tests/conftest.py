@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
+from feathergo.dicttrans import dict_name, ptr_name
 from feathergo.parser import parse_program
 from feathergo.reduce import subst_expr, vtype
-from feathergo.syntax import Panic, rebuild, subexprs
+from feathergo.syntax import InterfaceDecl, MethodDecl, Panic, rebuild, subexprs
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -35,6 +36,21 @@ def read(name: str) -> str:
 def load(name: str):
     lang = "fgg" if name.endswith(".fgg") else "fg"
     return parse_program(read(name), lang)
+
+
+def generated_struct_names(program):
+    """The dictionary structs and the method-pointer structs the dictionary
+    translation of ``program`` declares, by the translator's naming scheme
+    over the source declarations: an oracle of generated shapes that does
+    not read origin tags."""
+    dicts, ptrs = set(), set()
+    for d in program.decls:
+        if isinstance(d, InterfaceDecl):
+            dicts.add(dict_name(d.name))
+            ptrs.update(ptr_name(d.name, s.name) for s in d.specs)
+        elif isinstance(d, MethodDecl):
+            ptrs.add(ptr_name(d.recv_type, d.name))
+    return dicts, ptrs
 
 
 @pytest.fixture(scope="session")

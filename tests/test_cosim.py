@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
 
 from feathergo import cosim
+from feathergo.cli import main
 from feathergo.cosim import (
     MEMO_MIN_ENTRIES,
     RunMemo,
@@ -39,7 +41,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 
-from conftest import FGG_FILES, load
+from conftest import CORPUS, FGG_FILES, generated_struct_names, load
 
 from test_reduce import FGG_SOURCES, assert_unique_decomposition
 
@@ -47,12 +49,12 @@ from test_reduce import FGG_SOURCES, assert_unique_decomposition
 def translated(name):
     tr = Translator(load(name))
     out = tr.translate_program()
-    return tr, out, tr.info(), Decls(out)
+    return tr, out, Decls(out)
 
 
 def reachable_states(name, cap=400):
     """Target-side states along the standard reduction, for sampling."""
-    _, out, info, tdecls = translated(name)
+    _, out, tdecls = translated(name)
     states = [out.main]
     e = out.main
     for _ in range(cap):
@@ -61,7 +63,7 @@ def reachable_states(name, cap=400):
             break
         e = step.expr
         states.append(e)
-    return states, info, tdecls
+    return states, tdecls
 
 
 SAMPLE_PROGRAMS = ("gtfunc.fgg", "eqord.fgg", "fbound_self.fgg", "typerep.fgg", "permute.fgg", "fgg_list.fgg", "numzero.fgg", "box.fgg")
@@ -71,8 +73,9 @@ SAMPLE_PROGRAMS = ("gtfunc.fgg", "eqord.fgg", "fbound_self.fgg", "typerep.fgg", 
 
 
 def target_redexes(name, cap=2000):
-    """The redexes of the standard reduction of the translated main."""
-    _, out, info, tdecls = translated(name)
+    """The redexes of the standard reduction of the translated main, and the
+    dictionary and method-pointer struct names (``generated_struct_names``)."""
+    tr, out, tdecls = translated(name)
     e, redexes = out.main, []
     for _ in range(cap):
         step = fg_step(e, tdecls)
@@ -80,17 +83,17 @@ def target_redexes(name, cap=2000):
             break
         redexes.append(step.redex)
         e = step.expr
-    return redexes, info
+    return redexes, generated_struct_names(tr.program)
 
 
 def test_classify_dict_literal_field_select():
     # a method selected from a dictionary literal, as the run of the
     # translation reaches it, is dict by its tag; the same shape untagged
     # is ordinary
-    redexes, info = target_redexes("gtfunc.fgg")
+    redexes, (dict_structs, _) = target_redexes("gtfunc.fgg")
     sels = [
         r for r in redexes
-        if isinstance(r, FieldSel) and isinstance(r.recv, StructLit) and r.recv.type.name in info.dict_structs
+        if isinstance(r, FieldSel) and isinstance(r.recv, StructLit) and r.recv.type.name in dict_structs
     ]
     assert sels
     for r in sels:
@@ -99,11 +102,11 @@ def test_classify_dict_literal_field_select():
 
 
 def test_classify_method_pointer_apply():
-    redexes, info = target_redexes("numzero.fgg")
+    redexes, (_, ptr_structs) = target_redexes("numzero.fgg")
     calls = [
         r for r in redexes
         if isinstance(r, MethodCall) and r.name == "Apply"
-        and isinstance(r.recv, StructLit) and r.recv.type.name in info.ptr_structs
+        and isinstance(r.recv, StructLit) and r.recv.type.name in ptr_structs
     ]
     assert calls
     for r in calls:
@@ -120,7 +123,7 @@ def test_classify_sim_if_neq_panic():
 def test_classify_by_origin_tags():
     # every tagged node the translator emits is classified by its tag, and
     # the same node untagged is ordinary
-    _, out, _, _ = translated("typerep.fgg")
+    _, out, _ = translated("typerep.fgg")
     tagged = [n for n in walk(out) if getattr(n, "origin", None)]
     assert {n.origin for n in tagged} == {"erase", "sim", "dict"}
     for n in tagged:
@@ -142,7 +145,7 @@ def test_classify_by_origin_tags():
 
 def test_first_macro_of_gtfunc_consumes_erase_assert_then_calls():
     # derived trace on the translated program: .(GtFunc) then the r-call
-    _, out, info, tdecls = translated("gtfunc.fgg")
+    _, out, tdecls = translated("gtfunc.fgg")
     m = macro_step(out.main, tdecls)
     assert m.kind == "stepped"
     assert m.erase_steps == 1
@@ -153,20 +156,20 @@ def test_first_macro_of_gtfunc_consumes_erase_assert_then_calls():
 def test_trycast_macro_resolves_simulation_in_one_step():
     # one macro performs the tryCast call and all following if/neq/select
     # simulation steps; panic surfaces inside the macro
-    _, out, info, tdecls = translated("typerep.fgg")
-    nf, _ = dict_normalize(out.main, tdecls, info)
+    _, out, tdecls = translated("typerep.fgg")
+    nf, _ = dict_normalize(out.main, tdecls)
     m1 = macro_step(nf, tdecls)
     assert m1.kind == "stepped" and m1.mid_rule == "r-call" and m1.sim_steps > 0
-    nf2, _ = dict_normalize(m1.expr, tdecls, info)
+    nf2, _ = dict_normalize(m1.expr, tdecls)
     m2 = macro_step(settle(nf2, tdecls), tdecls)
     assert m2.kind == "stepped"  # the seq discard
-    nf3, _ = dict_normalize(m2.expr, tdecls, info)
+    nf3, _ = dict_normalize(m2.expr, tdecls)
     m3 = macro_step(settle(nf3, tdecls), tdecls)
     assert m3.kind == "panic"  # the .(Foo[bool]) simulation fails
 
 
 def test_macro_on_plain_term_is_one_ordinary_step():
-    _, out, info, tdecls = translated("arith.fgg")
+    _, out, tdecls = translated("arith.fgg")
     m = macro_step(out.main, tdecls)
     assert m.kind == "stepped" and m.sim_steps == 0 and m.mid_rule == "r-ext-binop"
 
@@ -177,26 +180,26 @@ def test_macro_on_plain_term_is_one_ordinary_step():
 def test_dict_normalize_reproduces_call_site_resolution():
     # after one macro the applicator is pending on an unevaluated argument;
     # resolution contracts it and refines the assert to the value's own type
-    _, out, info, tdecls = translated("numzero.fgg")
-    m = macro_step(dict_normalize(out.main, tdecls, info)[0], tdecls)
+    _, out, tdecls = translated("numzero.fgg")
+    m = macro_step(dict_normalize(out.main, tdecls)[0], tdecls)
     assert show_expr(m.expr) == "NumDict{MyInt_Add{}, MyInt_meta{}}.Add.Apply(Zero{}, App{}.(App).Bar())"
-    nf, steps = dict_normalize(m.expr, tdecls, info)
+    nf, steps = dict_normalize(m.expr, tdecls)
     assert show_expr(nf) == "Zero{}.(Zero).Add(App{}.(App).Bar())"
     assert steps == 3  # field lookup, applicator call, assertion refinement
 
 
 def test_normal_form_is_fixpoint():
-    _, out, info, tdecls = translated("arith.fgg")
-    nf, steps = dict_normalize(out.main, tdecls, info)
+    _, out, tdecls = translated("arith.fgg")
+    nf, steps = dict_normalize(out.main, tdecls)
     assert steps == 0 and nf == out.main  # no dictionary machinery in sight
-    nf2, steps2 = dict_normalize(nf, tdecls, info)
+    nf2, steps2 = dict_normalize(nf, tdecls)
     assert steps2 == 0 and nf2 == nf
 
 
 def test_settle_discharges_only_succeeding_erase_asserts():
     from feathergo.syntax import TypeAssert
 
-    _, out, info, tdecls = translated("gtfunc.fgg")
+    _, out, tdecls = translated("gtfunc.fgg")
     ok = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
     assert settle(ok, tdecls) == IntLit(7)
     failing = TypeAssert(BoolLit(True), TypeApp("int"), origin="erase")
@@ -208,7 +211,7 @@ def test_settle_discharges_only_succeeding_erase_asserts():
 def test_settle_returns_its_input_when_nothing_settles():
     from feathergo.syntax import TypeAssert, walk
 
-    _, out, _, tdecls = translated("typerep.fgg")
+    _, out, tdecls = translated("typerep.fgg")
     erase_over_value = [
         n for n in walk(out.main) if isinstance(n, TypeAssert) and n.origin == "erase" and is_value(n.recv)
     ]
@@ -219,22 +222,22 @@ def test_settle_returns_its_input_when_nothing_settles():
 def _sampled_states(rng, with_positions=False):
     pool = []
     for name in SAMPLE_PROGRAMS:
-        states, info, tdecls = reachable_states(name)
+        states, tdecls = reachable_states(name)
         for s in states:
-            pool.append((s, info, tdecls))
+            pool.append((s, tdecls))
     rng.shuffle(pool)
     return pool
 
 
-def _reference_normalize(e, tdecls, info, types=None):
+def _reference_normalize(e, tdecls, types=None):
     """Leftmost-outermost resolution from the oracle functions: every redex
     position listed, the first contracted, to a fixpoint."""
     steps = 0
     while True:
-        positions = dict_redex_positions(e, tdecls, info, types)
+        positions = dict_redex_positions(e, tdecls, types)
         if not positions:
             return e, steps
-        e = contract_dict_at(e, positions[0], tdecls, info, types)
+        e = contract_dict_at(e, positions[0], tdecls, types)
         steps += 1
 
 
@@ -242,9 +245,9 @@ def test_dict_normalize_matches_table_free_reference_loop():
     # the shared type side table changes neither the contraction order nor
     # the result: same normal form (origin tags included) and step count
     multi_step = 0
-    for s, info, tdecls in _sampled_states(random.Random(11)):
-        nf, steps = dict_normalize(s, tdecls, info)
-        ref, ref_steps = _reference_normalize(s, tdecls, info)
+    for s, tdecls in _sampled_states(random.Random(11)):
+        nf, steps = dict_normalize(s, tdecls)
+        ref, ref_steps = _reference_normalize(s, tdecls)
         assert (repr(nf), steps) == (repr(ref), ref_steps), show_expr(s)
         multi_step += steps > 1
     assert multi_step > 100
@@ -255,19 +258,19 @@ def test_dict_resolution_two_path_confluence():
     # the rejoined normal forms must be identical (1000 trials, with freshly
     # sampled position pairs on each visit to a state)
     rng = random.Random(2024)
-    pool = [x for x in _sampled_states(rng) if len(dict_redex_positions(x[0], x[2], x[1])) >= 2]
+    pool = [x for x in _sampled_states(rng) if len(dict_redex_positions(*x)) >= 2]
     assert pool, "no states with two resolution redexes sampled"
     trials = 0
     i = 0
     while trials < 1000:
-        s, info, tdecls = pool[i % len(pool)]
+        s, tdecls = pool[i % len(pool)]
         i += 1
-        positions = dict_redex_positions(s, tdecls, info)
+        positions = dict_redex_positions(s, tdecls)
         p1, p2 = rng.sample(positions, 2)
-        a = contract_dict_at(s, p1, tdecls, info)
-        b = contract_dict_at(s, p2, tdecls, info)
-        na, sa = dict_normalize(a, tdecls, info)
-        nb, sb = dict_normalize(b, tdecls, info)
+        a = contract_dict_at(s, p1, tdecls)
+        b = contract_dict_at(s, p2, tdecls)
+        na, sa = dict_normalize(a, tdecls)
+        nb, sb = dict_normalize(b, tdecls)
         assert na == nb, "confluence violated at %s vs %s" % (p1, p2)
         assert sa <= 10_000 and sb <= 10_000
         trials += 1
@@ -280,9 +283,9 @@ def test_dict_resolution_preserves_typing_and_never_panics():
     rng = random.Random(99)
     pool = _sampled_states(rng)
     checked = 0
-    for s, info, tdecls in pool:
-        for path in dict_redex_positions(s, tdecls, info):
-            out = contract_dict_at(s, path, tdecls, info)
+    for s, tdecls in pool:
+        for path in dict_redex_positions(s, tdecls):
+            out = contract_dict_at(s, path, tdecls)
             try:
                 fgg_typecheck_expr(out, {}, {}, tdecls)
             except CheckError as ex:
@@ -302,7 +305,7 @@ def test_macro_determinism_randomized():
     trials = 0
     i = 0
     while trials < 1000:
-        s, info, tdecls = pool[i % len(pool)]
+        s, tdecls = pool[i % len(pool)]
         i += 1
         assert_unique_decomposition(s, tdecls, generic=False)
         m1 = macro_step(s, tdecls)
@@ -327,8 +330,6 @@ def test_correspondence_report_structure():
     assert report.terminal.kind == "value" and report.terminal.both_sides_agree
     assert report.records[0].fgg_rule == "r-call"
     data = report.to_json()
-    import json
-
     parsed = json.loads(data)
     assert parsed["ok"] is True
     # the leading value-assert is already discharged by settling, so the
@@ -352,6 +353,21 @@ def test_correspondence_budget_terminal():
     assert len(report.records) == 50
 
 
+def test_normalization_overflow_is_a_failed_budget_terminal(monkeypatch, capsys):
+    # resolution past the module's bound ends the check with a budget
+    # terminal the sides do not agree on, and the console command exits 1
+    # with the report, not a traceback
+    monkeypatch.setattr(cosim, "DEFAULT_NORMALIZE_BOUND", 0)
+    report = check_correspondence(load("gtfunc.fgg"))
+    assert report.terminal.kind == "budget" and not report.terminal.both_sides_agree
+    assert report.terminal.detail.startswith("normalization overflow")
+    assert all(r.matched for r in report.records) and not report.ok
+    assert main(["cosim", "--report", "json", str(CORPUS / "gtfunc.fgg")]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["terminal"] == report.terminal.as_dict()
+    assert "Traceback" not in err
+
+
 # -- the memos one correspondence check carries ---------------------------------------
 
 
@@ -368,25 +384,25 @@ def _traced_correspondence(program, reference):
     seen = []
     target_stage, source_stage = cosim.target_normal_form, cosim.source_normal_form
 
-    def from_scratch(e, decls, info):
-        nf, steps = _reference_normalize(e, decls, info, {})
+    def from_scratch(e, decls):
+        nf, steps = _reference_normalize(e, decls, {})
         return settle(nf, decls), steps
 
-    def traced_target(z, decls, info, bound, memo):
+    def traced_target(z, decls, memo):
         if reference:
-            nf, steps = from_scratch(z.term(), decls, info)
+            nf, steps = from_scratch(z.term(), decls)
             z.reset(nf)
         else:
-            steps = target_stage(z, decls, info, bound, memo)
+            steps = target_stage(z, decls, memo)
         seen.extend([steps, hashlib.blake2b(repr(z.term()).encode(), digest_size=16).digest()])
         return steps
 
-    def traced_source(src, decls, info, bound, memo):
+    def traced_source(src, decls, memo):
         if reference:
-            nf, steps = from_scratch(src.translator.translate_closed_expr(src.term()), decls, info)
+            nf, steps = from_scratch(src.translator.translate_closed_expr(src.term()), decls)
             src.reset(nf)
         else:
-            steps = source_stage(src, decls, info, bound, memo)
+            steps = source_stage(src, decls, memo)
         seen.extend([steps, hashlib.blake2b(repr(src.out.term()).encode(), digest_size=16).digest()])
         return steps
 
@@ -510,7 +526,7 @@ def test_work_per_step_does_not_grow_with_depth():
 def test_macro_step_panics_on_a_failing_assert_after_the_ordinary_step():
     # the redex after the ordinary step is an untagged assert, so no
     # simulation step; it would panic, and the macro step says so
-    _, _, _, tdecls = translated("arith.fgg")
+    _, _, tdecls = translated("arith.fgg")
     d = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("bool")))
     m = macro_step(d, tdecls)
     assert m.kind == "panic" and m.mid_rule == "r-ext-seq" and m.sim_steps == 0
@@ -524,8 +540,8 @@ def test_each_dictionary_contractum_is_built_once(monkeypatch):
     # plug: one contraction built per step, none built again
     built = []
 
-    def recording(e, decls, info, types=None):
-        out = cosim_dict_contract(e, decls, info, types)
+    def recording(e, decls, types=None):
+        out = cosim_dict_contract(e, decls, types)
         if out is not None:
             built.append(out)
         return out
@@ -534,10 +550,10 @@ def test_each_dictionary_contractum_is_built_once(monkeypatch):
     monkeypatch.setattr(cosim, "_dict_contract", recording)
     total = 0
     for name in ("numzero.fgg", "gtfunc.fgg", "typerep.fgg"):
-        states, info, tdecls = reachable_states(name, cap=60)
+        states, tdecls = reachable_states(name, cap=60)
         for s in states:
             before = len(built)
-            _, steps = dict_normalize(s, tdecls, info)
+            _, steps = dict_normalize(s, tdecls)
             assert len(built) - before == steps
             total += steps
     assert total > 0
@@ -546,29 +562,29 @@ def test_each_dictionary_contractum_is_built_once(monkeypatch):
 def test_a_frame_is_checked_only_with_normal_settled_kids_beside_the_hole():
     # a frame whose later subexpression holds a resolution redex, or an
     # erase assert that settles, is not checked: it stays below the cut
-    _, out, info, tdecls = translated("numzero.fgg")
-    pending = macro_step(dict_normalize(out.main, tdecls, info)[0], tdecls).expr
-    assert dict_redex_positions(pending, tdecls, info)
+    _, out, tdecls = translated("numzero.fgg")
+    pending = macro_step(dict_normalize(out.main, tdecls)[0], tdecls).expr
+    assert dict_redex_positions(pending, tdecls)
     hole = MethodCall(IntLit(1), "Missing")
     settles = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
     for rest, checked in ((IntLit(2), 1), (pending, 0), (settles, 0)):
         z = cosim.Zipper(None)
         node = Seq(hole, rest)
         z.frames, z.fresh = [(node, (hole, rest), 0)], 1
-        cosim._check_frames(z, 1, tdecls, info, RunMemo())
+        cosim._check_frames(z, 1, tdecls, RunMemo())
         assert len(z.ctypes) == checked
 
 
 def test_a_source_frame_is_certified_only_where_its_translation_lands():
     # the frames of a call on the hole, resolved and settled one by one,
     # must be the output frames there, subexpression for subexpression
-    _, out, info, tdecls = translated("arith.fgg")
+    _, out, tdecls = translated("arith.fgg")
     hole = MethodCall(IntLit(1), "Missing")
     call = MethodCall(TypeAssert(hole, TypeApp("int"), origin="erase"), "M", (), (IntLit(2), IntLit(3)))
     raw = [(call, subexprs(call), 0)]
     memo = RunMemo()
-    assert cosim._frames_match(raw, raw, tdecls, info, 10, memo) == 0
+    assert cosim._frames_match(raw, raw, tdecls, memo) == 0
     other = MethodCall(call.recv, "M", (), (IntLit(2), IntLit(4)))
-    assert cosim._frames_match(raw, [(other, subexprs(other), 0)], tdecls, info, 10, memo) is None
+    assert cosim._frames_match(raw, [(other, subexprs(other), 0)], tdecls, memo) is None
     moved = [(call, subexprs(call), 1)]
-    assert cosim._frames_match(raw, moved, tdecls, info, 10, memo) is None
+    assert cosim._frames_match(raw, moved, tdecls, memo) is None

@@ -33,7 +33,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
-from conftest import FGG_FILES, TERMINATING, load, read
+from conftest import FGG_FILES, TERMINATING, generated_struct_names, load, read
 
 
 @pytest.fixture(scope="module")
@@ -282,11 +282,11 @@ def test_translate_var():
 
 
 def test_minimal_program_inventory():
-    out, info = translate_with_info(load("nilmain.fgg"))
+    out, inventory = translate_with_info(load("nilmain.fgg"))
     names = [getattr(d, "name", None) for d in out.decls]
     for needed in ("Any", "_type_mdata", "Nil", "Nil_meta"):
         assert needed in names
-    assert any(e.name == "Nil_meta.tryCast" for e in info.inventory)
+    assert any(e.name == "Nil_meta.tryCast" for e in inventory)
 
 
 def test_box_translates_without_instance_discovery():
@@ -383,13 +383,14 @@ def test_dictionary_shape_invariant():
     # every emitted dictionary literal: one field per bound method plus a type-rep
     for name in ("gtfunc.fgg", "eqord.fgg", "fbound_self.fgg", "permute.fgg"):
         program = load(name)
-        out, info = translate_with_info(program)
+        out = translate_program(program)
         tdecls = Decls(out)
+        dict_structs, _ = generated_struct_names(program)
 
         def walk(node):
             import dataclasses
 
-            if isinstance(node, StructLit) and node.type.name in info.dict_structs:
+            if isinstance(node, StructLit) and node.type.name in dict_structs:
                 n_methods = len(tdecls.structs[node.type.name].fields) - 1
                 assert len(node.args) == n_methods + 1, node
             if dataclasses.is_dataclass(node):
@@ -456,9 +457,10 @@ def test_reserved_field_name_rejected():
     [("dict_0", True), ("_type", True), ("_type_12", True), ("dict_²", False), ("dict_٣", False), ("dict_", False)],
 )
 def test_reserved_names_have_one_definition(name, reserved):
-    # the translator's collision check and cosim's dictionary resolution
-    # share RESERVED_NAME; generated names are numbered with ASCII digits, so
-    # dict_² (an identifier, as "²".isalnum()) is an ordinary source name
+    # RESERVED_NAME is the translator's one definition of the field and
+    # parameter names it generates, which the collision check rejects in
+    # source; generated names are numbered with ASCII digits, so dict_² (an
+    # identifier, as "²".isalnum()) is an ordinary source name
     src = "package main\ntype S struct { %s int }\nfunc main() { _ = S{1}.%s }\n" % (name, name)
     if reserved:
         with pytest.raises(dicttrans.TranslationError, match="field name %s is reserved" % name):
@@ -467,16 +469,19 @@ def test_reserved_names_have_one_definition(name, reserved):
         assert run(translate_program(parse_fgg(src)), lang="fg").value == run(parse_fgg(src)).value
 
 
-def _untagged_generated_shapes(out, info) -> list:
-    """The nodes of ``out`` shaped like generated dictionary plumbing or
-    assertion simulation that carry no origin tag."""
+def _generated_shape(program):
+    """Whether a node of the dictionary translation of ``program`` is shaped
+    like generated dictionary plumbing or assertion simulation, judged by
+    the translator's names alone (``generated_struct_names`` and
+    ``RESERVED_NAME``), not by origin tags."""
+    dict_structs, _ = generated_struct_names(program)
 
     def dictionary(e) -> bool:  # a dictionary parameter, field or literal
         if isinstance(e, Var):
             return bool(RESERVED_NAME.fullmatch(e.name))
         if isinstance(e, FieldSel):
             return bool(RESERVED_NAME.fullmatch(e.fieldname))
-        return isinstance(e, StructLit) and e.type.name in info.dict_structs
+        return isinstance(e, StructLit) and e.type.name in dict_structs
 
     def generated(n) -> bool:
         if isinstance(n, FieldSel):
@@ -485,9 +490,9 @@ def _untagged_generated_shapes(out, info) -> list:
             if n.name == "Apply":
                 return isinstance(n.recv, FieldSel) and dictionary(n.recv.recv)
             return n.name.startswith("spec_")
-        return isinstance(n, TypeAssert) and n.type.name in info.dict_structs
+        return isinstance(n, TypeAssert) and n.type.name in dict_structs
 
-    return [n for n in walk(out) if generated(n) and n.origin is None]
+    return generated
 
 
 FAMILY_INPUTS = [(f, n) for f in bench.FAMILIES for n in (2, 3, 4)]
@@ -502,13 +507,22 @@ def test_generated_shapes_carry_origin_tags(source):
     # cosim classifies a redex by its origin tag alone, so every node of a
     # shape that only the translator generates must carry one: selects of
     # reserved fields or on dictionary literals, applicator calls on a
-    # dictionary field, spec_ calls and asserts to a dictionary struct
+    # dictionary field, spec_ calls and asserts to a dictionary struct.
+    # Conversely, dictionary resolution contracts the dict-tagged nodes and
+    # the sim-tagged selects by their tag alone, so each of them must have
+    # such a shape: resolution never contracts a node the source wrote
     if isinstance(source, tuple):
         program = bench.generate(bench.BenchConfig(source[0], source[1], 1))
     else:
         program = parse_fgg(source.read_text())
-    out, info = translate_with_info(program)
-    assert _untagged_generated_shapes(out, info) == []
+    generated = _generated_shape(program)
+    nodes = list(walk(translate_program(program)))
+    assert [n for n in nodes if generated(n) and n.origin is None] == []
+    resolved = [
+        n for n in nodes
+        if getattr(n, "origin", None) == "dict" or isinstance(n, FieldSel) and n.origin == "sim"
+    ]
+    assert [n for n in resolved if not generated(n)] == []
 
 
 @pytest.mark.parametrize("where", ["spec", "method"])

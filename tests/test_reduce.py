@@ -321,6 +321,25 @@ def test_machine_matches_one_shot_steps(make):
     assert got_trace == want_trace
 
 
+@pytest.mark.parametrize("make", [m for _, m in MACHINE_INPUTS], ids=[n for n, _ in MACHINE_INPUTS])
+def test_resume_counts_the_frames_it_left_in_place(make):
+    # the count _resume returns with the next focus is the longest prefix
+    # of the context it left as it was, frame for frame
+    program, lang = make()
+    decls, spine = Decls(program), []
+    e = reduce._descend(program.main, spine)
+    for _ in range(300):
+        out = reduce._contract(e, decls, lang == "fgg")
+        if type(out) is not tuple:
+            break
+        before = list(spine)
+        e, low = reduce._resume(out[0], spine)
+        same = 0
+        while same < min(len(before), len(spine)) and before[same] is spine[same]:
+            same += 1
+        assert low == same
+
+
 @pytest.mark.parametrize(
     "name, budget, kind",
     [
