@@ -12,8 +12,9 @@ Generated nodes carry origin tags ("erase" for erasure-inserted asserts,
 "sim" for assertion-simulation machinery, "dict" for dictionary plumbing);
 they are the one record of which rule emitted a node, and the
 co-simulation harness classifies redexes and resolves dictionaries by them
-alone. Tags do not affect equality. The generated type names are listed
-once, for the collision check.
+alone. Tags do not affect equality. Likewise every declaration is emitted
+through ``Translator._declare``, which records what emitted it: the
+inventory and the name-collision check read the emitted declarations.
 
 Optional flags, both off by default: ``skip_redundant_asserts`` drops the
 receiver asserts of field selects and calls when the translated receiver
@@ -24,6 +25,7 @@ type-rep machinery and is only valid for assertion-free programs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .erasure import check_erased_any
@@ -127,14 +129,25 @@ def param_index_name(i: int) -> str:
 
 
 TYPE_MDATA = "_type_mdata"
+TRY_CAST = MethodSig((), (Param("x", ANY),), ANY)
 
 # generated field and parameter names (ASCII digits only), reserved in source
 RESERVED_NAME = re.compile(r"dict_[0-9]+|_type(_[0-9]+)?")
 
 
+def decl_name(d) -> str:
+    """A declaration's inventory name: ``Recv.m`` for a method."""
+    return "%s.%s" % (d.recv_type, d.name) if isinstance(d, MethodDecl) else d.name
+
+
 def arity(sig: MethodSig) -> int:
     """Type parameters plus value parameters."""
     return len(sig.tformal) + len(sig.params)
+
+
+def rep_fields(n: int) -> tuple:
+    """``_type_0 .. _type_{n-1}``, each a type-rep."""
+    return tuple(Param("_type_%d" % i, TypeApp(TYPE_MDATA)) for i in range(n))
 
 
 def max_formal(decl) -> int:
@@ -183,8 +196,8 @@ class Translator:
             )
         self.arities = self._collect_arities()
         self.max_formal = max([0] + [max_formal(d) for d in program.decls])
-        self.inventory: list = []
-        self._check_collisions()
+        self.sources: dict = {}  # decl_name -> what emitted that declaration
+        self._check_source_names()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -197,36 +210,7 @@ class Translator:
                 out.add(arity(d.sig))
         return sorted(out)
 
-    def _generated_type_names(self) -> list:
-        """The name of every generated type, in collision-check order."""
-        out = [TYPE_MDATA, "Int_meta", "Bool_meta"]
-        out += [func_iface_name(n) for n in self.arities]
-        out += [fn_meta_name(n) for n in self.arities]
-        out += [param_index_name(i) for i in range(self.max_formal)]
-        for d in self.program.decls:
-            if isinstance(d, InterfaceDecl):
-                out += [dict_name(d.name), meta_name(d.name)]
-                out += [ptr_name(d.name, s.name) for s in d.specs]
-            elif isinstance(d, StructDecl):
-                out.append(meta_name(d.name))
-            else:
-                out.append(ptr_name(d.recv_type, d.name))
-        return out
-
-    def _check_collisions(self) -> None:
-        seen = set()
-        for n in self._generated_type_names():
-            if n in seen:
-                raise TranslationError("generated name collision: %s" % n)
-            seen.add(n)
-        source_types = {
-            d.name for d in self.program.decls if not isinstance(d, MethodDecl)
-        }
-        clash = source_types & seen
-        if clash:
-            raise TranslationError(
-                "source type names collide with generated names: %s" % ", ".join(sorted(clash))
-            )
+    def _check_source_names(self) -> None:
         check_erased_any(self.decls, TranslationError)
         for d in self.program.decls:
             if isinstance(d, StructDecl):
@@ -242,8 +226,24 @@ class Translator:
                     if RESERVED_NAME.fullmatch(p.name):
                         raise TranslationError("source parameter name %s is reserved" % p.name)
 
-    def _note(self, name: str, kind: str, source: str) -> None:
-        self.inventory.append(InventoryEntry(name, kind, source))
+    def _check_collisions(self, decls) -> None:
+        """Each emitted type name is declared once: a source type by its
+        erasure, a generated one by the rule that emits it."""
+        source = {d.name for d in self.program.decls if not isinstance(d, MethodDecl)}
+        names = Counter(d.name for d in decls if not isinstance(d, MethodDecl))
+        for n, k in names.items():
+            if k - (n in source) > 1:
+                raise TranslationError("generated name collision: %s" % n)
+        clash = sorted(n for n in source if names[n] > 1)
+        if clash:
+            raise TranslationError(
+                "source type names collide with generated names: %s" % ", ".join(clash)
+            )
+
+    def _declare(self, decl, source: str):
+        """``decl``, with ``source`` recorded as what emitted it."""
+        self.sources[decl_name(decl)] = source
+        return decl
 
     # -- auxiliary functions -------------------------------------------------
 
@@ -304,11 +304,10 @@ class Translator:
         apply_sig = MethodSig(
             (), (Param("rec", ANY),) + tuple(Param(p.name, ANY) for p in dict_params) + val_params, ANY
         )
-        self._note(ptr, "struct", "method pointer for %s.%s" % (tname, mname))
-        self._note("%s.Apply" % ptr, "method", "applicator for %s.%s" % (tname, mname))
+        apply = MethodDecl("this", ptr, (), "Apply", apply_sig, body)
         return [
-            StructDecl(ptr),
-            MethodDecl("this", ptr, (), "Apply", apply_sig, body),
+            self._declare(StructDecl(ptr), "method pointer for %s.%s" % (tname, mname)),
+            self._declare(apply, "applicator for %s.%s" % (tname, mname)),
         ]
 
     def make_dict(self, actuals, tformal, ctx: Ctx) -> list:
@@ -442,19 +441,17 @@ class Translator:
         specs = [self.erased_spec(s) for s in d.specs]
         if meta:
             specs += [self.spec_mdata(s.name, s.sig) for s in d.specs]
-        out: list = [InterfaceDecl(d.name, (), tuple(specs))]
-        self._note(d.name, "interface", "erased interface %s" % d.name)
+        out: list = [self._declare(InterfaceDecl(d.name, (), tuple(specs)), "erased interface %s" % d.name)]
 
         dict_fields = [
             Param(s.name, TypeApp(func_iface_name(arity(s.sig)))) for s in d.specs
         ]
         if meta:
             dict_fields.append(Param("_type", TypeApp(TYPE_MDATA)))
-        out.append(StructDecl(dict_name(d.name), (), tuple(dict_fields)))
-        self._note(dict_name(d.name), "struct", "dictionary for %s" % d.name)
+        dict_struct = StructDecl(dict_name(d.name), (), tuple(dict_fields))
+        out.append(self._declare(dict_struct, "dictionary for %s" % d.name))
 
         if meta:
-            out.append(self._meta_struct(d.name, len(d.formal)))
             zeta = {
                 fp.name: FieldSel(_this(), "_type_%d" % i, origin="sim")
                 for i, fp in enumerate(d.formal)
@@ -470,7 +467,7 @@ class Translator:
                 )
                 want = self.signature_meta(s.sig, zeta)
                 body = If(Neq(actual, want, origin="sim"), Panic(), body, origin="sim")
-            out.append(self._try_cast(meta_name(d.name), body))
+            out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
         for s in d.specs:
             out.extend(self.meth_ptr(d.name, s.name, s.sig))
         return out
@@ -479,10 +476,8 @@ class Translator:
         meta = self.options.type_metadata
         fields = [Param(f.name, ANY) for f in d.fields]
         fields += list(self.as_param(d.formal))
-        out: list = [StructDecl(d.name, (), tuple(fields))]
-        self._note(d.name, "struct", "erased struct %s" % d.name)
+        out: list = [self._declare(StructDecl(d.name, (), tuple(fields)), "erased struct %s" % d.name)]
         if meta:
-            out.append(self._meta_struct(d.name, len(d.formal)))
             body: Expr = Var("x")
             for i in reversed(range(len(d.formal))):
                 stored = FieldSel(
@@ -493,22 +488,17 @@ class Translator:
                 cond = Neq(FieldSel(_this(), "_type_%d" % i, origin="sim"), stored, origin="sim")
                 body = If(cond, Panic(), body, origin="sim")
             body = Seq(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), body, origin="sim")
-            out.append(self._try_cast(meta_name(d.name), body))
+            out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
         return out
 
-    def _meta_struct(self, tname: str, nparams: int) -> StructDecl:
-        self._note(meta_name(tname), "struct", "type-rep for %s" % tname)
-        return StructDecl(
-            meta_name(tname),
-            (),
-            tuple(Param("_type_%d" % i, TypeApp(TYPE_MDATA)) for i in range(nparams)),
-        )
-
-    def _try_cast(self, recv: str, body: Expr) -> MethodDecl:
-        self._note("%s.tryCast" % recv, "method", "assertion simulation for %s" % recv)
-        return MethodDecl(
-            "this", recv, (), "tryCast", MethodSig((), (Param("x", ANY),), ANY), body
-        )
+    def _type_rep(self, name: str, nparams: int, cast: Expr, source: str) -> list:
+        """A type-rep struct, one ``_type_i`` field per type parameter, and
+        its ``tryCast`` method, whose body ``cast`` simulates the assertion."""
+        try_cast = MethodDecl("this", name, (), "tryCast", TRY_CAST, cast)
+        return [
+            self._declare(StructDecl(name, (), rep_fields(nparams)), source),
+            self._declare(try_cast, "assertion simulation for %s" % name),
+        ]
 
     def translate_method(self, d: MethodDecl) -> list:
         meta = self.options.type_metadata
@@ -522,31 +512,17 @@ class Translator:
         body, _ = self.translate_expr(d.body, ctx)
 
         params = self.as_param(d.sig.tformal) + tuple(Param(p.name, ANY) for p in d.sig.params)
-        out = [
-            MethodDecl(d.recv_name, d.recv_type, (), d.name, MethodSig((), params, ANY), body)
-        ]
-        self._note("%s.%s" % (d.recv_type, d.name), "method", "erased method body")
+        erased = MethodDecl(d.recv_name, d.recv_type, (), d.name, MethodSig((), params, ANY), body)
+        out = [self._declare(erased, "erased method body")]
         if meta:
             zeta = {
                 r: FieldSel(FieldSel(_this(), "dict_%d" % i, origin="sim"), "_type", origin="sim")
                 for i, r in enumerate(d.recv_params)
             }
+            spec_sig = MethodSig((), (), TypeApp(fn_meta_name(arity(d.sig))))
             spec_body = self.signature_meta(d.sig, zeta)
-            out.append(
-                MethodDecl(
-                    "this",
-                    d.recv_type,
-                    (),
-                    spec_method_name(d.name),
-                    MethodSig((), (), TypeApp(fn_meta_name(arity(d.sig)))),
-                    spec_body,
-                )
-            )
-            self._note(
-                "%s.%s" % (d.recv_type, spec_method_name(d.name)),
-                "method",
-                "signature simulation for %s.%s" % (d.recv_type, d.name),
-            )
+            spec = MethodDecl("this", d.recv_type, (), spec_method_name(d.name), spec_sig, spec_body)
+            out.append(self._declare(spec, "signature simulation for %s.%s" % (d.recv_type, d.name)))
         out.extend(self.meth_ptr(d.recv_type, d.name, d.sig))
         return out
 
@@ -556,49 +532,24 @@ class Translator:
         meta = self.options.type_metadata
         out: list = []
         if "Any" not in self.decls.interfaces:
-            out.append(InterfaceDecl("Any"))
-            self._note("Any", "interface", "erased type representation")
+            out.append(self._declare(InterfaceDecl("Any"), "erased type representation"))
         if meta:
-            out.append(
-                InterfaceDecl(
-                    TYPE_MDATA,
-                    (),
-                    (MethodSpec("tryCast", MethodSig((), (Param("x", ANY),), ANY)),),
-                )
-            )
-            self._note(TYPE_MDATA, "interface", "type-rep interface")
+            rep_iface = InterfaceDecl(TYPE_MDATA, (), (MethodSpec("tryCast", TRY_CAST),))
+            out.append(self._declare(rep_iface, "type-rep interface"))
         for n in self.arities:
             params = (Param("rec", ANY),) + tuple(Param("x_%d" % i, ANY) for i in range(n))
-            out.append(
-                InterfaceDecl(
-                    func_iface_name(n), (), (MethodSpec("Apply", MethodSig((), params, ANY)),)
-                )
-            )
-            self._note(func_iface_name(n), "interface", "%d-ary method pointer interface" % n)
+            func = InterfaceDecl(func_iface_name(n), (), (MethodSpec("Apply", MethodSig((), params, ANY)),))
+            out.append(self._declare(func, "%d-ary method pointer interface" % n))
         if meta:
             for n in self.arities:
-                out.append(
-                    StructDecl(
-                        fn_meta_name(n),
-                        (),
-                        tuple(Param("_type_%d" % i, TypeApp(TYPE_MDATA)) for i in range(n + 1)),
-                    )
-                )
-                self._note(fn_meta_name(n), "struct", "signature simulation record")
+                record = StructDecl(fn_meta_name(n), (), rep_fields(n + 1))
+                out.append(self._declare(record, "signature simulation record"))
             for i in range(self.max_formal):
-                out.append(StructDecl(param_index_name(i)))
-                # never invoked; declared so the record fields typecheck
-                out.append(self._try_cast(param_index_name(i), Panic()))
-                self._note(param_index_name(i), "struct", "type-parameter index")
+                # tryCast is never invoked; declared so the record fields typecheck
+                out += self._type_rep(param_index_name(i), 0, Panic(), "type-parameter index")
             for b in BUILTIN_STRUCTS:
-                out.append(StructDecl(meta_name(b)))
-                self._note(meta_name(b), "struct", "type-rep for builtin %s" % b)
-                out.append(
-                    self._try_cast(
-                        meta_name(b),
-                        Seq(TypeAssert(Var("x"), TypeApp(b), origin="sim"), Var("x"), origin="sim"),
-                    )
-                )
+                cast = Seq(TypeAssert(Var("x"), TypeApp(b), origin="sim"), Var("x"), origin="sim")
+                out += self._type_rep(meta_name(b), 0, cast, "type-rep for builtin %s" % b)
         return out
 
     def translate_program(self) -> Program:
@@ -610,6 +561,7 @@ class Translator:
                 decls.extend(self.translate_struct(d))
             else:
                 decls.extend(self.translate_method(d))
+        self._check_collisions(decls)
         main = self.translate_closed_expr(self.program.main)
         return Program(tuple(decls), main)
 
@@ -622,7 +574,10 @@ def translate_program(program: Program, options: TransOptions | None = None) -> 
 
 def translate_with_info(program: Program, options: TransOptions | None = None):
     """The translation and its inventory: one ``InventoryEntry`` per
-    generated declaration, in emission order."""
+    declaration of the translation, in order."""
     t = Translator(program, options)
     out = t.translate_program()
-    return out, tuple(t.inventory)
+    kinds = {MethodDecl: "method", StructDecl: "struct", InterfaceDecl: "interface"}
+    return out, tuple(
+        InventoryEntry(decl_name(d), kinds[type(d)], t.sources[decl_name(d)]) for d in out.decls
+    )

@@ -1,12 +1,15 @@
 import io
 import json
+import re
 import sys
 
 import pytest
 
 from feathergo.cli import main
+from feathergo.dicttrans import translate_program
+from feathergo.syntax import pretty_print
 
-from conftest import CORPUS, read
+from conftest import CORPUS, load, read
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +121,41 @@ def test_cosim_steps_budget(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["terminal"]["kind"] == "budget"
+
+
+def test_cosim_text_report(capsys):
+    code, out, _ = run_cli(capsys, "cosim", corpus_path("gtfunc.fgg"))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "terminal: value agree=True false"
+    steps = lines[:-1]
+    assert steps and all(
+        re.fullmatch(r"step %d: ([\w-]+)  =>  e\*\d+ \1 s\*\d+  matched=True" % i, line)
+        for i, line in enumerate(steps)
+    ), out
+
+
+def test_translate_without_output_writes_the_program(capsys):
+    code, out, err = run_cli(capsys, "translate", corpus_path("gtfunc.fgg"), "--mode", "dict")
+    assert code == 0 and err == ""
+    assert out == pretty_print(translate_program(load("gtfunc.fgg")))
+
+
+@pytest.mark.parametrize("argv", [["translate", "--mode", "dict"], ["cosim"]], ids=["translate", "cosim"])
+def test_reserved_source_name_exits_1(capsys, tmp_path, argv):
+    src = tmp_path / "reserved.fgg"
+    src.write_text("package main\ntype S struct { dict_0 int }\nfunc main() { _ = S{1}.dict_0 }\n")
+    code, out, err = run_cli(capsys, *argv, str(src))
+    assert code == 1 and out == ""
+    assert err == "error: source field name dict_0 is reserved\n"
+
+
+def test_run_ill_typed_program_exits_1(capsys, tmp_path):
+    src = tmp_path / "bad.fgg"
+    src.write_text("package main\ntype S struct {}\nfunc (s S) M() int { return true }\nfunc main() { _ = S{}.M() }\n")
+    code, out, err = run_cli(capsys, "run", str(src))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["%s:0:0: t-func: body of method S.M has type bool, not a subtype of int" % src]
 
 
 def test_bench_csv(capsys, tmp_path):

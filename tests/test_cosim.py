@@ -219,7 +219,7 @@ def test_settle_returns_its_input_when_nothing_settles():
     assert settle(out.main, tdecls) is out.main
 
 
-def _sampled_states(rng, with_positions=False):
+def _sampled_states(rng):
     pool = []
     for name in SAMPLE_PROGRAMS:
         states, tdecls = reachable_states(name)
@@ -322,6 +322,38 @@ def test_macro_determinism_randomized():
 def test_correspondence_whole_corpus(path):
     report = check_correspondence(parse_fgg(path.read_text()), max_steps=500)
     assert report.ok, report.mismatch_detail or report.terminal
+
+
+def test_source_stage_refines_an_assertion_through_the_target_join(monkeypatch):
+    # Pick returns S1 or S2 as I; the target types the erased if at their
+    # join K, strictly below I, so the translated source state holds an
+    # assertion refinement that the source stage contracts, and the
+    # settled value reopens the frame above its cut
+    counts = {"contract": 0, "pop": 0}
+    inside = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += bool(inside)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def source_stage(*args):
+        inside.append(True)
+        try:
+            return source_normal_form(*args)
+        finally:
+            inside.pop()
+
+    source_normal_form = cosim.source_normal_form
+    monkeypatch.setattr(cosim, "contract_dict_at", counting("contract", cosim.contract_dict_at))
+    monkeypatch.setattr(cosim.Cut, "pop", counting("pop", cosim.Cut.pop))
+    monkeypatch.setattr(cosim, "source_normal_form", source_stage)
+    report = check_correspondence(load("refine_join.fgg"))
+    assert report.ok
+    assert (report.terminal.kind, report.terminal.detail) == ("value", "1")
+    assert [r.dict_normalization_steps for r in report.records] == [0, 1, 1]
+    assert counts == {"contract": 1, "pop": 1}
 
 
 def test_correspondence_report_structure():

@@ -289,6 +289,21 @@ def test_minimal_program_inventory():
     assert any(e.name == "Nil_meta.tryCast" for e in inventory)
 
 
+@pytest.mark.parametrize("skip", [False, True], ids=["default", "skip-redundant-asserts"])
+@pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)
+def test_inventory_lists_the_written_declarations_in_order(path, skip):
+    # one entry per declaration of the written program, in its order, named
+    # and kinded by the declaration itself
+    out, inventory = translate_with_info(parse_fgg(path.read_text()), TransOptions(skip_redundant_asserts=skip))
+    written = [
+        ("%s.%s" % (d.recv_type, d.name), "method") if isinstance(d, MethodDecl)
+        else (d.name, "struct" if isinstance(d, StructDecl) else "interface")
+        for d in out.decls
+    ]
+    assert [(e.name, e.kind) for e in inventory] == written
+    assert all(e.source for e in inventory)
+
+
 def test_box_translates_without_instance_discovery():
     out = translate_program(load("box.fgg"))
     assert fg_typecheck_program(out, "extended") == []
@@ -442,13 +457,52 @@ def test_collision_with_generated_dictionary_name_rejected():
         "type OrdDict struct {}\n"
         "func main() { _ = OrdDict{} }\n"
     )
-    with pytest.raises(dicttrans.TranslationError):
+    with pytest.raises(dicttrans.TranslationError) as ei:
         translate_program(parse_fgg(src))
+    assert str(ei.value) == "source type names collide with generated names: OrdDict"
+
+
+@pytest.mark.parametrize(
+    "decls, message",
+    [
+        (
+            "type Func_0 struct {}\ntype S struct {}\nfunc (s S) M() int { return 1 }\n",
+            "source type names collide with generated names: Func_0",
+        ),
+        # the method pointers of A.b_c and A_b.c are both named A_b_c
+        (
+            "type A interface { b_c() int }\ntype A_b interface { c() int }\n",
+            "generated name collision: A_b_c",
+        ),
+    ],
+    ids=["method-pointer-interface", "two-generated"],
+)
+def test_collision_with_another_generated_type_name_rejected(decls, message):
+    src = "package main\ntype Any interface {}\n" + decls + "func main() { _ = 1 }\n"
+    assert fgg_typecheck_program(parse_fgg(src)) == []
+    with pytest.raises(dicttrans.TranslationError) as ei:
+        translate_program(parse_fgg(src))
+    assert str(ei.value) == message
+
+
+def test_type_rep_names_are_free_without_type_metadata():
+    # the collision check reads the emitted declarations: without type
+    # metadata no S_meta is emitted, so a source S_meta beside S is fine
+    src = (
+        "package main\ntype Any interface {}\ntype S struct {}\ntype S_meta struct {}\n"
+        "func main() { _ = S_meta{} }\n"
+    )
+    with pytest.raises(dicttrans.TranslationError, match="collide with generated names: S_meta"):
+        translate_program(parse_fgg(src))
+    out = translate_program(parse_fgg(src), TransOptions(type_metadata=False))
+    assert fg_typecheck_program(out, "extended") == []
+    assert run(out, lang="fg").value == run(parse_fgg(src)).value
 
 
 def test_reserved_field_name_rejected():
-    src = "package main\ntype Any interface {}\ntype S struct { dict_0 Any }\nfunc main() { _ = S{S{}} }\n"
-    with pytest.raises(dicttrans.TranslationError):
+    src = "package main\ntype Any interface {}\ntype S struct { dict_0 Any }\nfunc main() { _ = S{1} }\n"
+    assert fgg_typecheck_program(parse_fgg(src)) == []
+    with pytest.raises(dicttrans.TranslationError, match="source field name dict_0 is reserved"):
         translate_program(parse_fgg(src))
 
 

@@ -284,6 +284,56 @@ def test_duplicate_struct_declaration_rejected():
     assert any("duplicate type declaration" in d.message for d in diags)
 
 
+@pytest.mark.parametrize(
+    "decls, message",
+    [
+        ("type S struct { a int; a int }\n", "t-struct: duplicate field a in S"),
+        ("type S struct { a Nope }\n", "t-struct: struct S: t-named: unknown type Nope"),
+        ("type I interface { M() int; M() int }\n", "t-interface: duplicate method M in I"),
+        ("type I interface { M(x int, x int) int }\n", "t-specification: parameter names not distinct in I.M"),
+        ("func (a Any) M() int { return 1 }\n", "t-func: receiver Any is not a declared struct"),
+        (
+            "type Box[T Any] struct {}\nfunc (b Box[T, U]) M() int { return 1 }\n",
+            "t-func: receiver of method Box.M needs 1 type parameters, got 2",
+        ),
+        (
+            "type Pair[T Any, U Any] struct {}\nfunc (p Pair[T, T]) M() int { return 1 }\n",
+            "t-func: receiver type parameters not distinct in method Pair.M",
+        ),
+        ("type S struct {}\nfunc (s S) M(s int) int { return 1 }\n", "t-func: parameter names not distinct in method S.M"),
+        (
+            "type S struct {}\nfunc (s S) M() int { return true }\n",
+            "t-func: body of method S.M has type bool, not a subtype of int",
+        ),
+        (
+            "type S struct {}\nfunc (s S) M() int { return 1 }\nfunc (s S) M() int { return 2 }\n",
+            "t-prog: duplicate method declaration S.M",
+        ),
+        ("type S struct {}\ntype S interface {}\n", "t-prog: duplicate type declaration S"),
+        ("type int struct {}\n", "t-prog: duplicate builtin declaration int"),
+        ("type S struct {}\ntype Box[T S] struct {}\n", "t-formal: bound of T in struct Box must be an interface type"),
+        ("type Pair[T Any, T Any] struct {}\n", "t-formal: type parameters not distinct in struct Pair"),
+        (
+            "type Box[T Any] struct {}\nfunc (b Box[T]) M[T Any]() int { return 1 }\n",
+            "t-formal: type parameters not distinct in method Box.M",
+        ),
+        (
+            "type I[T Any] interface {}\ntype Box[T I] struct {}\n",
+            "t-formal: struct Box: t-named: I expects 1 type arguments, got 0",
+        ),
+    ],
+    ids=[
+        "duplicate-field", "field-type", "duplicate-spec", "spec-parameters", "receiver-not-struct",
+        "receiver-arity", "receiver-parameters", "method-parameters", "method-body", "duplicate-method",
+        "duplicate-type", "builtin-type", "bound-not-interface", "formal-not-distinct",
+        "method-formal-repeats-receiver", "bound-arity",
+    ],
+)
+def test_declaration_diagnostics(decls, message):
+    program = parse_fgg("package main\ntype Any interface {}\n" + decls + "func main() { _ = 1 }\n")
+    assert [d.message for d in fgg_typecheck_program(program)] == [message]
+
+
 def test_fg_listing_ok():
     for dialect in ("core", "extended"):
         assert fg_typecheck_program(load("fg_list.fg"), dialect) == []
