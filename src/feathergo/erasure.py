@@ -33,7 +33,6 @@ from .syntax import (
     TypeAssert,
     Var,
     fold,
-    walk,
 )
 from .typecheck import (
     Decls,
@@ -65,7 +64,7 @@ class _Eraser:
             )
         self.program = program
         self.decls, self.envs = diags.decls, diags.envs
-        self.warnings: list = []
+        self.asserts = False  # whether erasing met a type assertion
 
     def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):
         """Returns (erased expression, concrete fg type name or None)."""
@@ -95,6 +94,7 @@ class _Eraser:
                 args = tuple(k[0] for k in kids[1:])
                 return MethodCall(asserted(*kids[0], recv_t.name), e.name, (), args), None
             if t is TypeAssert:
+                self.asserts = True
                 return TypeAssert(kids[0][0], TypeApp(fgg_bounds_of(e.type, delta).name)), None
             if t is Binop:
                 tl, tr = (te if n == "int" else TypeAssert(te, TypeApp("int")) for te, n in kids)
@@ -124,10 +124,6 @@ class _Eraser:
         return MethodDecl(d.recv_name, d.recv_type, (), d.name, sig, body)
 
     def erase_program(self) -> Program:
-        if any(isinstance(n, TypeAssert) for n in walk(self.program)):
-            self.warnings.append(
-                "program contains type assertions; erasure does not preserve assertion behaviour"
-            )
         check_erased_any(self.decls, ErasureError)
         decls = []
         if "Any" not in self.decls.interfaces:
@@ -142,7 +138,9 @@ def erase_program(program: Program):
     a warning is issued when the source contains type assertions."""
     er = _Eraser(program)
     out = er.erase_program()
-    return out, tuple(er.warnings)
+    if er.asserts:
+        return out, ("program contains type assertions; erasure does not preserve assertion behaviour",)
+    return out, ()
 
 
 def erase_value(v: Expr) -> Expr:

@@ -15,8 +15,10 @@ are ordinary identifier characters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .syntax import (
     Binop,
@@ -75,8 +77,6 @@ KEYWORDS = {
     "false",
 }
 
-PUNCT = ("!=", "{", "}", "(", ")", "[", "]", ".", ",", ";", "=", "<", ">", "+", "-")
-
 # A newline terminates a statement when the previous token could end one.
 _ASI_AFTER_KIND = {"ident", "int"}
 _ASI_AFTER_TEXT = {")", "}", "]", "true", "false", "panic"}
@@ -85,78 +85,45 @@ _ASI_AFTER_TEXT = {")", "}", "]", "true", "false", "panic"}
 _OP_LEVEL = {"!=": 1, "<": 2, ">": 2, "+": 3, "-": 3}
 
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or ch.isalpha()
+# One token per match, after blanks: a newline (group 1), an integer (2), a
+# word (3), punctuation (4) or any other character (5), which is an error. A
+# comment matches with no group. Digits are ASCII only (``\d`` also takes
+# other scripts); a word's first character must also pass ``str.isalpha``,
+# which rejects what ``\w`` takes besides letters and digits, such as ``²``.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|//[^\n]*|([0-9]+)|([^\W\d]\w*)|(!=|[{}()\[\].,;=<>+\-])|([^ \t\r\n]))")
+_KIND = (None, None, "int", "ident", "punct")
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch == "_" or ch.isalnum()
+def _ends_stmt(toks: list) -> bool:
+    return bool(toks) and (toks[-1].kind in _ASI_AFTER_KIND or toks[-1].text in _ASI_AFTER_TEXT)
 
 
 def tokenize(source: str) -> list:
     toks: list = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def prev_ends_stmt() -> bool:
-        if not toks:
-            return False
-        t = toks[-1]
-        return t.kind in _ASI_AFTER_KIND or t.text in _ASI_AFTER_TEXT
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            if prev_ends_stmt():
-                toks.append(Tok("punct", ";", line, col))
-            i += 1
-            line += 1
-            col = 1
+    line, base = 1, -1  # the character at index i is in column i - base
+    for m in _TOKEN.finditer(source):
+        k = m.lastindex
+        if k is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        i = m.start(k)
+        if k == 1:
+            if _ends_stmt(toks):
+                toks.append(Tok("punct", ";", line, i - base))
+            line, base = line + 1, i
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes other scripts
-            start = i
-            startcol = col
-            while i < n and "0" <= source[i] <= "9":
-                i += 1
-                col += 1
-            toks.append(Tok("int", source[start:i], line, startcol))
-            continue
-        if _is_ident_start(ch):
-            start = i
-            startcol = col
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-                col += 1
-            text = source[start:i]
-            kind = "punct" if text in KEYWORDS else "ident"
-            toks.append(Tok(kind, text, line, startcol))
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                toks.append(Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError([Diagnostic("unexpected character %r" % ch, line, col)])
-    if prev_ends_stmt():
+        text = m.group(k)
+        if k == 3 and not (text[0] == "_" or text[0].isalpha()) or k == 5:
+            raise ParseError([Diagnostic("unexpected character %r" % text[0], line, i - base)])
+        toks.append(Tok("punct" if text in KEYWORDS else _KIND[k], text, line, i - base))
+    col = len(source) - base
+    if _ends_stmt(toks):
         toks.append(Tok("punct", ";", line, col))
     toks.append(Tok("eof", "", line, col))
     return toks
@@ -192,8 +159,8 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        # no identifier or integer has the text of punctuation or a keyword
+        return self.toks[self.pos].text == text
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -203,7 +170,7 @@ class _Parser:
 
     def expect(self, text: str) -> Tok:
         t = self.peek()
-        if t.kind == "punct" and t.text == text:
+        if t.text == text:
             return self.next()
         self.fail("expected %r, found %r" % (text, t.text or "end of input"), t)
 

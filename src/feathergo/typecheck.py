@@ -1,7 +1,7 @@
 """Typechecker for FGG, and for FG as its parameter-free fragment.
 
 FG is FGG without type parameters, so there is one judgement: an FG program
-is checked by the FGG rules under an empty type environment, after one walk
+is checked by the FGG rules under an empty type environment, after one pass
 that reports what the FG grammar lacks (type formals, type actuals and,
 under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
 
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 from .parser import Diagnostic
 from .syntax import (
+    BOOL,
+    INT,
     Binop,
     BoolLit,
     Expr,
@@ -32,9 +34,9 @@ from .syntax import (
     MethodCall,
     MethodDecl,
     MethodSig,
-    MethodSpec,
     Neq,
     Panic,
+    Param,
     Program,
     Seq,
     StructDecl,
@@ -164,6 +166,8 @@ def subst_sig(sig: MethodSig, mapping: dict) -> MethodSig:
 def canon_sig(sig: MethodSig) -> tuple:
     """Signature identity for method-set comparison: value-parameter names are
     irrelevant and the method's own type parameters compare positionally."""
+    if not sig.tformal:
+        return ((), tuple([p.type for p in sig.params]), sig.ret)
     ren = {fp.name: TypeParam("$%d" % i) for i, fp in enumerate(sig.tformal)}
     bounds = tuple(subst_type(fp.bound, ren) for fp in sig.tformal)
     params = tuple(subst_type(p.type, ren) for p in sig.params)
@@ -211,11 +215,9 @@ def _method_set(tau: TypeApp, decls: Decls) -> dict:
 def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls) -> bool:
     """tau <: sigma under delta. Closed goals (empty delta) are memoised in
     ``decls``."""
-    if isinstance(tau, Bottom):
+    if tau == sigma or type(tau) is Bottom:
         return True
-    if tau == sigma:
-        return True
-    if isinstance(sigma, TypeApp) and decls.kind_of(sigma.name) == "interface":
+    if type(sigma) is TypeApp and sigma.name in decls.interfaces:
         if delta:
             return _fgg_iface_sub(tau, sigma, delta, decls)
         key = (tau, sigma)
@@ -303,12 +305,6 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
     def sub(t, u) -> bool:
         return fgg_subtype(t, u, delta, decls)
 
-    def kindish(t: Type):
-        # "struct" | "interface" | "param"
-        if isinstance(t, TypeParam):
-            return "param"
-        return decls.kind_of(t.name)
-
     # ``expected`` reaches only the tail positions: the root and, below a
     # tail, the branches of an ``if`` and the rest of a sequence
     tails, todo = set(), [e] if expected is not None else []
@@ -332,46 +328,51 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
             if hit is not None:
                 return hit[1]
         try:
-            if isinstance(e, Var):
-                if e.name not in gamma:
-                    raise CheckError("t-var: unknown variable %s" % e.name)
-                t = gamma[e.name]
-            elif isinstance(e, IntLit):
-                t = TypeApp("int")
-            elif isinstance(e, BoolLit):
-                t = TypeApp("bool")
-            elif isinstance(e, StructLit):
-                if decls.kind_of(e.type.name) != "struct":
+            t_e = type(e)  # the classes in order of how often translated programs hold them
+            if t_e is StructLit:
+                d = decls.structs.get(e.type.name)
+                if d is None:
                     raise CheckError("t-literal: %s is not a struct" % print_type(e.type))
-                fgg_wf(e.type, delta, decls)
-                d = decls.structs[e.type.name]
-                eta = {fp.name: a for fp, a in zip(d.formal, e.type.args)}
-                fields = [(f.name, subst_type(f.type, eta)) for f in d.fields]
+                fields = d.fields
+                if d.formal or e.type.args:  # as for fgg_wf: a nullary type is well formed
+                    fgg_wf(e.type, delta, decls)
+                    eta = {fp.name: a for fp, a in zip(d.formal, e.type.args)}
+                    fields = [Param(f.name, subst_type(f.type, eta)) for f in fields]
                 if len(fields) != len(e.args):
                     raise CheckError(
                         "t-literal: struct %s expects %d fields, got %d"
                         % (print_type(e.type), len(fields), len(e.args))
                     )
-                for (fname, ftype), ta in zip(fields, ts):
-                    if not sub(_need(ta), ftype):
+                for f, ta in zip(fields, ts):
+                    if not sub(_need(ta), f.type):
                         raise CheckError(
                             "t-literal: field %s of %s needs %s, got %s"
-                            % (fname, print_type(e.type), print_type(ftype), print_type(ta))
+                            % (f.name, print_type(e.type), print_type(f.type), print_type(ta))
                         )
                 t = e.type
-            elif isinstance(e, FieldSel):
+            elif t_e is Var:
+                if e.name not in gamma:
+                    raise CheckError("t-var: unknown variable %s" % e.name)
+                t = gamma[e.name]
+            elif t_e is TypeAssert:
+                fgg_wf(e.type, delta, decls)
                 tr = _need(ts[0])
-                if kindish(tr) != "struct":
-                    raise CheckError("t-field: selecting %s on non-struct %s" % (e.fieldname, print_type(tr)))
-                d = decls.structs[tr.name]
-                eta = {fp.name: a for fp, a in zip(d.formal, tr.args)}
-                for f in d.fields:
-                    if f.name == e.fieldname:
-                        t = subst_type(f.type, eta)
-                        break
-                else:
-                    raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
-            elif isinstance(e, MethodCall):
+                t = e.type
+                # t-stupid on a struct receiver, t-assert_I on an interface or
+                # parameter target, otherwise t-assert_S
+                if not (
+                    type(tr) is Bottom
+                    or type(tr) is TypeApp and tr.name in decls.structs
+                    or type(e.type) is TypeParam
+                    or e.type.name in decls.interfaces
+                ):
+                    bound = fgg_bounds_of(tr, delta)
+                    if not sub(e.type, bound):
+                        raise CheckError(
+                            "t-assert_S: %s does not implement %s"
+                            % (print_type(e.type), print_type(bound))
+                        )
+            elif t_e is MethodCall:
                 tr = _need(ts[0])
                 if isinstance(tr, Bottom):
                     raise CheckError("t-call: call on panic")
@@ -399,30 +400,29 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
                             % (p.name, print_type(tr), e.name, print_type(ta), print_type(want))
                         )
                 t = subst_type(sig.ret, eta)
-            elif isinstance(e, TypeAssert):
-                fgg_wf(e.type, delta, decls)
-                tr = _need(ts[0])
-                t = e.type
-                # t-stupid on a struct receiver, t-assert_I on an interface or
-                # parameter target, otherwise t-assert_S
-                if not (
-                    isinstance(tr, Bottom)
-                    or kindish(tr) == "struct"
-                    or kindish(e.type) in ("interface", "param")
-                ):
-                    bound = fgg_bounds_of(tr, delta)
-                    if not sub(e.type, bound):
-                        raise CheckError(
-                            "t-assert_S: %s does not implement %s"
-                            % (print_type(e.type), print_type(bound))
-                        )
-            elif isinstance(e, Binop):
+            elif t_e is Binop:
                 for ts_side in ts:
-                    if _need(ts_side) != TypeApp("int"):
+                    if _need(ts_side) != INT:
                         raise CheckError("t-binop: operand of %s must be int, got %s" % (e.op, print_type(ts_side)))
-                t = TypeApp("bool") if e.op in ("<", ">") else TypeApp("int")
-            elif isinstance(e, If):
-                if _need(ts[0]) != TypeApp("bool"):
+                t = BOOL if e.op in ("<", ">") else INT
+            elif t_e is IntLit:
+                t = INT
+            elif t_e is Panic:
+                t = exp if exp is not None else BOTTOM
+            elif t_e is FieldSel:
+                tr = _need(ts[0])
+                d = decls.structs.get(tr.name) if type(tr) is TypeApp else None
+                if d is None:
+                    raise CheckError("t-field: selecting %s on non-struct %s" % (e.fieldname, print_type(tr)))
+                eta = {fp.name: a for fp, a in zip(d.formal, tr.args)}
+                for f in d.fields:
+                    if f.name == e.fieldname:
+                        t = subst_type(f.type, eta)
+                        break
+                else:
+                    raise CheckError("t-field: %s has no field %s" % (print_type(tr), e.fieldname))
+            elif t_e is If:
+                if _need(ts[0]) != BOOL:
                     raise CheckError("t-if: condition must be bool, got %s" % print_type(ts[0]))
                 tt, te = _need(ts[1]), _need(ts[2])
                 try:
@@ -433,15 +433,15 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
                     t = _fgg_interface_join(tt, te, delta, decls)
                     if t is None:
                         raise
-            elif isinstance(e, Seq):
-                _need(ts[0])
-                t = _need(ts[1])
-            elif isinstance(e, Neq):
+            elif t_e is Neq:
                 _need(ts[0])
                 _need(ts[1])
-                t = TypeApp("bool")
-            elif isinstance(e, Panic):
-                t = exp if exp is not None else BOTTOM
+                t = BOOL
+            elif t_e is Seq:
+                _need(ts[0])
+                t = _need(ts[1])
+            elif t_e is BoolLit:
+                t = BOOL
             else:
                 raise CheckError("unsupported expression %r" % type(e).__name__)
         except CheckError as err:
@@ -563,31 +563,66 @@ def fgg_typecheck_program(program: Program) -> Checked:
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     """Check a whole FG program; returns a list of diagnostics (empty = ok).
 
-    FG is the parameter-free fragment of FGG: one walk reports each node
+    FG is the parameter-free fragment of FGG: one pass reports each node
     outside the fragment, then the FGG judgement checks the program under
     an empty type environment."""
-    diags = [Diagnostic(m) for m in (_not_fg(n, dialect) for n in walk(program)) if m]
-    return diags + _check_program(program)
+    return [Diagnostic(m) for m in _not_fg(program, dialect)] + _check_program(program)
 
 
-def _not_fg(n, dialect: str):
-    """The FG rule that node ``n`` breaks, as a message, or None. Named
-    types come first: they are the most frequent nodes."""
-    if isinstance(n, TypeApp):
-        return "t-named: %s is not an fg type" % print_type(n) if n.args else None
-    if isinstance(n, TypeParam):
-        return "t-named: %s is not an fg type" % n.name
-    if isinstance(n, MethodCall) and n.targs:
-        return "t-call: fg methods take no type arguments (%s)" % n.name
-    if dialect == "core" and isinstance(n, (If, Seq, Panic, Neq)):
-        return "t-core: %s is not core fg" % type(n).__name__.lower()
-    if isinstance(n, (StructDecl, InterfaceDecl)) and n.formal:
-        return "t-type: fg declarations take no type formal (%s)" % n.name
-    if isinstance(n, MethodSpec) and n.sig.tformal:
-        return "t-specification: fg specs take no type formal (%s)" % n.name
-    if isinstance(n, MethodDecl) and (n.recv_params or n.sig.tformal):
-        return "t-func: fg methods take no type parameters (method %s.%s)" % (n.recv_type, n.name)
-    return None
+def _not_fg(program: Program, dialect: str) -> list:
+    """The FG rule each node of ``program`` outside the fragment breaks, as
+    messages in preorder (fields in declaration order). A type's arguments
+    are looked at only when it has some."""
+    out = []
+    for d in program.decls:
+        if type(d) is MethodDecl:
+            if d.recv_params or d.sig.tformal:
+                out.append("t-func: fg methods take no type parameters (method %s.%s)" % (d.recv_type, d.name))
+            _not_fg_types(_sig_types(d.sig), out)
+            _not_fg_expr(d.body, dialect == "core", out)
+            continue
+        if d.formal:
+            out.append("t-type: fg declarations take no type formal (%s)" % d.name)
+        _not_fg_types([fp.bound for fp in d.formal], out)
+        _not_fg_types([f.type for f in getattr(d, "fields", ())], out)
+        for s in getattr(d, "specs", ()):
+            if s.sig.tformal:
+                out.append("t-specification: fg specs take no type formal (%s)" % s.name)
+            _not_fg_types(_sig_types(s.sig), out)
+    _not_fg_expr(program.main, dialect == "core", out)
+    return out
+
+
+def _sig_types(sig: MethodSig) -> list:
+    return [*(fp.bound for fp in sig.tformal), *(p.type for p in sig.params), sig.ret]
+
+
+def _not_fg_types(ts, out: list) -> None:
+    for t in ts:
+        if type(t) is TypeParam or t.args:
+            out.append("t-named: %s is not an fg type" % print_type(t))
+            _not_fg_types(getattr(t, "args", ()), out)
+
+
+def _not_fg_expr(e: Expr, core: bool, out: list) -> None:
+    todo = [e]  # expressions, and tuples of the types that follow a subtree
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is tuple:
+            _not_fg_types(n, out)
+        elif t is MethodCall:
+            if n.targs:
+                out.append("t-call: fg methods take no type arguments (%s)" % n.name)
+            todo += [*reversed(n.args), n.targs, n.recv]
+        else:
+            if t is StructLit:
+                _not_fg_types((n.type,), out)
+            elif t is TypeAssert:
+                todo.append((n.type,))
+            elif core and t in (If, Seq, Panic, Neq):
+                out.append("t-core: %s is not core fg" % t.__name__.lower())
+            todo += reversed(subexprs(n))
 
 
 def _check_program(program: Program) -> Checked:

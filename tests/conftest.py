@@ -4,14 +4,36 @@ import sys
 import pytest
 
 from feathergo.dicttrans import dict_name, ptr_name
-from feathergo.parser import parse_program
+from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
 from feathergo.reduce import subst_expr, vtype
-from feathergo.syntax import InterfaceDecl, MethodDecl, Panic, rebuild, subexprs
+from feathergo.syntax import (
+    If,
+    InterfaceDecl,
+    MethodCall,
+    MethodDecl,
+    MethodSpec,
+    Neq,
+    Panic,
+    Seq,
+    StructDecl,
+    TypeApp,
+    TypeParam,
+    print_type,
+    rebuild,
+    subexprs,
+    walk,
+)
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 # every .fgg corpus file that typechecks (fgg_list_fail is the negative fixture)
 FGG_FILES = sorted(p for p in CORPUS.glob("*.fgg") if p.name != "fgg_list_fail.fgg")
+
+# every corpus file, the FG listing and the negative fixture included
+CORPUS_FILES = sorted(CORPUS.glob("*.fg*"))
+
+# one small program of each benchmark family
+SMALL_FAMILIES = (("a", 3), ("b", 3), ("c", 3), ("d", 3), ("e", 3))
 
 # programs that terminate within the default budget
 TERMINATING = [p for p in FGG_FILES if p.name != "omega.fgg"]
@@ -88,3 +110,97 @@ def shallow_reprs(e) -> list:
         out.append(repr(rebuild(n, (Panic(),) * len(kids))))
         todo.extend(reversed(kids))
     return out
+
+
+PUNCT = ("!=", "{", "}", "(", ")", "[", "]", ".", ",", ";", "=", "<", ">", "+", "-")
+
+
+def reference_tokenize(source: str) -> list:
+    """The lexer as a character loop, as ``parser.tokenize`` was before it
+    became one pattern: the differential reference for its tokens and its
+    diagnostic."""
+    toks: list = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+
+    def prev_ends_stmt() -> bool:
+        if not toks:
+            return False
+        t = toks[-1]
+        return t.kind in _ASI_AFTER_KIND or t.text in _ASI_AFTER_TEXT
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            if prev_ends_stmt():
+                toks.append(Tok("punct", ";", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if "0" <= ch <= "9":
+            start = i
+            startcol = col
+            while i < n and "0" <= source[i] <= "9":
+                i += 1
+                col += 1
+            toks.append(Tok("int", source[start:i], line, startcol))
+            continue
+        if ch == "_" or ch.isalpha():
+            start = i
+            startcol = col
+            while i < n and (source[i] == "_" or source[i].isalnum()):
+                i += 1
+                col += 1
+            text = source[start:i]
+            kind = "punct" if text in KEYWORDS else "ident"
+            toks.append(Tok(kind, text, line, startcol))
+            continue
+        for p in PUNCT:
+            if source.startswith(p, i):
+                toks.append(Tok("punct", p, line, col))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise ParseError([Diagnostic("unexpected character %r" % ch, line, col)])
+    if prev_ends_stmt():
+        toks.append(Tok("punct", ";", line, col))
+    toks.append(Tok("eof", "", line, col))
+    return toks
+
+
+def reference_not_fg(n, dialect: str):
+    """The FG rule that node ``n`` breaks, as a message, or None: the
+    node-by-node check ``typecheck.fg_typecheck_program`` ran over every
+    node of a ``walk`` before its fragment check became one pass."""
+    if isinstance(n, TypeApp):
+        return "t-named: %s is not an fg type" % print_type(n) if n.args else None
+    if isinstance(n, TypeParam):
+        return "t-named: %s is not an fg type" % n.name
+    if isinstance(n, MethodCall) and n.targs:
+        return "t-call: fg methods take no type arguments (%s)" % n.name
+    if dialect == "core" and isinstance(n, (If, Seq, Panic, Neq)):
+        return "t-core: %s is not core fg" % type(n).__name__.lower()
+    if isinstance(n, (StructDecl, InterfaceDecl)) and n.formal:
+        return "t-type: fg declarations take no type formal (%s)" % n.name
+    if isinstance(n, MethodSpec) and n.sig.tformal:
+        return "t-specification: fg specs take no type formal (%s)" % n.name
+    if isinstance(n, MethodDecl) and (n.recv_params or n.sig.tformal):
+        return "t-func: fg methods take no type parameters (method %s.%s)" % (n.recv_type, n.name)
+    return None
+
+
+def reference_fragment_messages(program, dialect: str) -> list:
+    """What ``program`` has outside the FG fragment, by ``reference_not_fg``
+    over every node of a ``walk``, in its order."""
+    return [m for m in (reference_not_fg(n, dialect) for n in walk(program)) if m]

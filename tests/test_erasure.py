@@ -1,5 +1,6 @@
 import pytest
 
+from feathergo.bench import BenchConfig, generate
 from feathergo.erasure import ErasureError, erase_program, erase_value
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import run
@@ -8,6 +9,7 @@ from feathergo.syntax import (
     MethodCall,
     MethodDecl,
     StructDecl,
+    TypeAssert,
     node_count,
     pretty_print,
     print_decl,
@@ -15,7 +17,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import fg_typecheck_program
 
-from conftest import TERMINATING, load
+from conftest import FGG_FILES, SMALL_FAMILIES, TERMINATING, load
 
 
 def method_decl(program, recv, name):
@@ -131,3 +133,17 @@ def test_erasure_of_deep_receiver_chain(default_recursion_limit):
     out, warns = erase_program(program)
     assert warns == ()
     assert sum(isinstance(n, MethodCall) for n in walk(out.main)) == 400
+
+
+def test_assertion_warning_iff_the_source_asserts():
+    # the warning comes from the erasure's own pass, and is issued exactly
+    # when some node of the source is a type assertion
+    programs = [load(p.name) for p in FGG_FILES] + [generate(BenchConfig(f, n, 1)) for f, n in SMALL_FAMILIES]
+    warned = 0
+    for program in programs:
+        asserts = any(isinstance(n, TypeAssert) for n in walk(program))
+        _, warnings = erase_program(program)
+        want = ("program contains type assertions; erasure does not preserve assertion behaviour",)
+        assert warnings == (want if asserts else ())
+        warned += asserts
+    assert 0 < warned < len(programs)

@@ -1,8 +1,10 @@
 import sys
+import unicodedata
 
 import pytest
 
-from feathergo.parser import ParseError, parse_fg, parse_fgg
+from feathergo.bench import BenchConfig, generate
+from feathergo.parser import ParseError, parse_fg, parse_fgg, tokenize
 from feathergo.syntax import (
     Binop,
     FormalParam,
@@ -15,9 +17,10 @@ from feathergo.syntax import (
     TypeApp,
     TypeAssert,
     Var,
+    pretty_print,
 )
 
-from conftest import read
+from conftest import CORPUS_FILES, SMALL_FAMILIES, read, reference_tokenize
 
 
 def test_fgg_listing_declaration_count():
@@ -156,3 +159,66 @@ def test_int_literal_is_ascii_digits_int_can_convert(literal, col, message):
         parse_fgg("package main\nfunc main() { _ = %s }\n" % literal)
     d = ei.value.diagnostics[0]
     assert (d.message, d.line, d.col) == (message, 2, col)
+
+
+def _lexed(lex, source: str) -> list:
+    """Every token as (kind, text, line, col), or the lexer's diagnostics
+    as (message, line, col)."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in lex(source)]
+    except ParseError as err:
+        return [("error", d.message, d.line, d.col) for d in err.diagnostics]
+
+
+_GTFUNC = read("gtfunc.fgg")
+
+# inputs edited at the lexer's edges: non-ASCII letters and digits, a lone
+# surrogate, line ends, tabs, comments and blanks at the end of input, and
+# a character that starts no token
+_EDITED = {
+    "greek": "package main\ntype Κουτί struct { τιμή int }\nfunc main() { _ = Κουτί{1}.τιμή }\n",
+    "superscript": "package main\nfunc main() { _ = ² }\n",
+    "superscript-in-word": "package main\nfunc main() { _ = x² + ²x }\n",
+    "arabic-indic": "package main\nfunc main() { _ = 1٣ }\n",
+    "surrogate": "package main\nfunc main() { _ = \udcff }\n",
+    "crlf": _GTFUNC.replace("\n", "\r\n"),
+    "tabs": _GTFUNC.replace("    ", "\t").replace(" ", "\t\t"),
+    "comment-at-eof": _GTFUNC + "// no newline after this",
+    "trailing-spaces": _GTFUNC.replace("\n", "  \n") + "   ",
+    "lone-bang": "package main\nfunc main() { _ = 1 ! 2 }\n",
+    "bang-at-eof": "package main\n!",
+    "no-newline-at-eof": _GTFUNC.rstrip("\n"),
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [p.read_text() for p in CORPUS_FILES]
+    + [pretty_print(generate(BenchConfig(f, n, 1))) for f, n in SMALL_FAMILIES]
+    + list(_EDITED.values()),
+    ids=[p.name for p in CORPUS_FILES] + ["%s%d" % fn for fn in SMALL_FAMILIES] + list(_EDITED),
+)
+def test_tokenize_matches_reference_loop(source):
+    # the one-pattern lexer against the character loop it replaced: the
+    # same tokens with the same positions, or the same diagnostic
+    assert _lexed(tokenize, source) == _lexed(reference_tokenize, source)
+
+
+def _character_classes() -> list:
+    """Every ASCII character, and one code point of each class the lexer's
+    pattern and ``str.isalpha`` can tell apart: ``\\w`` is ``str.isalnum``
+    or ``_``, ``\\d`` is ``str.isdecimal``."""
+    reps = {}
+    for c in range(0x80, 0x110000):
+        ch = chr(c)
+        key = (ch.isalpha(), ch.isdecimal(), ch.isdigit(), ch.isnumeric(), ch.isspace(), unicodedata.category(ch))
+        reps.setdefault(key, ch)
+    return [chr(c) for c in range(0x80)] + list(reps.values())
+
+
+def test_tokenize_matches_reference_loop_on_each_character_class():
+    # a character alone, inside a word and after a digit
+    for ch in _character_classes():
+        for source in (ch, "a%sb" % ch, "1" + ch):
+            assert _lexed(tokenize, source) == _lexed(reference_tokenize, source), hex(ord(ch))

@@ -9,7 +9,18 @@ from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import Translator, translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
-from feathergo.syntax import Binop, FieldSel, If, IntLit, Panic, TypeApp, TypeParam, walk
+from feathergo.syntax import (
+    Binop,
+    FieldSel,
+    If,
+    InterfaceDecl,
+    IntLit,
+    MethodDecl,
+    Panic,
+    TypeApp,
+    TypeParam,
+    walk,
+)
 from feathergo.typecheck import (
     CheckError,
     Decls,
@@ -20,9 +31,10 @@ from feathergo.typecheck import (
     fgg_typecheck_expr,
     fgg_typecheck_program,
     canon_sig,
+    subst_type,
 )
 
-from conftest import FGG_FILES, load, read
+from conftest import CORPUS_FILES, FGG_FILES, SMALL_FAMILIES, load, read, reference_fragment_messages
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +237,34 @@ def test_canon_sig_ignores_parameter_names(fgg_list):
     assert canon_sig(a) == canon_sig(b)
 
 
+def _signatures(program) -> list:
+    """The signature of every method and interface spec ``program`` declares."""
+    sigs = []
+    for d in program.decls:
+        if isinstance(d, MethodDecl):
+            sigs.append(d.sig)
+        elif isinstance(d, InterfaceDecl):
+            sigs.extend(s.sig for s in d.specs)
+    return sigs
+
+
+def _canon_sig_by_renaming(sig) -> tuple:
+    """canon_sig's form built by renaming the type formals to positions and
+    substituting, whether or not there are any."""
+    ren = {fp.name: TypeParam("$%d" % i) for i, fp in enumerate(sig.tformal)}
+    bounds = tuple(subst_type(fp.bound, ren) for fp in sig.tformal)
+    return (bounds, tuple(subst_type(p.type, ren) for p in sig.params), subst_type(sig.ret, ren))
+
+
+def test_canon_sig_without_type_formals_equals_the_renamed_form(corpus_programs):
+    programs = [*corpus_programs.values(), *(generate(BenchConfig(f, n, 1)) for f, n in SMALL_FAMILIES)]
+    sigs = [sig for p in programs for sig in _signatures(p)]
+    plain = [sig for sig in sigs if not sig.tformal]
+    assert 0 < len(plain) < len(sigs)
+    for sig in sigs:
+        assert canon_sig(sig) == _canon_sig_by_renaming(sig), sig
+
+
 # -- expression typing ------------------------------------------------------------
 
 
@@ -416,6 +456,51 @@ def test_core_fg_rejects_each_extended_form():
     assert sorted(d.message for d in fg_typecheck_program(program, "core")) == [
         "t-core: %s is not core fg" % form for form in ("if", "neq", "panic", "seq")
     ]
+
+
+# type actuals nested in every position a type can take, type parameters
+# among them, and the forms core FG lacks: the fragment check's messages
+# come in the order of a preorder walk over all of it
+_NOT_FG = """package main
+type Any interface {}
+type Box[T Any] struct { v T }
+type Pair[A Any, B Box[Box[A]]] struct { a A; b Box[Pair[A, B]] }
+type I[T Any] interface { M[U I[Box[U]]](x Box[T], y U) Pair[T, Box[U]] }
+func (p Pair[A, B]) M[U Any](x Box[A]) Pair[Box[U], A] {
+	p.M[Box[A]](Box[Pair[A, B]]{p}).(Pair[U, Box[A]])
+	if (p.a < 1) { return Pair[Box[U], A]{Box[U]{x.v.(U)}, p.a} } else { return p.M[U](x) }
+}
+func main() { _ = Pair[int, Box[Box[int]]]{1, Box[Pair[int, Box[Box[int]]]]{}}.M[Box[int]](Box[int]{2}).(Box[Box[int]]) }
+"""
+
+
+def _fragment_inputs() -> dict:
+    """Every corpus file as parsed (the FG listing in extended FG, the rest
+    as FGG), both translations of every corpus program and of one small
+    program per benchmark family, and ``_NOT_FG``."""
+    out = {"not-fg": parse_fgg(_NOT_FG)}
+    for path in CORPUS_FILES:
+        out[path.name] = parse_fg(path.read_text(), "extended") if path.suffix == ".fg" else parse_fgg(path.read_text())
+    sources = {p.name: out[p.name] for p in FGG_FILES}
+    sources.update({"%s%d" % fn: generate(BenchConfig(*fn, 1)) for fn in SMALL_FAMILIES})
+    for name, program in sources.items():
+        out[name + " (dict)"] = translate_program(program)
+        out[name + " (erasure)"] = erase_program(program)[0]
+    return out
+
+
+def test_fragment_check_matches_the_walk_over_every_node():
+    # the one-pass fragment check against the node-by-node check over a
+    # walk it replaced: the same messages in the same order, under both
+    # dialects, ahead of the FGG judgement's own diagnostics
+    counts = {}
+    for name, program in _fragment_inputs().items():
+        fgg = [d.message for d in fgg_typecheck_program(program)]
+        for dialect in ("core", "extended"):
+            want = reference_fragment_messages(program, dialect)
+            assert [d.message for d in fg_typecheck_program(program, dialect)] == want + fgg, (name, dialect)
+            counts[dialect] = counts.get(dialect, 0) + len(want)
+    assert 0 < counts["extended"] < counts["core"]
 
 
 _FG_DECLS = (
