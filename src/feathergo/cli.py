@@ -98,6 +98,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _translation_failed(ex, args) -> int:
+    """Report why the translator refused the source: the checker's
+    diagnostics, as ``typecheck`` prints them, for an ill-typed one."""
+    if ex.diagnostics:
+        _emit_diags(ex.diagnostics, args.file, args.json)
+    else:
+        print("error: %s" % ex, file=sys.stderr)
+    return 1
+
+
 def cmd_translate(args) -> int:
     program = _load(args.file, "fgg", args.json)
     try:
@@ -114,8 +124,7 @@ def cmd_translate(args) -> int:
                 print("warning: %s" % w, file=sys.stderr)
             inventory = []
     except (dicttrans.TranslationError, erasure.ErasureError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 1
+        return _translation_failed(ex, args)
     text = syntax.pretty_print(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -132,8 +141,7 @@ def cmd_cosim(args) -> int:
     try:
         report = cosim.check_correspondence(program, max_steps=args.steps)
     except dicttrans.TranslationError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 1
+        return _translation_failed(ex, args)
     if args.report == "json":
         print(report.to_json())
     else:

@@ -80,7 +80,15 @@ def classify(redex: Expr) -> str:
 # Dictionary resolution (pre-congruence contraction + assertion refinement)
 
 
-def _dict_contract(e: Expr, decls: Decls, types=None):
+def _type_of(e: Expr, decls: Decls, types: dict):
+    """The type of closed ``e``, or None if it does not type."""
+    try:
+        return fgg_typecheck_expr(e, {}, {}, decls, types=types)
+    except CheckError:
+        return None
+
+
+def _dict_contract(e: Expr, decls: Decls, types: dict):
     """One dictionary-resolution contraction at this node, or None.
 
     The origin tag alone says what is plumbing. The redexes are the
@@ -91,9 +99,8 @@ def _dict_contract(e: Expr, decls: Decls, types=None):
     no redex, so resolution never panics. The other subexpressions need
     not be values: an applicator call substitutes its (possibly
     unevaluated) arguments linearly. Assertion refinement only strengthens
-    an assert to the expression's own static type. ``types`` is an
-    optional side table of closed subterm types (see
-    ``fgg_typecheck_expr``).
+    an assert to the expression's own static type. ``types`` is the side
+    table of closed subterm types (see ``fgg_typecheck_expr``).
     """
     t = type(e)
     if t is not FieldSel and t is not MethodCall and t is not TypeAssert:
@@ -108,68 +115,10 @@ def _dict_contract(e: Expr, decls: Decls, types=None):
     # subtype), so no other receiver is typed
     if t is not TypeAssert or not (isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"):
         return None
-    try:
-        u = fgg_typecheck_expr(e.recv, {}, {}, decls, types=types)
-    except CheckError:
-        return None
+    u = _type_of(e.recv, decls, types)
     if isinstance(u, TypeApp) and u.name != e.type.name and fg_subtype(u.name, e.type.name, decls):
         return TypeAssert(e.recv, TypeApp(u.name), origin=e.origin)
     return None
-
-
-def dict_redex_positions(e: Expr, decls: Decls, types=None, memo: RunMemo | None = None) -> list:
-    """Positions (paths) where a dictionary-resolution step applies, in
-    preorder. A path is a tuple of indices into ``subexprs``, one per level
-    from the root down.
-
-    Without ``memo`` the list is complete: the full scan that C5 and the
-    confluence tests take as their oracle. With one it is the scan
-    ``dict_normalize`` makes per step: it lists only the first position,
-    types receivers in ``memo.types``, skips the subterms ``memo.normal``
-    knows to hold no redex and records those it scans whole. That path is
-    a ``Redex``: it carries the contractum the scan built, so
-    ``contract_dict_at`` does not build it again."""
-    if memo is not None:
-        found = _first_redex(e, decls, memo)
-        return [] if found is None else [found]
-    out = []
-    stack = [(e, None)]  # (node, its position: None at the root, else (parent's position, index))
-    while stack:
-        node, pos = stack.pop()
-        if _dict_contract(node, decls, types) is not None:
-            path, up = [], pos
-            while up is not None:
-                up, i = up
-                path.append(i)
-            out.append(tuple(reversed(path)))
-        kids = subexprs(node)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], (pos, i)))
-    return out
-
-
-class Redex(tuple):
-    """The path to the first redex of ``root``, with the context ``spine``
-    above it (frames as ``syntax.plug`` takes them) and its ``contractum``."""
-
-    def __new__(cls, path, root, spine, contractum):
-        out = super().__new__(cls, path)
-        out.root, out.spine, out.contractum = root, spine, contractum
-        return out
-
-
-def contract_dict_at(e: Expr, path: tuple, decls: Decls, types=None) -> Expr:
-    if type(path) is Redex and path.root is e:  # the scan built it already
-        return plug(path.spine, path.contractum)
-    spine = []
-    for i in path:
-        kids = subexprs(e)
-        spine.append((e, kids, i))
-        e = kids[i]
-    out = _dict_contract(e, decls, types)
-    if out is None:
-        raise ValueError("no dictionary-resolution redex at path")
-    return plug(spine, out)
 
 
 MEMO_MIN_ENTRIES = 4096
@@ -226,7 +175,7 @@ class RunMemo:
             self.limit = None
 
 
-def settle(e: Expr, decls: Decls, memo: RunMemo | None = None) -> Expr:
+def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
     """Discharge pending erasure asserts over values: an erase-tagged
     ``v.(t)`` with ``vtype(v) <: t`` contracts to ``v``.
 
@@ -237,10 +186,9 @@ def settle(e: Expr, decls: Decls, memo: RunMemo | None = None) -> Expr:
     discharged: a failing one stays put and surfaces as a divergence. A
     term with nothing to discharge comes back as the same object.
     ``memo.settled`` gives the settled form of every subterm settled so
-    far, and settling does not descend into them; without a memo a fresh
-    table serves this call.
+    far, and settling does not descend into them.
     """
-    done = {} if memo is None else memo.settled
+    done = memo.settled
 
     def settled(e, kids):
         hit = done.get(id(e))
@@ -270,9 +218,11 @@ DEFAULT_NORMALIZE_BOUND = 10_000
 
 
 def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
-    """The first dictionary-resolution redex of ``e`` in preorder, as a
-    ``Redex``, or None. Subterms in ``memo.normal`` are skipped, and every
-    subterm scanned whole without a redex is added to it."""
+    """The first dictionary-resolution redex of ``e`` in preorder, as the
+    pair ``(spine, contractum)``: the frames above it, as ``syntax.plug``
+    takes them, and what it contracts to; None if there is none. Subterms
+    in ``memo.normal`` are skipped, and every subterm scanned whole without
+    a redex is added to it."""
     normal, types = memo.normal, memo.types
     spine, path = [], []  # the kids of each node above ``node``, and its index there
     node = e
@@ -280,7 +230,7 @@ def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
         if id(node) not in normal:
             out = _dict_contract(node, decls, types)
             if out is not None:
-                return Redex(path, e, [(n, kids, i) for (n, kids), i in zip(spine, path)], out)
+                return [(n, kids, i) for (n, kids), i in zip(spine, path)], out
             kids = subexprs(node)
             if kids:
                 spine.append((node, kids))
@@ -302,36 +252,48 @@ def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
             return None
 
 
-def dict_normalize(e: Expr, decls: Decls, memo: RunMemo | None = None, cut: Cut | None = None):
+def dict_redex_positions(e: Expr, decls: Decls, memo: RunMemo):
+    """The scan ``dict_normalize`` makes per step (``_first_redex``), under
+    a name of its own so that a profile counts these scans apart from the
+    frame checks'."""
+    return _first_redex(e, decls, memo)
+
+
+def contract_dict_at(redex) -> Expr:
+    """The scanned term with the ``redex`` found in it contracted."""
+    spine, contractum = redex
+    return plug(spine, contractum)
+
+
+def dict_normalize(e: Expr, decls: Decls, memo: RunMemo, cut: Cut | None = None):
     """Exhaust dictionary resolution, leftmost-outermost first; returns
     (normal form, steps taken). By confluence the normal form is unique;
     the module's ``DEFAULT_NORMALIZE_BOUND`` bounds the steps against a
     harness or translator bug, and NormalizeOverflow is raised past it.
 
     Each step contracts the first redex in preorder, which
-    ``dict_redex_positions`` finds under the memo. The search skips the
-    subterms ``memo.normal`` knows to hold no redex and records those it
-    scans whole, so after a contraction only the rebuilt spine and the
+    ``dict_redex_positions`` finds. The search skips the subterms
+    ``memo.normal`` knows to hold no redex and records those it scans
+    whole, so after a contraction only the rebuilt spine and the
     contractum are scanned again; ``memo.types`` types each assertion
     receiver once. A caller that normalises successive states of one run
     passes the same memo, and the subterms a step leaves in place are not
-    scanned or typed again. Without a memo a fresh one serves this call.
+    scanned or typed again.
 
     With a ``cut``, ``e`` is the hole of the checked frames above it: the
     count starts at ``cut.steps``, and before each scan the cut reopens
     the frames that may read ``e`` differently now (``Cut.widen``), so the
     redexes are met in the order a scan of the whole term meets them."""
-    memo = RunMemo() if memo is None else memo
     steps = 0 if cut is None else cut.steps
     while True:
         if steps > DEFAULT_NORMALIZE_BOUND:
             raise NormalizeOverflow("no normal form within %d steps" % DEFAULT_NORMALIZE_BOUND)
         if cut is not None:
             e = cut.widen(e)
-        positions = dict_redex_positions(e, decls, memo=memo)
-        if not positions:
+        redex = dict_redex_positions(e, decls, memo)
+        if redex is None:
             return e, steps
-        e = contract_dict_at(e, positions[0], decls, memo.types)
+        e = contract_dict_at(redex)
         steps += 1
 
 
@@ -343,14 +305,6 @@ def dict_normalize(e: Expr, decls: Decls, memo: RunMemo | None = None, cut: Cut 
 # frames from step to step. A stage (re-translation, dictionary resolution,
 # settling, the comparison, the macro step) works on the hole at the cut
 # and on the frames it reopens, never on the whole spine.
-
-
-def _type_of(e: Expr, decls: Decls, types: dict):
-    """The type of closed ``e``, or None if it does not type."""
-    try:
-        return fgg_typecheck_expr(e, {}, {}, decls, types=types)
-    except CheckError:
-        return None
 
 
 def _passes_type(node: Expr, i: int) -> bool:
@@ -396,11 +350,6 @@ class Zipper:
 
     def term(self) -> Expr:
         return plug(self.frames, self.focus)
-
-    def reset(self, e: Expr) -> None:
-        """Make ``e``, a whole term, the state, with no frame checked."""
-        self.__init__(e)
-        self.focus = _descend(e, self.frames)
 
     def moved(self, focus: Expr, low: int) -> None:
         """The machine left the first ``low`` frames in place."""
@@ -502,14 +451,6 @@ class Source:
         self.focus = _descend(e, self.frames)
         self.low = 0
         self.out = Zipper(None)
-        self.stypes, self.align, self.cum = [], [0], [0]
-
-    def term(self) -> Expr:
-        return plug(self.frames, self.focus)
-
-    def reset(self, e: Expr) -> None:
-        """Make ``e`` the normal form of the translation, with nothing certified."""
-        self.out.reset(e)
         self.stypes, self.align, self.cum = [], [0], [0]
 
     def step(self, e: Expr) -> None:
@@ -673,24 +614,20 @@ class MacroOutcome:
     mid_rule: str | None
     sim_steps: int
     panic: PanicOutcome | None = None
-    low: int = field(default=0, compare=False)  # with frames: those left in place
+    low: int = field(default=0, compare=False)  # the leading frames left in place
 
 
-def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcome:
+def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
     """One target macro step: erase-asserts, one ordinary step, then all
     enabled simulation steps. Panics surface as a panic outcome (the
     simulated assertion error); the result has no enabled sim redex.
 
     It runs on the refocusing machine and reads each focus's origin tag
     before contracting it: a focus that is neither a simulation step nor
-    an assertion (or ``panic``) ends the macro step uncontracted. With
-    ``frames``, ``d`` is the focus of that machine context, which the step
-    advances in place: the outcome's ``expr`` is the new focus, and
-    ``low`` the number of leading frames it left in place."""
-    whole = frames is None
-    if whole:
-        frames = []
-        d = _descend(d, frames)
+    an assertion (or ``panic``) ends the macro step uncontracted. ``d`` is
+    the focus of the machine context ``frames``, which the step advances
+    in place: the outcome's ``expr`` is the new focus, and ``low`` the
+    number of leading frames it left in place."""
     low = len(frames)
 
     def advance(e):
@@ -731,7 +668,7 @@ def macro_step(d: Expr, decls: Decls, frames: list | None = None) -> MacroOutcom
             break
         d = advance(out[0])
         sim_steps += 1
-    return MacroOutcome("stepped", plug(frames, d) if whole else d, erase_steps, mid_rule, sim_steps, low=low)
+    return MacroOutcome("stepped", d, erase_steps, mid_rule, sim_steps, low=low)
 
 
 # ---------------------------------------------------------------------------

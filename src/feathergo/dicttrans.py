@@ -28,7 +28,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .erasure import check_erased_any
+from .erasure import check_erased_any, ill_typed
 from .syntax import (
     ANY,
     Binop,
@@ -70,7 +70,7 @@ from .typecheck import (
 
 
 class TranslationError(Exception):
-    pass
+    diagnostics = ()  # the checker's, when the source does not typecheck
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,7 @@ class Translator:
         self.options = options or TransOptions()
         diags = fgg_typecheck_program(program)
         if diags:
-            raise TranslationError(
-                "source program does not typecheck: " + "; ".join(d.message for d in diags)
-            )
+            raise ill_typed(diags, TranslationError)
         self.program = program
         self.decls, self.envs = diags.decls, diags.envs
         if not self.options.type_metadata and any(isinstance(n, TypeAssert) for n in walk(program)):

@@ -43,7 +43,15 @@ from .typecheck import (
 
 
 class ErasureError(Exception):
-    pass
+    diagnostics = ()  # the checker's, when the source does not typecheck
+
+
+def ill_typed(diags: list, error: type) -> Exception:
+    """``error`` for a source the checker found ``diags`` in, carrying them
+    as its ``diagnostics``."""
+    ex = error("source program does not typecheck: " + "; ".join(d.message for d in diags))
+    ex.diagnostics = diags
+    return ex
 
 
 def check_erased_any(decls: Decls, error: type) -> None:
@@ -59,9 +67,7 @@ class _Eraser:
     def __init__(self, program: Program):
         diags = fgg_typecheck_program(program)
         if diags:
-            raise ErasureError(
-                "source program does not typecheck: " + "; ".join(d.message for d in diags)
-            )
+            raise ill_typed(diags, ErasureError)
         self.program = program
         self.decls, self.envs = diags.decls, diags.envs
         self.asserts = False  # whether erasing met a type assertion

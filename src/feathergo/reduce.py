@@ -35,8 +35,8 @@ method's body through the body's template (``compile_body``): compiled once
 per program, at the method's first call, and kept in the program's
 ``Decls``. It rebuilds only the nodes above a variable or type parameter
 and shares every other subterm, so a call costs work in the nodes that hold
-a hole, not a traversal of the body. ``subst_expr``, a ``fold`` over the
-body, is the reference the templates are tested against.
+a hole, not a traversal of the body. Method bodies bind nothing, so the
+substitution is capture-free without renaming.
 
 Outcomes:
 
@@ -138,14 +138,6 @@ def vtype(v: Expr) -> TypeApp:
     raise ValueError("vtype of non-value %r" % (v,))
 
 
-def subst_expr(e: Expr, varmap: dict, typemap: dict) -> Expr:
-    """Capture-free substitution of variables and type parameters. Method
-    bodies contain no binders, so no renaming is ever needed. The reference
-    that body templates are tested against."""
-    ft = (lambda t: subst_type(t, typemap)) if typemap else None
-    return fold(e, lambda n, kids: varmap.get(n.name, n) if type(n) is Var else rebuild(n, kids, ft))
-
-
 def _mentions(t: Type, names) -> bool:
     """Whether type ``t`` mentions a type parameter in ``names``."""
     todo = [t]
@@ -214,8 +206,8 @@ def _op(n: Expr, ix: list, typed: bool):
 
 def compile_body(m: MethodDecl):
     """The substitution template of ``m``'s body: a function ``(recv, args,
-    targs, rtype)`` returning what ``subst_expr`` gives for the receiver,
-    value arguments and type actuals.
+    targs, rtype)`` returning the body with the receiver, value arguments
+    and type actuals substituted for its variables and type parameters.
 
     The holes are the ``Var``s the receiver or a value parameter binds (a
     parameter shadows a receiver of the same name) and the types that

@@ -1,11 +1,13 @@
+import dataclasses
 import pathlib
 import sys
 
 import pytest
 
+from feathergo import cosim
 from feathergo.dicttrans import dict_name, ptr_name
 from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
-from feathergo.reduce import subst_expr, vtype
+from feathergo.reduce import _descend, vtype
 from feathergo.syntax import (
     If,
     InterfaceDecl,
@@ -18,11 +20,15 @@ from feathergo.syntax import (
     StructDecl,
     TypeApp,
     TypeParam,
+    Var,
+    fold,
+    plug,
     print_type,
     rebuild,
     subexprs,
     walk,
 )
+from feathergo.typecheck import subst_type
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -87,6 +93,15 @@ def default_recursion_limit():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(limit)
+
+
+def subst_expr(e, varmap: dict, typemap: dict):
+    """Capture-free substitution of variables and type parameters, a
+    ``fold`` over ``e``: the reference the body templates
+    (``reduce.compile_body``) are tested against. Method bodies contain no
+    binders, so no renaming is ever needed."""
+    ft = (lambda t: subst_type(t, typemap)) if typemap else None
+    return fold(e, lambda n, kids: varmap.get(n.name, n) if type(n) is Var else rebuild(n, kids, ft))
 
 
 def reference_body(m, recv, args, targs):
@@ -204,3 +219,40 @@ def reference_fragment_messages(program, dialect: str) -> list:
     """What ``program`` has outside the FG fragment, by ``reference_not_fg``
     over every node of a ``walk``, in its order."""
     return [m for m in (reference_not_fg(n, dialect) for n in walk(program)) if m]
+
+
+def reference_redex_positions(e, decls, types=None) -> list:
+    """Every position where a dictionary-resolution step applies, in
+    preorder, with no memo: the complete listing C5 and the confluence
+    tests take as their oracle. A position is a path, a tuple of indices
+    into ``subexprs`` from the root down; ``types`` is an optional type
+    side table, as ``fgg_typecheck_expr`` takes one."""
+    out, stack = [], [(e, ())]
+    while stack:
+        node, path = stack.pop()
+        if cosim._dict_contract(node, decls, types) is not None:
+            out.append(path)
+        kids = subexprs(node)
+        stack += [(kids[i], path + (i,)) for i in range(len(kids) - 1, -1, -1)]
+    return out
+
+
+def reference_contract_at(e, path: tuple, decls, types=None):
+    """``e`` with the dictionary-resolution redex at ``path`` contracted."""
+    spine = []
+    for i in path:
+        kids = subexprs(e)
+        spine.append((e, kids, i))
+        e = kids[i]
+    out = cosim._dict_contract(e, decls, types)
+    if out is None:
+        raise ValueError("no dictionary-resolution redex at path")
+    return plug(spine, out)
+
+
+def macro_step_whole(d, decls):
+    """``cosim.macro_step`` on the whole term ``d``: the outcome's ``expr``
+    is the whole term after the step, not the machine's new focus."""
+    frames = []
+    m = cosim.macro_step(_descend(d, frames), decls, frames)
+    return dataclasses.replace(m, expr=plug(frames, m.expr)) if m.kind == "stepped" else m

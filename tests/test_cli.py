@@ -158,6 +158,18 @@ def test_run_ill_typed_program_exits_1(capsys, tmp_path):
     assert err.splitlines() == ["%s:0:0: t-func: body of method S.M has type bool, not a subtype of int" % src]
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [["translate", "--mode", "dict"], ["translate", "--mode", "erasure"], ["cosim"]], ids=["dict", "erasure", "cosim"])
+def test_translating_an_ill_typed_source_prints_the_checkers_diagnostics(capsys, tmp_path, argv, as_json):
+    # one line per diagnostic, as typecheck prints them, and exit 1
+    src = tmp_path / "bad.fgg"
+    src.write_text("package main\ntype S struct {}\nfunc (s S) M() int { return true }\nfunc (s S) N() bool { return 1 }\nfunc main() { _ = S{}.M() }\n")
+    flags = ["--json"] * as_json
+    code, _, want = run_cli(capsys, "typecheck", *flags, str(src))
+    assert code == 1 and len(want.splitlines()) == 2
+    assert run_cli(capsys, *argv, *flags, str(src)) == (1, "", want)
+
+
 def test_bench_csv(capsys, tmp_path):
     out_csv = tmp_path / "metrics.csv"
     code, out, _ = run_cli(

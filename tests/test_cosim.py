@@ -12,15 +12,12 @@ from feathergo.cosim import (
     RunMemo,
     check_correspondence,
     classify,
-    contract_dict_at,
     dict_normalize,
-    dict_redex_positions,
-    macro_step,
     settle,
 )
 from feathergo.dicttrans import Translator
 from feathergo.parser import parse_fgg
-from feathergo.reduce import Stepped, fg_step, is_value
+from feathergo.reduce import Stepped, _descend, fg_step, is_value
 from feathergo.syntax import (
     Binop,
     BoolLit,
@@ -35,13 +32,14 @@ from feathergo.syntax import (
     TypeApp,
     TypeAssert,
     fold,
+    plug,
     show_expr,
     subexprs,
     walk,
 )
 from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 
-from conftest import CORPUS, FGG_FILES, generated_struct_names, load
+from conftest import CORPUS, FGG_FILES, generated_struct_names, load, macro_step_whole, reference_contract_at, reference_redex_positions
 
 from test_reduce import FGG_SOURCES, assert_unique_decomposition
 
@@ -146,7 +144,7 @@ def test_classify_by_origin_tags():
 def test_first_macro_of_gtfunc_consumes_erase_assert_then_calls():
     # derived trace on the translated program: .(GtFunc) then the r-call
     _, out, tdecls = translated("gtfunc.fgg")
-    m = macro_step(out.main, tdecls)
+    m = macro_step_whole(out.main, tdecls)
     assert m.kind == "stepped"
     assert m.erase_steps == 1
     assert m.mid_rule == "r-call"
@@ -157,20 +155,20 @@ def test_trycast_macro_resolves_simulation_in_one_step():
     # one macro performs the tryCast call and all following if/neq/select
     # simulation steps; panic surfaces inside the macro
     _, out, tdecls = translated("typerep.fgg")
-    nf, _ = dict_normalize(out.main, tdecls)
-    m1 = macro_step(nf, tdecls)
+    nf, _ = dict_normalize(out.main, tdecls, RunMemo())
+    m1 = macro_step_whole(nf, tdecls)
     assert m1.kind == "stepped" and m1.mid_rule == "r-call" and m1.sim_steps > 0
-    nf2, _ = dict_normalize(m1.expr, tdecls)
-    m2 = macro_step(settle(nf2, tdecls), tdecls)
+    nf2, _ = dict_normalize(m1.expr, tdecls, RunMemo())
+    m2 = macro_step_whole(settle(nf2, tdecls, RunMemo()), tdecls)
     assert m2.kind == "stepped"  # the seq discard
-    nf3, _ = dict_normalize(m2.expr, tdecls)
-    m3 = macro_step(settle(nf3, tdecls), tdecls)
+    nf3, _ = dict_normalize(m2.expr, tdecls, RunMemo())
+    m3 = macro_step_whole(settle(nf3, tdecls, RunMemo()), tdecls)
     assert m3.kind == "panic"  # the .(Foo[bool]) simulation fails
 
 
 def test_macro_on_plain_term_is_one_ordinary_step():
     _, out, tdecls = translated("arith.fgg")
-    m = macro_step(out.main, tdecls)
+    m = macro_step_whole(out.main, tdecls)
     assert m.kind == "stepped" and m.sim_steps == 0 and m.mid_rule == "r-ext-binop"
 
 
@@ -181,42 +179,38 @@ def test_dict_normalize_reproduces_call_site_resolution():
     # after one macro the applicator is pending on an unevaluated argument;
     # resolution contracts it and refines the assert to the value's own type
     _, out, tdecls = translated("numzero.fgg")
-    m = macro_step(dict_normalize(out.main, tdecls)[0], tdecls)
+    m = macro_step_whole(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls)
     assert show_expr(m.expr) == "NumDict{MyInt_Add{}, MyInt_meta{}}.Add.Apply(Zero{}, App{}.(App).Bar())"
-    nf, steps = dict_normalize(m.expr, tdecls)
+    nf, steps = dict_normalize(m.expr, tdecls, RunMemo())
     assert show_expr(nf) == "Zero{}.(Zero).Add(App{}.(App).Bar())"
     assert steps == 3  # field lookup, applicator call, assertion refinement
 
 
 def test_normal_form_is_fixpoint():
     _, out, tdecls = translated("arith.fgg")
-    nf, steps = dict_normalize(out.main, tdecls)
+    nf, steps = dict_normalize(out.main, tdecls, RunMemo())
     assert steps == 0 and nf == out.main  # no dictionary machinery in sight
-    nf2, steps2 = dict_normalize(nf, tdecls)
+    nf2, steps2 = dict_normalize(nf, tdecls, RunMemo())
     assert steps2 == 0 and nf2 == nf
 
 
 def test_settle_discharges_only_succeeding_erase_asserts():
-    from feathergo.syntax import TypeAssert
-
     _, out, tdecls = translated("gtfunc.fgg")
     ok = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
-    assert settle(ok, tdecls) == IntLit(7)
+    assert settle(ok, tdecls, RunMemo()) == IntLit(7)
     failing = TypeAssert(BoolLit(True), TypeApp("int"), origin="erase")
-    assert settle(failing, tdecls) == failing
+    assert settle(failing, tdecls, RunMemo()) == failing
     sim = TypeAssert(IntLit(7), TypeApp("int"), origin="sim")
-    assert settle(sim, tdecls) == sim
+    assert settle(sim, tdecls, RunMemo()) == sim
 
 
 def test_settle_returns_its_input_when_nothing_settles():
-    from feathergo.syntax import TypeAssert, walk
-
     _, out, tdecls = translated("typerep.fgg")
     erase_over_value = [
         n for n in walk(out.main) if isinstance(n, TypeAssert) and n.origin == "erase" and is_value(n.recv)
     ]
     assert erase_over_value == []
-    assert settle(out.main, tdecls) is out.main
+    assert settle(out.main, tdecls, RunMemo()) is out.main
 
 
 def _sampled_states(rng):
@@ -234,10 +228,10 @@ def _reference_normalize(e, tdecls, types=None):
     position listed, the first contracted, to a fixpoint."""
     steps = 0
     while True:
-        positions = dict_redex_positions(e, tdecls, types)
+        positions = reference_redex_positions(e, tdecls, types)
         if not positions:
             return e, steps
-        e = contract_dict_at(e, positions[0], tdecls, types)
+        e = reference_contract_at(e, positions[0], tdecls, types)
         steps += 1
 
 
@@ -246,7 +240,7 @@ def test_dict_normalize_matches_table_free_reference_loop():
     # the result: same normal form (origin tags included) and step count
     multi_step = 0
     for s, tdecls in _sampled_states(random.Random(11)):
-        nf, steps = dict_normalize(s, tdecls)
+        nf, steps = dict_normalize(s, tdecls, RunMemo())
         ref, ref_steps = _reference_normalize(s, tdecls)
         assert (repr(nf), steps) == (repr(ref), ref_steps), show_expr(s)
         multi_step += steps > 1
@@ -258,19 +252,19 @@ def test_dict_resolution_two_path_confluence():
     # the rejoined normal forms must be identical (1000 trials, with freshly
     # sampled position pairs on each visit to a state)
     rng = random.Random(2024)
-    pool = [x for x in _sampled_states(rng) if len(dict_redex_positions(*x)) >= 2]
+    pool = [x for x in _sampled_states(rng) if len(reference_redex_positions(*x)) >= 2]
     assert pool, "no states with two resolution redexes sampled"
     trials = 0
     i = 0
     while trials < 1000:
         s, tdecls = pool[i % len(pool)]
         i += 1
-        positions = dict_redex_positions(s, tdecls)
+        positions = reference_redex_positions(s, tdecls)
         p1, p2 = rng.sample(positions, 2)
-        a = contract_dict_at(s, p1, tdecls)
-        b = contract_dict_at(s, p2, tdecls)
-        na, sa = dict_normalize(a, tdecls)
-        nb, sb = dict_normalize(b, tdecls)
+        a = reference_contract_at(s, p1, tdecls)
+        b = reference_contract_at(s, p2, tdecls)
+        na, sa = dict_normalize(a, tdecls, RunMemo())
+        nb, sb = dict_normalize(b, tdecls, RunMemo())
         assert na == nb, "confluence violated at %s vs %s" % (p1, p2)
         assert sa <= 10_000 and sb <= 10_000
         trials += 1
@@ -284,8 +278,8 @@ def test_dict_resolution_preserves_typing_and_never_panics():
     pool = _sampled_states(rng)
     checked = 0
     for s, tdecls in pool:
-        for path in dict_redex_positions(s, tdecls):
-            out = contract_dict_at(s, path, tdecls)
+        for path in reference_redex_positions(s, tdecls):
+            out = reference_contract_at(s, path, tdecls)
             try:
                 fgg_typecheck_expr(out, {}, {}, tdecls)
             except CheckError as ex:
@@ -308,8 +302,8 @@ def test_macro_determinism_randomized():
         s, tdecls = pool[i % len(pool)]
         i += 1
         assert_unique_decomposition(s, tdecls, generic=False)
-        m1 = macro_step(s, tdecls)
-        m2 = macro_step(s, tdecls)
+        m1 = macro_step_whole(s, tdecls)
+        m2 = macro_step_whole(s, tdecls)
         assert m1 == m2
         trials += 1
     assert trials >= 1000
@@ -416,14 +410,15 @@ def _traced_correspondence(program, reference):
     seen = []
     target_stage, source_stage = cosim.target_normal_form, cosim.source_normal_form
 
-    def from_scratch(e, decls):
+    def from_scratch(z, e, decls):  # ``z`` made the settled normal form of ``e``, no frame checked
         nf, steps = _reference_normalize(e, decls, {})
-        return settle(nf, decls), steps
+        z.__init__(settle(nf, decls, RunMemo()))
+        z.focus = _descend(z.focus, z.frames)
+        return steps
 
     def traced_target(z, decls, memo):
         if reference:
-            nf, steps = from_scratch(z.term(), decls)
-            z.reset(nf)
+            steps = from_scratch(z, z.term(), decls)
         else:
             steps = target_stage(z, decls, memo)
         seen.extend([steps, hashlib.blake2b(repr(z.term()).encode(), digest_size=16).digest()])
@@ -431,8 +426,8 @@ def _traced_correspondence(program, reference):
 
     def traced_source(src, decls, memo):
         if reference:
-            nf, steps = from_scratch(src.translator.translate_closed_expr(src.term()), decls)
-            src.reset(nf)
+            steps = from_scratch(src.out, src.translator.translate_closed_expr(plug(src.frames, src.focus)), decls)
+            src.stypes, src.align, src.cum = [], [0], [0]  # nothing certified
         else:
             steps = source_stage(src, decls, memo)
         seen.extend([steps, hashlib.blake2b(repr(src.out.term()).encode(), digest_size=16).digest()])
@@ -560,10 +555,10 @@ def test_macro_step_panics_on_a_failing_assert_after_the_ordinary_step():
     # simulation step; it would panic, and the macro step says so
     _, _, tdecls = translated("arith.fgg")
     d = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("bool")))
-    m = macro_step(d, tdecls)
+    m = macro_step_whole(d, tdecls)
     assert m.kind == "panic" and m.mid_rule == "r-ext-seq" and m.sim_steps == 0
     ok = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("int")))
-    m = macro_step(ok, tdecls)
+    m = macro_step_whole(ok, tdecls)
     assert m.kind == "stepped" and m.expr == ok.rest  # left for the next macro step
 
 
@@ -572,7 +567,7 @@ def test_each_dictionary_contractum_is_built_once(monkeypatch):
     # plug: one contraction built per step, none built again
     built = []
 
-    def recording(e, decls, types=None):
+    def recording(e, decls, types):
         out = cosim_dict_contract(e, decls, types)
         if out is not None:
             built.append(out)
@@ -585,7 +580,7 @@ def test_each_dictionary_contractum_is_built_once(monkeypatch):
         states, tdecls = reachable_states(name, cap=60)
         for s in states:
             before = len(built)
-            _, steps = dict_normalize(s, tdecls)
+            _, steps = dict_normalize(s, tdecls, RunMemo())
             assert len(built) - before == steps
             total += steps
     assert total > 0
@@ -595,8 +590,8 @@ def test_a_frame_is_checked_only_with_normal_settled_kids_beside_the_hole():
     # a frame whose later subexpression holds a resolution redex, or an
     # erase assert that settles, is not checked: it stays below the cut
     _, out, tdecls = translated("numzero.fgg")
-    pending = macro_step(dict_normalize(out.main, tdecls)[0], tdecls).expr
-    assert dict_redex_positions(pending, tdecls)
+    pending = macro_step_whole(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls).expr
+    assert reference_redex_positions(pending, tdecls)
     hole = MethodCall(IntLit(1), "Missing")
     settles = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
     for rest, checked in ((IntLit(2), 1), (pending, 0), (settles, 0)):
