@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import bench, cosim, dicttrans, erasure, reduce, syntax, typecheck
-from .parser import ParseError, parse_program
+from .parser import Diagnostic, ParseError, parse_program
 
 
 def _detect_lang(path: str, lang: str | None, dialect: str) -> str:
@@ -100,9 +100,12 @@ def cmd_run(args) -> int:
 
 def _translation_failed(ex, args) -> int:
     """Report why the translator refused the source: the checker's
-    diagnostics, as ``typecheck`` prints them, for an ill-typed one."""
+    diagnostics, as ``typecheck`` prints them, for an ill-typed one, else
+    one ``error: ...`` line (one unpositioned JSON line with ``--json``)."""
     if ex.diagnostics:
         _emit_diags(ex.diagnostics, args.file, args.json)
+    elif args.json:
+        _emit_diags([Diagnostic(str(ex))], args.file, True)
     else:
         print("error: %s" % ex, file=sys.stderr)
     return 1

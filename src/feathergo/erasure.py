@@ -47,10 +47,10 @@ class ErasureError(Exception):
 
 
 def ill_typed(diags: list, error: type) -> Exception:
-    """``error`` for a source the checker found ``diags`` in, carrying them
-    as its ``diagnostics``."""
+    """``error`` for a source the checker found ``diags`` in, carrying a
+    copy of them as its ``diagnostics`` (the program keeps ``diags``)."""
     ex = error("source program does not typecheck: " + "; ".join(d.message for d in diags))
-    ex.diagnostics = diags
+    ex.diagnostics = list(diags)
     return ex
 
 

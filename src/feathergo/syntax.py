@@ -244,6 +244,9 @@ Decl = StructDecl | InterfaceDecl | MethodDecl
 
 @dataclass(frozen=True)
 class Program:
+    """A whole program. ``typecheck.fgg_typecheck_program`` keeps its
+    judgement in the instance ``__dict__``, outside the fields."""
+
     decls: tuple  # tuple[Decl, ...]
     main: Expr
 

@@ -7,8 +7,11 @@ under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
 
 The checker is a pure function of the program; the program-level entry
 points return a (possibly empty) list of diagnostics, each citing the rule
-that failed (for FGG, a ``Checked`` list, which the translators start
-from). Expression-level checking raises CheckError internally.
+that failed. For FGG that is a ``Checked`` list, which the translators and
+co-simulation start from: ``fgg_typecheck_program`` judges a ``Program``
+object once and keeps the result with it, so every later call on the same
+object returns the same ``Checked``. Expression-level checking raises
+CheckError internally.
 
 ``int`` and ``bool`` are predeclared struct-kinded types with no fields;
 ``<``/``>``/``+``/``-`` are typed (int, int) -> bool/int. Users may declare
@@ -88,10 +91,11 @@ class Decls:
     into at its first call. All rely on a ``Decls`` never being mutated after
     construction: build a new one for a new program. The tables live on
     the instance, so checks of distinct programs never share an entry.
+    A ``Decls`` keeps the program's declarations, not the program, so the
+    judgement a program keeps refers back to nothing that keeps it alive.
     """
 
     def __init__(self, program: Program):
-        self.program = program
         self.fg_sub: dict = {}
         self.fgg_sub: dict = {}
         self.joins: dict = {}
@@ -548,7 +552,11 @@ def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: l
 class Checked(list):
     """A program's diagnostics, with the ``decls`` the check built and
     ``envs[(recv_type, name)]``, the ``(delta, gamma)`` that method's body
-    is typed under (none if its receiver is malformed). Do not mutate."""
+    is typed under (none if its receiver is malformed).
+
+    One ``Checked`` is shared by every caller of ``fgg_typecheck_program``
+    on the same program object, so nobody may mutate it, its ``envs`` or
+    the environments in them; ``decls`` only fills its memo tables."""
 
     def __init__(self, diags: list, decls: Decls, envs: dict):
         super().__init__(diags)
@@ -556,8 +564,17 @@ class Checked(list):
 
 
 def fgg_typecheck_program(program: Program) -> Checked:
-    """Check a whole FGG program; returns its diagnostics (empty = ok)."""
-    return _check_program(program)
+    """Check a whole FGG program; returns its diagnostics (empty = ok).
+
+    The judgement runs on the first call for a program object and is kept
+    in that object's ``__dict__``, outside its fields (so its ``==``,
+    ``hash`` and ``repr`` do not see it); later calls return the same
+    ``Checked``. Two threads that check a new program at once can at worst
+    both run the judgement; each gets an equal result."""
+    checked = program.__dict__.get("_checked")
+    if checked is None:
+        checked = program.__dict__["_checked"] = _check_program(program)
+    return checked
 
 
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
@@ -626,9 +643,12 @@ def _not_fg_expr(e: Expr, core: bool, out: list) -> None:
 
 
 def _check_program(program: Program) -> Checked:
-    """The FGG program judgement behind both entry points. FG checking
-    calls it directly, so a count of ``fgg_typecheck_program`` calls
-    counts the FGG programs checked, the translators' included."""
+    """The FGG program judgement behind both entry points. It runs once
+    per program object that ``fgg_typecheck_program`` is called on, and
+    once per ``fg_typecheck_program`` call, which keeps nothing: an FG
+    program is checked once, and then only run. So a count of
+    ``fgg_typecheck_program`` calls counts the callers that asked, the
+    translators' included, not the judgements made."""
     decls = Decls(program)
     diags = [Diagnostic(m) for m in decls.duplicates]
     envs = {}

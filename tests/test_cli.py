@@ -150,6 +150,30 @@ def test_reserved_source_name_exits_1(capsys, tmp_path, argv):
     assert err == "error: source field name dict_0 is reserved\n"
 
 
+_RESERVED = "package main\ntype S struct { dict_0 int }\nfunc main() { _ = S{1}.dict_0 }\n"
+_ANY_STRUCT = "package main\ntype Any struct {}\nfunc main() { _ = Any{} }\n"
+
+
+@pytest.mark.parametrize(
+    "argv, source, message",
+    [
+        (["translate", "--mode", "dict"], _RESERVED, "source field name dict_0 is reserved"),
+        (["translate", "--mode", "erasure"], _ANY_STRUCT, "source declares Any incompatibly with the erased Any"),
+        (["cosim"], _RESERVED, "source field name dict_0 is reserved"),
+    ],
+    ids=["dict", "erasure", "cosim"],
+)
+def test_a_refusal_of_a_well_typed_source_is_one_json_line_with_json(capsys, tmp_path, argv, source, message):
+    src = tmp_path / "refused.fgg"
+    src.write_text(source)
+    assert run_cli(capsys, *argv, str(src)) == (1, "", "error: %s\n" % message)
+    code, out, err = run_cli(capsys, *argv, "--json", str(src))
+    assert code == 1 and out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"file": str(src), "line": 0, "col": 0, "severity": "error", "message": message}
+    ]
+
+
 def test_run_ill_typed_program_exits_1(capsys, tmp_path):
     src = tmp_path / "bad.fgg"
     src.write_text("package main\ntype S struct {}\nfunc (s S) M() int { return true }\nfunc main() { _ = S{}.M() }\n")

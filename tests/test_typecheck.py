@@ -1,13 +1,15 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from feathergo import typecheck
 from feathergo.bench import BenchConfig, generate
 from feathergo.cosim import check_correspondence
-from feathergo.dicttrans import Translator, translate_program
-from feathergo.erasure import erase_program
+from feathergo.dicttrans import TranslationError, Translator, translate_program
+from feathergo.erasure import ErasureError, erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.syntax import (
     Binop,
@@ -404,20 +406,85 @@ def test_translations_typecheck_as_extended_fg(name):
 
 
 def test_translators_reuse_the_checkers_decls(monkeypatch):
-    # one Decls per program: the checker's, reused by each translator and
-    # by co-simulation's source side; the target has its own
+    # one source Decls per program: the caller's check builds it, and each
+    # translator and co-simulation's source side reuse it; co-simulation
+    # builds one more, the target's
     program = load("gtfunc.fgg")
     built = []
     init = Decls.__init__
     monkeypatch.setattr(Decls, "__init__", lambda self, p: built.append(p) or init(self, p))
-    for run, want in (
-        (lambda: Translator(program), 1),
-        (lambda: erase_program(program), 1),
-        (lambda: check_correspondence(program, max_steps=5), 2),
+    checked = fgg_typecheck_program(program)
+    assert Translator(program).decls is checked.decls
+    erase_program(program)
+    assert built == [program]
+    check_correspondence(program, max_steps=5)
+    assert len(built) == 2 and built[1] is not program
+
+
+_JUDGED = [p.name for p in CORPUS_FILES if p.suffix == ".fgg"] + [
+    "%s%d" % (f, n) for f in "abcde" for n in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("name", _JUDGED)
+def test_a_program_is_judged_once_and_as_an_equal_program_is(monkeypatch, name):
+    # both translations and a co-simulation reuse the caller's judgement,
+    # and after they have used it, it equals that of an equal program
+    judged = []
+    check = typecheck._check_program
+    monkeypatch.setattr(typecheck, "_check_program", lambda p: judged.append(p) or check(p))
+
+    def build():
+        return generate(BenchConfig(name[0], int(name[1:]))) if name[1:].isdigit() else load(name)
+
+    program, twin = build(), build()
+    assert program == twin and program is not twin
+    kept = fgg_typecheck_program(program)
+    assert fgg_typecheck_program(program) is kept
+    if not kept:
+        translate_program(program)
+        erase_program(program)
+        check_correspondence(program, max_steps=20)
+    assert judged == [program]
+    fresh = fgg_typecheck_program(twin)
+    assert fgg_typecheck_program(program) is kept and fresh is not kept
+    assert list(kept) == list(fresh)
+    assert kept.envs == fresh.envs
+    for table in ("structs", "interfaces", "methods", "methods_by_type", "duplicates"):
+        assert getattr(kept.decls, table) == getattr(fresh.decls, table), table
+
+
+def test_translating_a_program_checked_ill_typed_raises_the_checkers_diagnostics():
+    program = parse_fgg(read("fgg_list_fail.fgg"))
+    diags = fgg_typecheck_program(program)
+    assert diags
+    for translate, error in (
+        (translate_program, TranslationError),
+        (erase_program, ErasureError),
+        (check_correspondence, TranslationError),
     ):
-        built.clear()
-        run()
-        assert len(built) == want
+        for _ in range(2):
+            with pytest.raises(error) as ex:
+                translate(program)
+            assert ex.value.diagnostics == diags
+    assert fgg_typecheck_program(program) is diags
+
+
+def test_a_checked_translated_program_is_freed_by_reference_counting():
+    # a program keeps its judgement, and the judgement does not refer back
+    # to the program, so dropping the last reference frees both at once
+    gc.disable()
+    try:
+        program = load("gtfunc.fgg")
+        checked = fgg_typecheck_program(program)
+        translate_program(program)
+        erase_program(program)
+        assert check_correspondence(program, max_steps=50).ok
+        refs = weakref.ref(program), weakref.ref(checked.decls)
+        del program, checked
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 _FGG_DECLS = (
@@ -544,8 +611,16 @@ def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
         computed.append((tt, te, id(decls)) if not delta else None)
         return compute(tt, te, delta, decls)
 
+    indexed = {}  # id(decls) -> (decls, the program it indexes)
+    init = Decls.__init__
+
+    def recording_init(self, program):
+        indexed[id(self)] = (self, program)
+        init(self, program)
+
     monkeypatch.setattr(typecheck, "_fgg_interface_join", recording_join)
     monkeypatch.setattr(typecheck, "_interface_join", recording_compute)
+    monkeypatch.setattr(Decls, "__init__", recording_init)
     for path in FGG_FILES:
         program = parse_fgg(path.read_text())
         decls, e = Decls(program), program.main
@@ -559,7 +634,7 @@ def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
     closed = [m for m in met if not m[2]]
     assert closed
     for tt, te, _, decls, out in closed:
-        assert out == compute(tt, te, {}, Decls(decls.program))
+        assert out == compute(tt, te, {}, Decls(indexed[id(decls)][1]))
         assert decls.joins[(tt, te)] == out
     keys = [c for c in computed if c is not None]
     assert len(keys) == len(set(keys)) < len(closed)
