@@ -6,10 +6,10 @@ lines with ``--json``). Exit codes: 0 success, 1 diagnostics or
 correspondence mismatch, 2 usage error or a file that cannot be read or
 written, 3 input nested too deeply.
 
-The dialect is detected from the file extension (.fg / .fgg) and can be
-overridden with ``--lang``; .fg files parse in the extended dialect by
-default so translator output runs unchanged, ``--dialect core`` restricts
-to core FG.
+translate and cosim read FGG. parse, typecheck and run detect the dialect
+from the file extension (.fg / .fgg), which ``--lang`` overrides; .fg files
+parse in the extended dialect by default so translator output runs
+unchanged, ``--dialect core`` restricts to core FG.
 """
 
 from __future__ import annotations
@@ -206,10 +206,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="feathergo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, dialects=True):
         p.add_argument("file", help="source file, or - for stdin")
-        p.add_argument("--lang", choices=("fg", "fgg"), help="override extension-based dialect detection")
-        p.add_argument("--dialect", choices=("core", "extended"), default="extended", help="fg sub-dialect")
+        if dialects:
+            p.add_argument("--lang", choices=("fg", "fgg"), help="override extension-based dialect detection")
+            p.add_argument("--dialect", choices=("core", "extended"), default="extended", help="fg sub-dialect")
         p.add_argument("--json", action="store_true", help="machine-readable diagnostics")
 
     p = sub.add_parser("parse", help="parse and print the canonical form")
@@ -227,7 +228,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("translate", help="translate fgg to fg")
-    common(p)
+    common(p, dialects=False)
     p.add_argument("--mode", choices=("dict", "erasure"), required=True)
     p.add_argument("-o", "--output", help="write the translated program here")
     p.add_argument("--skip-redundant-asserts", action="store_true")
@@ -236,7 +237,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("cosim", help="check operational correspondence fgg vs dict-translated fg")
-    common(p)
+    common(p, dialects=False)
     p.add_argument("--steps", type=_at_least(1), default=500, help="source step budget")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_cosim)

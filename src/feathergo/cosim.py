@@ -38,7 +38,6 @@ from .reduce import (
     _descend,
     _resume,
     is_value,
-    vtype,
 )
 from .syntax import (
     _HEAD,
@@ -177,7 +176,8 @@ class RunMemo:
 
 def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
     """Discharge pending erasure asserts over values: an erase-tagged
-    ``v.(t)`` with ``vtype(v) <: t`` contracts to ``v``.
+    ``v.(t)`` contracts to ``v`` where the machine's r-assert steps it
+    (``reduce._contract``).
 
     The lockstep target and the freshly translated source state can differ
     by exactly these asserts (the target consumes them as soon as they are
@@ -199,14 +199,11 @@ def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
         out = e
         if any(k is not s for k, s in zip(kids, subexprs(e))):
             out = rebuild(e, kids)
-        while (
-            isinstance(out, TypeAssert)
-            and out.origin == "erase"
-            and is_value(out.recv)
-            and isinstance(out.type, TypeApp)
-            and fg_subtype(vtype(out.recv).name, out.type.name, decls)
-        ):
-            out = out.recv
+        while type(out) is TypeAssert and out.origin == "erase" and is_value(out.recv):
+            step = _contract(out, decls, False)
+            if type(step) is not tuple:
+                break
+            out = step[0]
         done[id(e)] = (e, out)
         done[id(out)] = (out, out)
         return out
@@ -280,11 +277,11 @@ def dict_normalize(e: Expr, decls: Decls, memo: RunMemo, cut: Cut | None = None)
     passes the same memo, and the subterms a step leaves in place are not
     scanned or typed again.
 
-    With a ``cut``, ``e`` is the hole of the checked frames above it: the
-    count starts at ``cut.steps``, and before each scan the cut reopens
-    the frames that may read ``e`` differently now (``Cut.widen``), so the
-    redexes are met in the order a scan of the whole term meets them."""
-    steps = 0 if cut is None else cut.steps
+    With a ``cut``, ``e`` is the hole of the checked frames above it, and
+    before each scan the cut reopens the frames that may read ``e``
+    differently now (``Cut.widen``), so the redexes are met in the order a
+    scan of the whole term meets them."""
+    steps = 0
     while True:
         if steps > DEFAULT_NORMALIZE_BOUND:
             raise NormalizeOverflow("no normal form within %d steps" % DEFAULT_NORMALIZE_BOUND)
@@ -382,11 +379,10 @@ def _check_frames(z: Zipper, upto: int, decls: Decls, memo: RunMemo) -> None:
 class Cut:
     """Where the checked frames of zipper ``z`` end and the hole a stage
     works on begins: ``z.frames[:c]`` stay, and ``c`` moves up only to a
-    position in ``bounds`` (every position when None). ``steps``: the
-    resolution steps the frames above took."""
+    position in ``bounds`` (every position when None)."""
 
-    def __init__(self, z: Zipper, c: int, decls: Decls, memo: RunMemo, bounds=None, steps: int = 0):
-        self.z, self.c, self.decls, self.memo, self.bounds, self.steps = z, c, decls, memo, bounds, steps
+    def __init__(self, z: Zipper, c: int, decls: Decls, memo: RunMemo, bounds=None):
+        self.z, self.c, self.decls, self.memo, self.bounds = z, c, decls, memo, bounds
 
     def pop(self, e: Expr) -> Expr:
         """Reopen the frames just above the cut: ``e`` plugged into them."""
@@ -441,8 +437,7 @@ class Source:
     ``j`` translates, resolves and settles to ``out.frames[align[j]:
     align[j + 1]]`` while its content has source type ``stypes[j]`` (None
     where its translation does not read it: only a call or a select on
-    the content does), and the frames above it take ``cum[j]``
-    resolution steps. ``low``: the number of leading source frames
+    the content does). ``low``: the number of leading source frames
     unchanged since the last stage."""
 
     def __init__(self, translator: Translator, e: Expr):
@@ -451,7 +446,7 @@ class Source:
         self.focus = _descend(e, self.frames)
         self.low = 0
         self.out = Zipper(None)
-        self.stypes, self.align, self.cum = [], [0], [0]
+        self.stypes, self.align = [], [0]
 
     def step(self, e: Expr) -> None:
         """Put the contractum ``e`` in place of the focus."""
@@ -460,15 +455,14 @@ class Source:
 
     def keep(self, k: int) -> None:
         """Keep the first ``k`` source frames certified."""
-        del self.stypes[k:], self.align[k + 1:], self.cum[k + 1:]
+        del self.stypes[k:], self.align[k + 1:]
 
 
-def source_normal_form(src: Source, decls: Decls, memo: RunMemo) -> int:
+def source_normal_form(src: Source, decls: Decls, memo: RunMemo) -> None:
     """Bring ``src.out`` to the settled resolution normal form of the
-    source state's translation; returns the resolution steps, counting
-    those a fresh translation takes in the certified frames. Translates
-    only the hole below the certified frames whose content kept its type,
-    and the frames the resolution reopens."""
+    source state's translation. Translates only the hole below the
+    certified frames whose content kept its type, and the frames the
+    resolution reopens."""
     frames, sdecls = src.frames, src.translator.decls
     n, c = len(frames), min(src.low, len(src.stypes))
     built = [src.focus]  # built[n - j]: frame j's node with the current content plugged in
@@ -480,14 +474,13 @@ def source_normal_form(src: Source, decls: Decls, memo: RunMemo) -> int:
         c -= 1
         built.append(plug((frames[c],), built[-1]))
     src.keep(c)
-    cut = Cut(src.out, src.align[c], decls, memo, src.align, src.cum[c])
+    cut = Cut(src.out, src.align[c], decls, memo, src.align)
     e = src.translator.translate_closed_expr(built[-1], memo.ctx)
-    e, steps = dict_normalize(e, decls, memo, cut)
+    e = dict_normalize(e, decls, memo, cut)[0]
     low = _settle_into(src.out, cut, e, decls, memo)
     src.keep(bisect_right(src.align, low) - 1)
     _certify(src, built, decls, memo)
     src.low = n
-    return steps
 
 
 def _hole_frames(t: Expr, h: Expr):
@@ -504,26 +497,23 @@ def _hole_frames(t: Expr, h: Expr):
     return found[0] if len(found) == 1 else None
 
 
-def _frames_match(raw, frames, decls: Decls, memo: RunMemo):
-    """The resolution steps the subexpressions of the ``raw`` frames take,
-    if resolving and settling them one by one gives ``frames``; else
-    None. An ``if`` or a sequence must have none to take, as its type
-    follows its branches."""
-    steps = 0
+def _frames_match(raw, frames, decls: Decls, memo: RunMemo) -> bool:
+    """Whether resolving and settling the subexpressions of the ``raw``
+    frames one by one gives ``frames``. Those of an ``if`` or a sequence
+    must be normal and settled already, as its type follows its
+    branches."""
     for (rn, rk, ri), (fn, fk, fi) in zip(raw, frames):
         if type(rn) is not type(fn) or ri != fi or len(rk) != len(fk):
-            return None
+            return False
         head = _HEAD.get(type(rn))
         if getattr(rn, "origin", None) != getattr(fn, "origin", None) or head and head(rn) != head(fn):
-            return None
+            return False
         for q, (r, f) in enumerate(zip(rk, fk)):
             if q != ri:
-                nf, k = dict_normalize(r, decls, memo)
-                s = settle(nf, decls, memo)
+                s = settle(dict_normalize(r, decls, memo)[0], decls, memo)
                 if s is not f and s != f or s is not r and type(rn) in (If, Seq):
-                    return None
-                steps += k
-    return steps
+                    return False
+    return True
 
 
 def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
@@ -545,8 +535,7 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
         _check_frames(out, pos + len(raw), decls, memo)
         if len(out.ctypes) < pos + len(raw):
             return
-        steps = _frames_match(raw, out.frames[pos:pos + len(raw)], decls, memo)
-        if steps is None:
+        if not _frames_match(raw, out.frames[pos:pos + len(raw)], decls, memo):
             return
         t = None
         if _passes_type(frames[j][0], frames[j][2]):
@@ -556,7 +545,6 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
         pos += len(raw)
         src.stypes.append(t)
         src.align.append(pos)
-        src.cum.append(src.cum[-1] + steps)
 
 
 def _same(a: Expr, b: Expr, pairs: dict) -> bool:

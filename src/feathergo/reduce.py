@@ -85,8 +85,9 @@ from .syntax import (
     print_type,
     rebuild,
     subexprs,
+    walk,
 )
-from .typecheck import Decls, fg_subtype, fgg_subtype, subst_type
+from .typecheck import Decls, fg_subtype, fgg_subtype, kept_decls, subst_type
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,7 @@ def vtype(v: Expr) -> TypeApp:
 
 def _mentions(t: Type, names) -> bool:
     """Whether type ``t`` mentions a type parameter in ``names``."""
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if type(t) is TypeParam:
-            if t.name in names:
-                return True
-        else:
-            todo += t.args
-    return False
+    return any(type(n) is TypeParam and n.name in names for n in walk(t))
 
 
 def _types(e: Expr) -> tuple:
@@ -230,7 +223,7 @@ def compile_body(m: MethodDecl):
     def node(n, kids):
         if type(n) is Var:
             return n if n.name not in slots else (0, slots[n.name])
-        typed = any(_mentions(t, tparams) for t in _types(n))
+        typed = bool(tparams) and any(_mentions(t, tparams) for t in _types(n))
         if not typed and not any(type(k) is tuple for k in kids):
             return n
         refs = []
@@ -438,9 +431,10 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
 
     ``lang`` selects the stepper ("fgg" or any fg dialect). ``trace`` is an
     optional callback invoked with (rule, redex) per step. Never exceeds
-    ``max_steps``; exhausting the budget signals possible divergence.
+    ``max_steps``; exhausting the budget signals possible divergence. A
+    program already judged runs on its judgement's ``Decls``.
     """
-    decls = Decls(program)
+    decls = kept_decls(program)
     generic = lang == "fgg"
     spine = []
     e = _descend(program.main, spine)

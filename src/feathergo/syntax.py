@@ -454,21 +454,18 @@ def subexprs(e: Expr) -> tuple:
     raise TypeError("not an expression: %r" % t.__name__)
 
 
-def rebuild(e: Expr, kids, ft=None) -> Expr:
+def rebuild(e: Expr, kids) -> Expr:
     """``e`` with its subexpressions replaced by ``kids`` (in ``subexprs``
-    order), keeping its scalar fields and origin tag. ``ft``, when given,
-    maps the types the node carries: a literal's type, a call's type
-    actuals and an asserted type."""
+    order), keeping its scalar fields, carried types and origin tag."""
     t = type(e)
     if t is MethodCall:
-        targs = e.targs if ft is None else tuple(map(ft, e.targs))
-        return MethodCall(kids[0], e.name, targs, tuple(kids[1:]), origin=e.origin)
+        return MethodCall(kids[0], e.name, e.targs, tuple(kids[1:]), origin=e.origin)
     if t is FieldSel:
         return FieldSel(kids[0], e.fieldname, origin=e.origin)
     if t is StructLit:
-        return StructLit(e.type if ft is None else ft(e.type), tuple(kids))
+        return StructLit(e.type, tuple(kids))
     if t is TypeAssert:
-        return TypeAssert(kids[0], e.type if ft is None else ft(e.type), origin=e.origin)
+        return TypeAssert(kids[0], e.type, origin=e.origin)
     if t is Binop:
         return Binop(e.op, *kids)
     if t is Neq or t is If or t is Seq:

@@ -577,6 +577,14 @@ def fgg_typecheck_program(program: Program) -> Checked:
     return checked
 
 
+def kept_decls(program: Program) -> Decls:
+    """The ``Decls`` of the judgement ``program`` keeps, if
+    ``fgg_typecheck_program`` judged it, else a new one; runs no
+    judgement."""
+    checked = program.__dict__.get("_checked")
+    return Decls(program) if checked is None else checked.decls
+
+
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     """Check a whole FG program; returns a list of diagnostics (empty = ok).
 
@@ -617,8 +625,7 @@ def _sig_types(sig: MethodSig) -> list:
 def _not_fg_types(ts, out: list) -> None:
     for t in ts:
         if type(t) is TypeParam or t.args:
-            out.append("t-named: %s is not an fg type" % print_type(t))
-            _not_fg_types(getattr(t, "args", ()), out)
+            out += ["t-named: %s is not an fg type" % print_type(n) for n in walk(t) if type(n) is TypeParam or n.args]
 
 
 def _not_fg_expr(e: Expr, core: bool, out: list) -> None:

@@ -18,7 +18,9 @@ from feathergo.syntax import (
     Panic,
     Seq,
     StructDecl,
+    StructLit,
     TypeApp,
+    TypeAssert,
     TypeParam,
     Var,
     fold,
@@ -100,8 +102,21 @@ def subst_expr(e, varmap: dict, typemap: dict):
     ``fold`` over ``e``: the reference the body templates
     (``reduce.compile_body``) are tested against. Method bodies contain no
     binders, so no renaming is ever needed."""
-    ft = (lambda t: subst_type(t, typemap)) if typemap else None
-    return fold(e, lambda n, kids: varmap.get(n.name, n) if type(n) is Var else rebuild(n, kids, ft))
+
+    def node(n, kids):
+        t = type(n)
+        if t is Var:
+            return varmap.get(n.name, n)
+        if typemap and t is MethodCall:
+            targs = tuple(subst_type(a, typemap) for a in n.targs)
+            return MethodCall(kids[0], n.name, targs, tuple(kids[1:]), origin=n.origin)
+        if typemap and t is StructLit:
+            return StructLit(subst_type(n.type, typemap), tuple(kids))
+        if typemap and t is TypeAssert:
+            return TypeAssert(kids[0], subst_type(n.type, typemap), origin=n.origin)
+        return rebuild(n, kids)
+
+    return fold(e, node)
 
 
 def reference_body(m, recv, args, targs):

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 import sys
 
@@ -7,9 +8,11 @@ import pytest
 
 from feathergo.cli import main
 from feathergo.dicttrans import translate_program
+from feathergo.parser import tokenize
 from feathergo.syntax import pretty_print
+from feathergo.typecheck import Decls
 
-from conftest import CORPUS, load, read
+from conftest import CORPUS, CORPUS_FILES, load, read
 
 
 def run_cli(capsys, *argv):
@@ -315,3 +318,102 @@ def test_int_result_past_the_conversion_limit_prints(capsys, tmp_path, trace):
     assert out == "1%s\n" % nines  # 2 * (10**4300 - 1) + 1
     if trace:
         assert err.splitlines()[-1] == "r-ext-binop: (1%s8 + 1)" % nines[1:]
+
+
+# -- the dialect flags: parse, typecheck and run take them; translate and
+# cosim read FGG and take neither
+
+
+def test_core_dialect_rejects_if_with_a_positioned_diagnostic(capsys, tmp_path):
+    src = tmp_path / "bool_if.fg"
+    src.write_text(read("bool_if.fgg"))
+    code, out, err = run_cli(capsys, "parse", "--dialect", "core", str(src))
+    assert (code, out) == (1, "")
+    assert err == "%s:12:2: if requires the extended dialect\n" % src
+    assert run_cli(capsys, "parse", str(src))[0] == 0  # the extended dialect, by default
+
+
+def test_typecheck_as_fg_rejects_type_arguments(capsys):
+    code, out, err = run_cli(capsys, "typecheck", "--lang", "fg", corpus_path("gtfunc.fgg"))
+    assert (code, out) == (1, "")
+    assert err.startswith(corpus_path("gtfunc.fgg") + ":") and "Traceback" not in err
+
+
+def test_run_as_fgg_runs_a_generic_program_saved_as_fg(capsys, tmp_path):
+    src = tmp_path / "gtfunc.fg"
+    src.write_text(read("gtfunc.fgg"))
+    assert run_cli(capsys, "run", "--lang", "fgg", str(src)) == (0, "false\n", "")
+    assert run_cli(capsys, "run", str(src))[0] == 1  # as FG, its type parameters do not parse
+
+
+@pytest.mark.parametrize("command", ["translate", "cosim"])
+@pytest.mark.parametrize("flag", [("--lang", "fg"), ("--lang", "fgg"), ("--dialect", "core")])
+def test_translate_and_cosim_take_no_dialect_flags(capsys, command, flag):
+    argv = [command, *(["--mode", "dict"] if command == "translate" else []), *flag, corpus_path("gtfunc.fgg")]
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: feathergo ")
+    assert error.startswith("feathergo: error: unrecognized arguments: %s " % flag[0])
+
+
+def test_run_builds_one_decls_for_a_judged_program(capsys, monkeypatch):
+    # run takes the source's index from the check that came before it
+    built = []
+    init = Decls.__init__
+    monkeypatch.setattr(Decls, "__init__", lambda self, p: built.append(p) or init(self, p))
+    assert run_cli(capsys, "run", corpus_path("gtfunc.fgg")) == (0, "false\n", "")
+    assert len(built) == 1
+
+
+# -- input edges: token-level edits of the corpus end cleanly in every command
+
+EDIT_COMMANDS = (
+    ("parse",),
+    ("typecheck",),
+    ("run", "--max-steps", "200"),
+    ("translate", "--mode", "dict"),
+    ("translate", "--mode", "erasure"),
+    ("cosim", "--steps", "20"),
+)
+
+
+def token_edits(source: str, rng, count: int) -> list:
+    """``count`` copies of ``source``, each with one token deleted,
+    duplicated or replaced by another token of the source."""
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    spans = []
+    for t in tokenize(source):
+        at = starts[t.line - 1] + t.col - 1
+        if t.text and source.startswith(t.text, at):  # not a semicolon the lexer inserted
+            spans.append((at, at + len(t.text), t.text))
+    out = []
+    for _ in range(count):
+        start, end, text = rng.choice(spans)
+        edit = rng.choice(("delete", "duplicate", "replace"))
+        if edit == "delete":
+            out.append(source[:start] + source[end:])
+        elif edit == "duplicate":
+            out.append(source[:end] + " " + text + " " + source[end:])
+        else:
+            out.append(source[:start] + " " + rng.choice(spans)[2] + " " + source[end:])
+    return out
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.name for p in CORPUS_FILES])
+def test_token_edits_of_the_corpus_end_cleanly(capsys, tmp_path, path):
+    # every command ends with an exit code and no traceback: a value, a
+    # panic, a positioned diagnostic, a usage or I/O error, or exit 3
+    rng = random.Random("token edits " + path.name)
+    for n, source in enumerate(token_edits(path.read_text(), rng, 15)):
+        mutant = tmp_path / ("%d%s" % (n, path.suffix))
+        mutant.write_text(source)
+        for command in EDIT_COMMANDS:
+            code, _, err = run_cli(capsys, *command, str(mutant))
+            assert code in (0, 1, 2, 3), (command, source)
+            assert "Traceback" not in err, (command, source)

@@ -137,8 +137,7 @@ def _field_subexprs(e) -> list:
 def test_rebuild_from_own_subexprs_is_identity(translated_corpus):
     # over every expression node of the corpus and its translations:
     # subexprs finds exactly the expression-valued fields, in field order,
-    # and rebuilding from them (with or without the identity type map)
-    # reproduces the node, origin tags included
+    # and rebuilding from them reproduces the node, origin tags included
     seen = set()
     for name, program in translated_corpus.items():
         for e in walk(program):
@@ -148,7 +147,6 @@ def test_rebuild_from_own_subexprs_is_identity(translated_corpus):
             kids = subexprs(e)
             assert [id(k) for k in kids] == [id(k) for k in _field_subexprs(e)], (name, e)
             assert repr(rebuild(e, kids)) == repr(e), name
-            assert repr(rebuild(e, kids, ft=lambda t: t)) == repr(e), name
     # every expression class was exercised, so none is silently a leaf
     assert seen == set(EXPR_CLASSES)
 
@@ -162,15 +160,6 @@ def test_traversal_rejects_unknown_node_classes():
         subexprs(Unknown(IntLit(1)))
     with pytest.raises(TypeError):
         rebuild(Unknown(IntLit(1)), (IntLit(2),))
-
-
-def test_rebuild_maps_carried_types():
-    box = lambda t: TypeApp("Box", (t,))
-    call = MethodCall(StructLit(INT), "m", (INT,), (TypeAssert(IntLit(1), INT),), origin="dict")
-    kids = tuple(rebuild(k, subexprs(k), ft=box) for k in subexprs(call))
-    out = rebuild(call, kids, ft=box)
-    assert print_expr(out) == "Box[int]{}.m[Box[int]](1.(Box[int]))"
-    assert out.recv.type == box(INT) and out.origin == "dict"
 
 
 def test_walk_is_preorder_over_all_nodes():

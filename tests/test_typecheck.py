@@ -11,6 +11,7 @@ from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import TranslationError, Translator, translate_program
 from feathergo.erasure import ErasureError, erase_program
 from feathergo.parser import parse_fg, parse_fgg
+from feathergo.reduce import run
 from feathergo.syntax import (
     Binop,
     FieldSel,
@@ -407,8 +408,8 @@ def test_translations_typecheck_as_extended_fg(name):
 
 def test_translators_reuse_the_checkers_decls(monkeypatch):
     # one source Decls per program: the caller's check builds it, and each
-    # translator and co-simulation's source side reuse it; co-simulation
-    # builds one more, the target's
+    # translator, the interpreter and co-simulation's source side reuse it;
+    # co-simulation builds one more, the target's
     program = load("gtfunc.fgg")
     built = []
     init = Decls.__init__
@@ -416,6 +417,7 @@ def test_translators_reuse_the_checkers_decls(monkeypatch):
     checked = fgg_typecheck_program(program)
     assert Translator(program).decls is checked.decls
     erase_program(program)
+    assert run(program).describe() == "false"
     assert built == [program]
     check_correspondence(program, max_steps=5)
     assert len(built) == 2 and built[1] is not program
