@@ -59,10 +59,19 @@ def _load(path: str, lang: str, as_json: bool):
         raise SystemExit(1)
 
 
-def _typecheck(program, lang: str):
+def _load_checked(args):
+    """The program in ``args.file`` and its dialect, once it typechecks;
+    otherwise its diagnostics are printed and the command exits 1."""
+    lang = _detect_lang(args.file, args.lang, args.dialect)
+    program = _load(args.file, lang, args.json)
     if lang == "fgg":
-        return typecheck.fgg_typecheck_program(program)
-    return typecheck.fg_typecheck_program(program, "core" if lang == "fg" else "extended")
+        diags = typecheck.fgg_typecheck_program(program)
+    else:
+        diags = typecheck.fg_typecheck_program(program, "core" if lang == "fg" else "extended")
+    if diags:
+        _emit_diags(diags, args.file, args.json)
+        raise SystemExit(1)
+    return program, lang
 
 
 def cmd_parse(args) -> int:
@@ -73,23 +82,13 @@ def cmd_parse(args) -> int:
 
 
 def cmd_typecheck(args) -> int:
-    lang = _detect_lang(args.file, args.lang, args.dialect)
-    program = _load(args.file, lang, args.json)
-    diags = _typecheck(program, lang)
-    if diags:
-        _emit_diags(diags, args.file, args.json)
-        return 1
+    _load_checked(args)
     print("ok")
     return 0
 
 
 def cmd_run(args) -> int:
-    lang = _detect_lang(args.file, args.lang, args.dialect)
-    program = _load(args.file, lang, args.json)
-    diags = _typecheck(program, lang)
-    if diags:
-        _emit_diags(diags, args.file, args.json)
-        return 1
+    program, lang = _load_checked(args)
     trace = None
     if args.trace:
         trace = lambda rule, redex: print("%s: %s" % (rule, syntax.show_expr(redex)), file=sys.stderr)

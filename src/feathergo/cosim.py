@@ -20,14 +20,16 @@ The harness implements, as executable artifacts:
   (value with translated-value equality, panic, or budget on both sides).
   Both sides step on ``reduce``'s refocusing machine and keep their
   evaluation contexts across steps, so each stage works on the hole a step
-  plugged and the frames it reopens, not on the whole term.
+  plugged and the frames it reopens, not on the whole term. The target is
+  ``Translator.translate_decls`` and ``main`` translated once, under the
+  run's context; that translation is also the target's start state.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dicttrans import Ctx, Translator
 from .reduce import (
@@ -87,6 +89,13 @@ def _type_of(e: Expr, decls: Decls, types: dict):
         return None
 
 
+def _refinable(e: Expr, decls: Decls) -> bool:
+    """Whether ``e`` is an assert its receiver's type could refine: one to
+    an interface (a struct type, int and bool included, has no proper
+    subtype), so no other receiver is typed."""
+    return type(e) is TypeAssert and isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"
+
+
 def _dict_contract(e: Expr, decls: Decls, types: dict):
     """One dictionary-resolution contraction at this node, or None.
 
@@ -109,10 +118,8 @@ def _dict_contract(e: Expr, decls: Decls, types: dict):
         out = _contract(e, decls, False)
         if type(out) is tuple:
             return out[0]
-    # assertion refinement: |- recv : u and u <: t strictly, which needs an
-    # interface t (a struct type, int and bool included, has no proper
-    # subtype), so no other receiver is typed
-    if t is not TypeAssert or not (isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"):
+    # assertion refinement: |- recv : u and u <: t strictly
+    if not _refinable(e, decls):
         return None
     u = _type_of(e.recv, decls, types)
     if isinstance(u, TypeApp) and u.name != e.type.name and fg_subtype(u.name, e.type.name, decls):
@@ -310,16 +317,6 @@ def _passes_type(node: Expr, i: int) -> bool:
     return i == 0 and (type(node) is MethodCall or type(node) is FieldSel)
 
 
-def _reads_type(node: Expr, i: int, decls: Decls) -> bool:
-    """Whether a frame's node is an assert its content's type could refine."""
-    return (
-        i == 0
-        and type(node) is TypeAssert
-        and isinstance(node.type, TypeApp)
-        and decls.kind_of(node.type.name) == "interface"
-    )
-
-
 class Zipper:
     """A target-side state: the machine context ``frames`` and its
     ``focus``, plus what the check knows of the frames.
@@ -369,7 +366,7 @@ def _check_frames(z: Zipper, upto: int, decls: Decls, memo: RunMemo) -> None:
             if _first_redex(k, decls, memo) is not None or settle(k, decls, memo) is not k:
                 return
         t = None
-        if _reads_type(node, i, decls) or _passes_type(node, i) and j and ctypes[j - 1] is not None:
+        if _refinable(node, decls) or _passes_type(node, i) and j and ctypes[j - 1] is not None:
             t = _type_of(kids[i], decls, memo.types)
             if t is None:
                 return
@@ -497,18 +494,24 @@ def _hole_frames(t: Expr, h: Expr):
     return found[0] if len(found) == 1 else None
 
 
+def _same_head(f, g) -> bool:
+    """Whether frames ``f`` and ``g`` have the same class, hole index,
+    number of subexpressions and head."""
+    (x, kx, i), (y, ky, j) = f, g
+    head = _HEAD.get(type(x))
+    return i == j and type(x) is type(y) and len(kx) == len(ky) and not (head and head(x) != head(y))
+
+
 def _frames_match(raw, frames, decls: Decls, memo: RunMemo) -> bool:
     """Whether resolving and settling the subexpressions of the ``raw``
     frames one by one gives ``frames``. Those of an ``if`` or a sequence
     must be normal and settled already, as its type follows its
     branches."""
-    for (rn, rk, ri), (fn, fk, fi) in zip(raw, frames):
-        if type(rn) is not type(fn) or ri != fi or len(rk) != len(fk):
+    for a, b in zip(raw, frames):
+        if not _same_head(a, b) or getattr(a[0], "origin", None) != getattr(b[0], "origin", None):
             return False
-        head = _HEAD.get(type(rn))
-        if getattr(rn, "origin", None) != getattr(fn, "origin", None) or head and head(rn) != head(fn):
-            return False
-        for q, (r, f) in enumerate(zip(rk, fk)):
+        rn, rk, ri = a
+        for q, (r, f) in enumerate(zip(rk, b[1])):
             if q != ri:
                 s = settle(dict_normalize(r, decls, memo)[0], decls, memo)
                 if s is not f and s != f or s is not r and type(rn) in (If, Seq):
@@ -566,13 +569,7 @@ def _same(a: Expr, b: Expr, pairs: dict) -> bool:
 
 
 def _same_frame(f, g, pairs: dict) -> bool:
-    (x, kx, i), (y, ky, j) = f, g
-    if i != j or type(x) is not type(y) or len(kx) != len(ky):
-        return False
-    head = _HEAD.get(type(x))
-    if head and head(x) != head(y):
-        return False
-    return all(k == i or _same(a, b, pairs) for k, (a, b) in enumerate(zip(kx, ky)))
+    return _same_head(f, g) and all(k == f[2] or _same(a, b, pairs) for k, (a, b) in enumerate(zip(f[1], g[1])))
 
 
 def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
@@ -601,7 +598,6 @@ class MacroOutcome:
     erase_steps: int
     mid_rule: str | None
     sim_steps: int
-    panic: PanicOutcome | None = None
     low: int = field(default=0, compare=False)  # the leading frames left in place
 
 
@@ -631,7 +627,7 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
         if t is Value:
             return MacroOutcome("value", d, erase_steps, None, 0, low=low)
         if t is PanicOutcome:
-            return MacroOutcome("panic", None, erase_steps, None, 0, panic=out, low=low)
+            return MacroOutcome("panic", None, erase_steps, None, 0, low=low)
         if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
         if classify(d) != "erase":
@@ -649,7 +645,7 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
         out = _contract(d, decls, False)
         t = type(out)
         if t is PanicOutcome:
-            return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, panic=out, low=low)
+            return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, low=low)
         if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
         if not sim:
@@ -693,8 +689,7 @@ class Terminal:
     both_sides_agree: bool
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "both_sides_agree": self.both_sides_agree, "detail": self.detail}
+    as_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -735,25 +730,23 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
     step, so the work per step follows the step, not the term's depth.
     """
     translator = Translator(program)
-    target = translator.translate_program()
-    tdecls = Decls(target)
-
     memo = RunMemo()
-    # target.main, translated under the run's context: the two sides then
-    # share every subterm no step has touched, and compare by identity there
-    tgt = Zipper(translator.translate_closed_expr(program.main, memo.ctx))
-    src = Source(translator, program.main)
+    decls = tuple(translator.translate_decls())
+    # the target's main, translated once under the run's context: the two
+    # sides then share every subterm no step has touched, and compare by
+    # identity there
+    main = translator.translate_closed_expr(program.main, memo.ctx)
+    tdecls = Decls(Program(decls, main))
+    tgt, src = Zipper(main), Source(translator, program.main)
     records = []
     agreed = 0  # leading frames the sides agreed on at the last comparison
-
     for i in range(max_steps):
         try:
             dsteps = target_normal_form(tgt, tdecls, memo)
             source_normal_form(src, tdecls, memo)
         except NormalizeOverflow as ov:
-            return CorrespondenceReport(
-                tuple(records), Terminal("budget", False, "normalization overflow: %s" % ov)
-            )
+            terminal, mismatch = Terminal("budget", False, "normalization overflow: %s" % ov), ""
+            break
         memo.trim()
         matched, agreed = _same_state(tgt, src.out, memo.pairs, agreed)
         mismatch = (
@@ -766,39 +759,22 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
         step = _contract(src.focus, translator.decls, True)
         if isinstance(step, Value):
             agree = matched and not tgt.frames and is_value(tgt.focus)
-            return CorrespondenceReport(
-                tuple(records),
-                Terminal("value", agree, show_expr(tgt.term()) if agree else mismatch),
-                mismatch,
-            )
-        if isinstance(step, PanicOutcome):
-            m = macro_step(tgt.focus, tdecls, tgt.frames)
-            agree = matched and m.kind == "panic"
-            detail = step.message if agree else "target did not panic: %s" % m.kind
-            return CorrespondenceReport(
-                tuple(records), Terminal("panic", agree, detail), mismatch
-            )
+            terminal = Terminal("value", agree, show_expr(tgt.term()) if agree else mismatch)
+            break
         if isinstance(step, Stuck):
             raise RuntimeError("source stuck: %s" % step.reason)
-
-        contractum, rule = step
         m = macro_step(tgt.focus, tdecls, tgt.frames)
-        records.append(
-            StepRecord(i, rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched)
-        )
+        if isinstance(step, PanicOutcome):
+            agree = matched and m.kind == "panic"
+            terminal = Terminal("panic", agree, step.message if agree else "target did not panic: %s" % m.kind)
+            break
+        contractum, rule = step
+        records.append(StepRecord(i, rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched))
         if m.kind != "stepped":
-            return CorrespondenceReport(
-                tuple(records),
-                Terminal(
-                    "panic" if m.kind == "panic" else "value",
-                    False,
-                    "target reached %s while source stepped" % m.kind,
-                ),
-                mismatch,
-            )
+            terminal = Terminal(m.kind, False, "target reached %s while source stepped" % m.kind)
+            break
         tgt.moved(m.expr, m.low)
         src.step(contractum)
-
-    return CorrespondenceReport(
-        tuple(records), Terminal("budget", True, "both sides exceeded %d steps" % max_steps)
-    )
+    else:
+        terminal, mismatch = Terminal("budget", True, "both sides exceeded %d steps" % max_steps), ""
+    return CorrespondenceReport(tuple(records), terminal, mismatch)

@@ -15,6 +15,8 @@ co-simulation harness classifies redexes and resolves dictionaries by them
 alone. Tags do not affect equality. Likewise every declaration is emitted
 through ``Translator._declare``, which records what emitted it: the
 inventory and the name-collision check read the emitted declarations.
+``Translator.translate_decls`` emits them all; ``translate_program`` adds
+the translated ``main``.
 
 Optional flags, both off by default: ``skip_redundant_asserts`` drops the
 receiver asserts of field selects and calls when the translated receiver
@@ -550,7 +552,9 @@ class Translator:
                 out += self._type_rep(meta_name(b), 0, cast, "type-rep for builtin %s" % b)
         return out
 
-    def translate_program(self) -> Program:
+    def translate_decls(self) -> list:
+        """The target's declarations: the runtime ones, then each source
+        declaration's translation in order, checked for name collisions."""
         decls = self.runtime_decls()
         for d in self.program.decls:
             if isinstance(d, InterfaceDecl):
@@ -560,8 +564,10 @@ class Translator:
             else:
                 decls.extend(self.translate_method(d))
         self._check_collisions(decls)
-        main = self.translate_closed_expr(self.program.main)
-        return Program(tuple(decls), main)
+        return decls
+
+    def translate_program(self) -> Program:
+        return Program(tuple(self.translate_decls()), self.translate_closed_expr(self.program.main))
 
 
 def translate_program(program: Program, options: TransOptions | None = None) -> Program:

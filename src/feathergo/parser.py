@@ -438,7 +438,7 @@ class _Parser:
         ret = self.parse_type(scope)
         return MethodSig(tformal, tuple(params), ret), scope
 
-    def parse_type_decl(self):
+    def parse_type_decl(self, pos: tuple):
         name = self.ident("type name").text
         if not self.generic and self.at("["):
             self.fail("type parameters require the fgg dialect")
@@ -455,7 +455,7 @@ class _Parser:
                 fields.append(Param(fname, ftype))
                 self.skip_semis()
             self.expect("}")
-            return StructDecl(name, formal, tuple(fields))
+            return StructDecl(name, formal, tuple(fields), pos=pos)
         if t.text == "interface":
             self.next()
             self.expect("{")
@@ -467,10 +467,10 @@ class _Parser:
                 specs.append(MethodSpec(mname, sig))
                 self.skip_semis()
             self.expect("}")
-            return InterfaceDecl(name, formal, tuple(specs))
+            return InterfaceDecl(name, formal, tuple(specs), pos=pos)
         self.fail("expected 'struct' or 'interface'", t)
 
-    def parse_method_decl(self):
+    def parse_method_decl(self, pos: tuple):
         self.expect("(")
         recv_name = self.ident("receiver name").text
         recv_type = self.ident("receiver type").text
@@ -492,7 +492,7 @@ class _Parser:
         self.expect("{")
         body = self.parse_body(scope)
         self.expect("}")
-        return MethodDecl(recv_name, recv_type, recv_params, mname, sig, body)
+        return MethodDecl(recv_name, recv_type, recv_params, mname, sig, body, pos=pos)
 
     # -- program ----------------------------------------------------------------
 
@@ -511,9 +511,10 @@ class _Parser:
         main = None
         while not self.peek().kind == "eof":
             t = self.peek()
+            pos = (t.line, t.col)
             if t.text == "type":
                 self.next()
-                decls.append(self.parse_type_decl())
+                decls.append(self.parse_type_decl(pos))
             elif t.text == "func":
                 self.next()
                 if self.peek().kind == "ident" and self.peek().text == "main":
@@ -523,16 +524,16 @@ class _Parser:
                     self.expect("{")
                     if main is not None:
                         self.fail("duplicate main function", t)
-                    main = self.parse_main_body()
+                    main, main_pos = self.parse_main_body(), pos
                     self.expect("}")
                 else:
-                    decls.append(self.parse_method_decl())
+                    decls.append(self.parse_method_decl(pos))
             else:
                 self.fail("expected a declaration, found %r" % (t.text or "end of input"), t)
             self.skip_semis()
         if main is None:
             self.fail("missing main function")
-        return Program(tuple(decls), main)
+        return Program(tuple(decls), main, pos=main_pos)
 
 
 def parse_program(source: str, lang: str) -> Program:

@@ -30,6 +30,10 @@ def _origin():
     return field(default=None, compare=False, kw_only=True)
 
 
+def _pos():  # a declaration's (line, col) in its source, (0, 0) if it has none
+    return field(default=(0, 0), compare=False, repr=False, kw_only=True)
+
+
 # ---------------------------------------------------------------------------
 # Types
 
@@ -214,6 +218,7 @@ class StructDecl:
     name: str
     formal: Formal = ()
     fields: tuple = ()  # tuple[Param, ...]
+    pos: tuple = _pos()
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,7 @@ class InterfaceDecl:
     name: str
     formal: Formal = ()
     specs: tuple = ()  # tuple[MethodSpec, ...]
+    pos: tuple = _pos()
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,7 @@ class MethodDecl:
     name: str
     sig: MethodSig
     body: Expr
+    pos: tuple = _pos()
 
 
 Decl = StructDecl | InterfaceDecl | MethodDecl
@@ -244,11 +251,13 @@ Decl = StructDecl | InterfaceDecl | MethodDecl
 
 @dataclass(frozen=True)
 class Program:
-    """A whole program. ``typecheck.fgg_typecheck_program`` keeps its
-    judgement in the instance ``__dict__``, outside the fields."""
+    """A whole program; ``pos`` is that of ``func main``.
+    ``typecheck.fgg_typecheck_program`` keeps its judgement in the instance
+    ``__dict__``, outside the fields."""
 
     decls: tuple  # tuple[Decl, ...]
     main: Expr
+    pos: tuple = _pos()
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +629,12 @@ for _cls in Expr.__args__:
 
 
 # every node class -> its fields that may hold nodes, last field first (origin
-# tags and names, numbers and flags are not nodes)
+# tags, positions and names, numbers and flags are not nodes)
 _NODE_FIELDS = {
     cls: tuple(
-        f.name for f in reversed(dataclasses.fields(cls)) if f.name != "origin" and f.type not in ("str", "int", "bool")
+        f.name
+        for f in reversed(dataclasses.fields(cls))
+        if f.name not in ("origin", "pos") and f.type not in ("str", "int", "bool")
     )
     for cls in (*Type.__args__, FormalParam, Param, MethodSig, MethodSpec, *Expr.__args__, *Decl.__args__, Program)
 }

@@ -114,9 +114,7 @@ class Decls:
             elif isinstance(d, MethodDecl):
                 key = (d.recv_type, d.name)
                 if key in self.methods:
-                    self.duplicates.append(
-                        "t-prog: duplicate method declaration %s.%s" % key
-                    )
+                    self.duplicates.append(Diagnostic("t-prog: duplicate method declaration %s.%s" % key, *d.pos))
                 else:
                     self.methods[key] = d
                     self.methods_by_type.setdefault(d.recv_type, []).append(d)
@@ -125,7 +123,7 @@ class Decls:
         table = self.structs if isinstance(d, StructDecl) else self.interfaces
         if d.name in self.structs or d.name in self.interfaces:
             what = "builtin" if d.name in BUILTIN_STRUCTS else "type"
-            self.duplicates.append("t-prog: duplicate %s declaration %s" % (what, d.name))
+            self.duplicates.append(Diagnostic("t-prog: duplicate %s declaration %s" % (what, d.name), *d.pos))
         else:
             table[d.name] = d
 
@@ -523,29 +521,26 @@ def _interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
 # Declarations and programs
 
 
-def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, diags: list) -> dict:
+def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, pos: tuple, diags: list) -> dict:
     """t-formal: distinct names; bounds are interfaces, well-formed under the
-    whole environment (mutual recursion allowed). Returns the extended delta."""
+    whole environment (mutual recursion allowed), each diagnostic at the
+    declaration's ``pos``. Returns the extended delta."""
     if not formal:
         return outer_delta
     names = [fp.name for fp in formal]
     if len(set(names)) != len(names) or any(n in outer_delta for n in names):
-        diags.append(Diagnostic("t-formal: type parameters not distinct in %s" % where))
+        diags.append(Diagnostic("t-formal: type parameters not distinct in %s" % where, *pos))
     delta = dict(outer_delta)
     delta.update({fp.name: fp.bound for fp in formal})
     for fp in formal:
         bad = not isinstance(fp.bound, TypeApp) or decls.kind_of(fp.bound.name) != "interface"
         if bad:
-            diags.append(
-                Diagnostic(
-                    "t-formal: bound of %s in %s must be an interface type" % (fp.name, where)
-                )
-            )
+            diags.append(Diagnostic("t-formal: bound of %s in %s must be an interface type" % (fp.name, where), *pos))
             continue
         try:
             fgg_wf(fp.bound, delta, decls)
         except CheckError as err:
-            diags.append(Diagnostic("t-formal: %s: %s" % (where, err.message)))
+            diags.append(Diagnostic("t-formal: %s: %s" % (where, err.message), *pos))
     return delta
 
 
@@ -657,68 +652,70 @@ def _check_program(program: Program) -> Checked:
     ``fgg_typecheck_program`` calls counts the callers that asked, the
     translators' included, not the judgements made."""
     decls = Decls(program)
-    diags = [Diagnostic(m) for m in decls.duplicates]
+    diags = list(decls.duplicates)
     envs = {}
 
     for name, d in list(decls.structs.items()):
         if name in BUILTIN_STRUCTS:
             continue
         where = "struct %s" % name
-        delta = _fgg_formal_ok(d.formal, {}, decls, where, diags)
+        delta = _fgg_formal_ok(d.formal, {}, decls, where, d.pos, diags)
         seen = set()
         for f in d.fields:
             if f.name in seen:
-                diags.append(Diagnostic("t-struct: duplicate field %s in %s" % (f.name, name)))
+                diags.append(Diagnostic("t-struct: duplicate field %s in %s" % (f.name, name), *d.pos))
             seen.add(f.name)
             try:
                 fgg_wf(f.type, delta, decls)
             except CheckError as err:
-                diags.append(Diagnostic("t-struct: %s: %s" % (where, err.message)))
+                diags.append(Diagnostic("t-struct: %s: %s" % (where, err.message), *d.pos))
 
     for name, d in decls.interfaces.items():
         where = "interface %s" % name
-        delta = _fgg_formal_ok(d.formal, {}, decls, where, diags)
+        delta = _fgg_formal_ok(d.formal, {}, decls, where, d.pos, diags)
         seen = set()
         for s in d.specs:
             if s.name in seen:
-                diags.append(Diagnostic("t-interface: duplicate method %s in %s" % (s.name, name)))
+                diags.append(Diagnostic("t-interface: duplicate method %s in %s" % (s.name, name), *d.pos))
             seen.add(s.name)
-            sdelta = _fgg_formal_ok(s.sig.tformal, delta, decls, "%s.%s" % (name, s.name), diags)
+            spec = "%s.%s" % (name, s.name)
+            sdelta = _fgg_formal_ok(s.sig.tformal, delta, decls, spec, d.pos, diags)
             pnames = [p.name for p in s.sig.params]
             if len(set(pnames)) != len(pnames):
-                diags.append(Diagnostic("t-specification: parameter names not distinct in %s.%s" % (name, s.name)))
+                diags.append(Diagnostic("t-specification: parameter names not distinct in %s" % spec, *d.pos))
             try:
                 for p in s.sig.params:
                     fgg_wf(p.type, sdelta, decls)
                 fgg_wf(s.sig.ret, sdelta, decls)
             except CheckError as err:
-                diags.append(Diagnostic("t-specification: %s.%s: %s" % (name, s.name, err.message)))
+                diags.append(Diagnostic("t-specification: %s: %s" % (spec, err.message), *d.pos))
 
     for (tname, mname), m in decls.methods.items():
         where = "method %s.%s" % (tname, mname)
         if decls.kind_of(tname) != "struct":
-            diags.append(Diagnostic("t-func: receiver %s is not a declared struct" % tname))
+            diags.append(Diagnostic("t-func: receiver %s is not a declared struct" % tname, *m.pos))
             continue
         sd = decls.structs[tname]
         if len(m.recv_params) != len(sd.formal):
             diags.append(
                 Diagnostic(
                     "t-func: receiver of %s needs %d type parameters, got %d"
-                    % (where, len(sd.formal), len(m.recv_params))
+                    % (where, len(sd.formal), len(m.recv_params)),
+                    *m.pos,
                 )
             )
             continue
         if len(set(m.recv_params)) != len(m.recv_params):
-            diags.append(Diagnostic("t-func: receiver type parameters not distinct in %s" % where))
+            diags.append(Diagnostic("t-func: receiver type parameters not distinct in %s" % where, *m.pos))
             continue
         # Receiver bounds come from the struct declaration, renamed to the
         # receiver's parameter list.
         ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, m.recv_params)}
         delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, m.recv_params)}
-        delta = _fgg_formal_ok(m.sig.tformal, delta, decls, where, diags)
+        delta = _fgg_formal_ok(m.sig.tformal, delta, decls, where, m.pos, diags)
         names = [m.recv_name] + [p.name for p in m.sig.params]
         if len(set(names)) != len(names):
-            diags.append(Diagnostic("t-func: parameter names not distinct in %s" % where))
+            diags.append(Diagnostic("t-func: parameter names not distinct in %s" % where, *m.pos))
         gamma = {m.recv_name: TypeApp(tname, tuple(TypeParam(r) for r in m.recv_params))}
         gamma.update({p.name: p.type for p in m.sig.params})
         envs[(tname, mname)] = (delta, gamma)
@@ -731,14 +728,15 @@ def _check_program(program: Program) -> Checked:
                 diags.append(
                     Diagnostic(
                         "t-func: body of %s has type %s, not a subtype of %s"
-                        % (where, print_type(t), print_type(m.sig.ret))
+                        % (where, print_type(t), print_type(m.sig.ret)),
+                        *m.pos,
                     )
                 )
         except CheckError as err:
-            diags.append(Diagnostic("%s: %s" % (where, err.message)))
+            diags.append(Diagnostic("%s: %s" % (where, err.message), *m.pos))
 
     try:
         fgg_typecheck_expr(program.main, {}, {}, decls)
     except CheckError as err:
-        diags.append(Diagnostic("main: %s" % err.message))
+        diags.append(Diagnostic("main: %s" % err.message, *program.pos))
     return Checked(diags, decls, envs)

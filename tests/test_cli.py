@@ -182,7 +182,7 @@ def test_run_ill_typed_program_exits_1(capsys, tmp_path):
     src.write_text("package main\ntype S struct {}\nfunc (s S) M() int { return true }\nfunc main() { _ = S{}.M() }\n")
     code, out, err = run_cli(capsys, "run", str(src))
     assert code == 1 and out == ""
-    assert err.splitlines() == ["%s:0:0: t-func: body of method S.M has type bool, not a subtype of int" % src]
+    assert err.splitlines() == ["%s:3:1: t-func: body of method S.M has type bool, not a subtype of int" % src]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

@@ -394,6 +394,47 @@ def test_normalization_overflow_is_a_failed_budget_terminal(monkeypatch, capsys)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, focus", [("value", IntLit(1)), ("panic", Panic())])
+def test_a_target_that_ends_while_the_source_steps_is_a_disagreeing_terminal(monkeypatch, kind, focus):
+    # the macro step, run on a focus that is a value or a panic, ends the
+    # target at the first step the source takes
+    real = cosim.macro_step
+    monkeypatch.setattr(cosim, "macro_step", lambda d, decls, frames: real(focus, decls, []))
+    report = check_correspondence(load("gtfunc.fgg"))
+    assert report.terminal == cosim.Terminal(kind, False, "target reached %s while source stepped" % kind)
+    assert [r.matched for r in report.records] == [True] and not report.ok
+
+
+def test_a_source_panic_the_target_does_not_share_is_a_disagreeing_terminal(monkeypatch):
+    real = cosim.macro_step
+
+    def never_panics(d, decls, frames):
+        m = real(d, decls, frames)
+        return dataclasses.replace(m, kind="stepped") if m.kind == "panic" else m
+
+    monkeypatch.setattr(cosim, "macro_step", never_panics)
+    report = check_correspondence(load("typerep.fgg"))
+    assert report.terminal == cosim.Terminal("panic", False, "target did not panic: stepped")
+    assert len(report.records) == 2 and not report.ok
+
+
+def test_a_check_translates_main_once(monkeypatch):
+    # the target's main, translated under the run's context, is also the
+    # target's start state; a later call that finds it in the context's
+    # translation table translates nothing
+    program = load("gtfunc.fgg")
+    fresh, real = [], Translator.translate_expr
+
+    def recording(self, e, ctx):
+        if e is program.main and id(e) not in ctx.trans:
+            fresh.append(e)
+        return real(self, e, ctx)
+
+    monkeypatch.setattr(Translator, "translate_expr", recording)
+    assert check_correspondence(program).ok
+    assert len(fresh) == 1
+
+
 # -- the memos one correspondence check carries ---------------------------------------
 
 

@@ -328,41 +328,55 @@ def test_duplicate_struct_declaration_rejected():
 
 
 @pytest.mark.parametrize(
-    "decls, message",
+    "decls, message, at",
     [
-        ("type S struct { a int; a int }\n", "t-struct: duplicate field a in S"),
-        ("type S struct { a Nope }\n", "t-struct: struct S: t-named: unknown type Nope"),
-        ("type I interface { M() int; M() int }\n", "t-interface: duplicate method M in I"),
-        ("type I interface { M(x int, x int) int }\n", "t-specification: parameter names not distinct in I.M"),
-        ("func (a Any) M() int { return 1 }\n", "t-func: receiver Any is not a declared struct"),
+        ("type S struct { a int; a int }\n", "t-struct: duplicate field a in S", "3:1"),
+        ("type S struct { a Nope }\n", "t-struct: struct S: t-named: unknown type Nope", "3:1"),
+        ("type I interface { M() int; M() int }\n", "t-interface: duplicate method M in I", "3:1"),
+        ("type I interface { M(x int, x int) int }\n", "t-specification: parameter names not distinct in I.M", "3:1"),
+        ("func (a Any) M() int { return 1 }\n", "t-func: receiver Any is not a declared struct", "3:1"),
         (
             "type Box[T Any] struct {}\nfunc (b Box[T, U]) M() int { return 1 }\n",
             "t-func: receiver of method Box.M needs 1 type parameters, got 2",
+            "4:1",
         ),
         (
             "type Pair[T Any, U Any] struct {}\nfunc (p Pair[T, T]) M() int { return 1 }\n",
             "t-func: receiver type parameters not distinct in method Pair.M",
+            "4:1",
         ),
-        ("type S struct {}\nfunc (s S) M(s int) int { return 1 }\n", "t-func: parameter names not distinct in method S.M"),
+        (
+            "type S struct {}\nfunc (s S) M(s int) int { return 1 }\n",
+            "t-func: parameter names not distinct in method S.M",
+            "4:1",
+        ),
         (
             "type S struct {}\nfunc (s S) M() int { return true }\n",
             "t-func: body of method S.M has type bool, not a subtype of int",
+            "4:1",
         ),
         (
             "type S struct {}\nfunc (s S) M() int { return 1 }\nfunc (s S) M() int { return 2 }\n",
             "t-prog: duplicate method declaration S.M",
+            "5:1",
         ),
-        ("type S struct {}\ntype S interface {}\n", "t-prog: duplicate type declaration S"),
-        ("type int struct {}\n", "t-prog: duplicate builtin declaration int"),
-        ("type S struct {}\ntype Box[T S] struct {}\n", "t-formal: bound of T in struct Box must be an interface type"),
-        ("type Pair[T Any, T Any] struct {}\n", "t-formal: type parameters not distinct in struct Pair"),
+        ("type S struct {}\ntype S interface {}\n", "t-prog: duplicate type declaration S", "4:1"),
+        ("type int struct {}\n", "t-prog: duplicate builtin declaration int", "3:1"),
+        (
+            "type S struct {}\ntype Box[T S] struct {}\n",
+            "t-formal: bound of T in struct Box must be an interface type",
+            "4:1",
+        ),
+        ("type Pair[T Any, T Any] struct {}\n", "t-formal: type parameters not distinct in struct Pair", "3:1"),
         (
             "type Box[T Any] struct {}\nfunc (b Box[T]) M[T Any]() int { return 1 }\n",
             "t-formal: type parameters not distinct in method Box.M",
+            "4:1",
         ),
         (
             "type I[T Any] interface {}\ntype Box[T I] struct {}\n",
             "t-formal: struct Box: t-named: I expects 1 type arguments, got 0",
+            "4:1",
         ),
     ],
     ids=[
@@ -372,9 +386,16 @@ def test_duplicate_struct_declaration_rejected():
         "method-formal-repeats-receiver", "bound-arity",
     ],
 )
-def test_declaration_diagnostics(decls, message):
+def test_declaration_diagnostics(decls, message, at):
+    # each diagnostic sits at its declaration's ``type`` or ``func`` token
     program = parse_fgg("package main\ntype Any interface {}\n" + decls + "func main() { _ = 1 }\n")
-    assert [d.message for d in fgg_typecheck_program(program)] == [message]
+    assert [(d.message, "%d:%d" % (d.line, d.col)) for d in fgg_typecheck_program(program)] == [(message, at)]
+
+
+def test_declaration_and_main_diagnostics_sit_at_their_keyword():
+    src = "package main\n  type S struct { a Nope }\n\tfunc (s S) M() int { return true }\n   func main() { _ = S{1}.N() }\n"
+    diags = fgg_typecheck_program(parse_fgg(src))
+    assert [(d.line, d.col, d.message.split(":")[0]) for d in diags] == [(2, 3, "t-struct"), (3, 2, "t-func"), (4, 4, "main")]
 
 
 def test_fg_listing_ok():
