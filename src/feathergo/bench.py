@@ -264,36 +264,3 @@ def run_suite(
 def render_csv(rows) -> str:
     return "\n".join([CSV_HEADER] + [r.as_csv() for r in rows]) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Least-squares polynomial fits (scaling-trend checks)
-
-
-def fit_poly(xs, ys, degree: int):
-    """Ordinary least squares for a low-degree polynomial; returns
-    (coefficients low-to-high, r_squared). Solved by Gaussian elimination on
-    the normal equations; fine for the tiny systems used here."""
-    k = degree + 1
-    ata = [[sum(x ** (i + j) for x in xs) for j in range(k)] for i in range(k)]
-    atb = [sum(y * x**i for x, y in zip(xs, ys)) for i in range(k)]
-    coeffs = _solve(ata, atb)
-    mean = sum(ys) / len(ys)
-    ss_tot = sum((y - mean) ** 2 for y in ys)
-    ss_res = sum((y - sum(c * x**i for i, c in enumerate(coeffs))) ** 2 for x, y in zip(xs, ys))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return coeffs, r2
-
-
-def _solve(a, b):
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        m[col], m[pivot] = m[pivot], m[col]
-        if abs(m[col][col]) < 1e-12:
-            raise ValueError("singular system")
-        for r in range(n):
-            if r != col:
-                factor = m[r][col] / m[col][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] / m[i][i] for i in range(n)]

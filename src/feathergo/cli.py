@@ -154,8 +154,7 @@ def cmd_cosim(args) -> int:
             )
         print("terminal: %s agree=%s %s" % (report.terminal.kind, report.terminal.both_sides_agree, report.terminal.detail))
     if not report.ok:
-        if report.mismatch_detail:
-            print(report.mismatch_detail, file=sys.stderr)
+        print(report.mismatch_detail or report.terminal.detail, file=sys.stderr)
         return 1
     return 0
 

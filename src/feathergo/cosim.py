@@ -738,28 +738,29 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
     main = translator.translate_closed_expr(program.main, memo.ctx)
     tdecls = Decls(Program(decls, main))
     tgt, src = Zipper(main), Source(translator, program.main)
-    records = []
+    records, mismatch = [], ""  # the first index's mismatch text
     agreed = 0  # leading frames the sides agreed on at the last comparison
     for i in range(max_steps):
         try:
             dsteps = target_normal_form(tgt, tdecls, memo)
             source_normal_form(src, tdecls, memo)
         except NormalizeOverflow as ov:
-            terminal, mismatch = Terminal("budget", False, "normalization overflow: %s" % ov), ""
+            terminal = Terminal("budget", False, "normalization overflow: %s" % ov)
             break
         memo.trim()
         matched, agreed = _same_state(tgt, src.out, memo.pairs, agreed)
-        mismatch = (
+        here = (
             ""
             if matched
             else "index %d:\n  source (translated): %s\n  target:              %s"
             % (i, show_expr(src.out.term()), show_expr(tgt.term()))
         )
+        mismatch = mismatch or here
 
         step = _contract(src.focus, translator.decls, True)
         if isinstance(step, Value):
             agree = matched and not tgt.frames and is_value(tgt.focus)
-            terminal = Terminal("value", agree, show_expr(tgt.term()) if agree else mismatch)
+            terminal = Terminal("value", agree, show_expr(tgt.term()) if agree else here)
             break
         if isinstance(step, Stuck):
             raise RuntimeError("source stuck: %s" % step.reason)
@@ -776,5 +777,5 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
         tgt.moved(m.expr, m.low)
         src.step(contractum)
     else:
-        terminal, mismatch = Terminal("budget", True, "both sides exceeded %d steps" % max_steps), ""
+        terminal = Terminal("budget", True, "both sides exceeded %d steps" % max_steps)
     return CorrespondenceReport(tuple(records), terminal, mismatch)

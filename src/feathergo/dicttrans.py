@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .erasure import check_erased_any, ill_typed
 from .syntax import (
@@ -87,8 +87,7 @@ class InventoryEntry:
     kind: str  # "struct" | "interface" | "method"
     source: str  # what emitted it
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "source": self.source}
+    as_dict = asdict
 
 
 # -- name constants ----------------------------------------------------------

@@ -148,8 +148,3 @@ def erase_program(program: Program):
         return out, ("program contains type assertions; erasure does not preserve assertion behaviour",)
     return out, ()
 
-
-def erase_value(v: Expr) -> Expr:
-    """The value-level erasure: drop type actuals recursively. Used to state
-    value preservation for the erasure translation."""
-    return fold(v, lambda n, kids: StructLit(TypeApp(n.type.name), tuple(kids)) if type(n) is StructLit else n)

@@ -202,14 +202,11 @@ class _Parser:
         name = self.ident("type name").text
         if name in scope:
             return TypeParam(name)
-        args: tuple = ()
-        if self.at("["):
-            if not self.generic:
-                self.fail("type arguments require the fgg dialect")
-            args = tuple(self.parse_type_list(scope))
-        return TypeApp(name, args)
+        return TypeApp(name, self.parse_type_list(scope) if self.at("[") else ())
 
-    def parse_type_list(self, scope: frozenset) -> list:
+    def parse_type_list(self, scope: frozenset) -> tuple:
+        if not self.generic:
+            self.fail("type arguments require the fgg dialect")
         self.expect("[")
         out = []
         if not self.at("]"):
@@ -217,7 +214,7 @@ class _Parser:
             while self.accept(","):
                 out.append(self.parse_type(scope))
         self.expect("]")
-        return out
+        return tuple(out)
 
     def parse_formal(self, outer: frozenset):
         """Parse ``[a Bound, ...]``; bounds see all names of this formal."""
@@ -287,11 +284,7 @@ class _Parser:
             elif t.kind == "ident":
                 self.next()
                 if self.at("[") or self.at("{"):
-                    args: tuple = ()
-                    if self.at("["):
-                        if not self.generic:
-                            self.fail("type arguments require the fgg dialect")
-                        args = tuple(self.parse_type_list(scope))
+                    args = self.parse_type_list(scope) if self.at("[") else ()
                     self.expect("{")
                     e = self._open_args(pending, partial(StructLit, TypeApp(t.text, args)), "}")
                 else:
@@ -307,9 +300,7 @@ class _Parser:
                         continue
                     name = self.ident("field or method name").text
                     if self.at("["):
-                        if not self.generic:
-                            self.fail("type arguments require the fgg dialect")
-                        targs = tuple(self.parse_type_list(scope))
+                        targs = self.parse_type_list(scope)
                         self.expect("(")
                     elif self.accept("("):
                         targs = ()

@@ -21,11 +21,9 @@ at the hole, not at the root:
 Climbing out of a subterm shows that it is a value, so only siblings not yet
 visited are tested for value-ness. A step costs work in what it changed, not
 in the depth of the hole, and the whole term is built only as the final
-value. ``fg_step`` and ``fgg_step`` are one-shot wrappers over the same
-descent: descend from the root, contract, ``plug`` the contractum back in.
-Co-simulation steps on the machine itself (``_contract`` and ``_resume``,
-which also tells it how many frames a step left in place), and its
-dictionary resolution contracts the tagged plumbing with ``_contract``
+value. Co-simulation steps on the same machine (``_contract`` and
+``_resume``, which also tells it how many frames a step left in place), and
+its dictionary resolution contracts the tagged plumbing with ``_contract``
 too. Every loop runs over the explicit spine, so term depth is not bounded
 by the recursion limit. The stepper holds no global state; distinct runs
 are independent.
@@ -40,13 +38,10 @@ substitution is capture-free without renaming.
 
 Outcomes:
 
-* a step -- inside the machine (``run``, and co-simulation's macro step and
-  source side), contracting the focus gives the plain pair ``(contractum,
+* a step -- contracting the focus gives the plain pair ``(contractum,
   rule)``: ``rule`` names the contraction (r-fields, r-call, r-assert,
   r-ext-*) and the redex is the focus the caller holds, so a step builds no
-  outcome object. ``fg_step`` and ``fgg_step`` return ``Stepped(expr, rule,
-  redex)``: the whole term after the step, the rule, and the subterm that
-  contracted.
+  outcome object.
 * ``Value(value)`` -- the term is a value; no rule fires.
 * ``PanicOutcome`` -- a type assertion failed (or explicit ``panic``); once
   raised, a run halts immediately.
@@ -80,7 +75,6 @@ from .syntax import (
     TypeParam,
     Var,
     fold,
-    plug,
     print_expr,
     print_type,
     rebuild,
@@ -88,13 +82,6 @@ from .syntax import (
     walk,
 )
 from .typecheck import Decls, fg_subtype, fgg_subtype, kept_decls, subst_type
-
-
-@dataclass(frozen=True)
-class Stepped:
-    expr: Expr
-    rule: str
-    redex: Expr
 
 
 @dataclass(frozen=True)
@@ -112,9 +99,6 @@ class PanicOutcome:
 @dataclass(frozen=True)
 class Stuck:
     reason: str
-
-
-StepOutcome = Stepped | Value | PanicOutcome | Stuck
 
 
 def is_value(e: Expr) -> bool:
@@ -388,24 +372,6 @@ def _resume(e: Expr, spine: list) -> tuple:
         if type(e) not in _VALUE_HEADS:
             break
     return e, len(spine)
-
-
-def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
-    spine = []
-    redex = _descend(e, spine)
-    out = _contract(redex, decls, generic)
-    if type(out) is not tuple:
-        return out
-    contractum, rule = out
-    return Stepped(plug(spine, contractum), rule, redex)
-
-
-def fg_step(e: Expr, decls: Decls) -> StepOutcome:
-    return _step_once(e, decls, generic=False)
-
-
-def fgg_step(e: Expr, decls: Decls) -> StepOutcome:
-    return _step_once(e, decls, generic=True)
 
 
 DEFAULT_MAX_STEPS = 1_000_000

@@ -146,11 +146,9 @@ class Decls:
 def subst_type(t: Type, mapping: dict) -> Type:
     if isinstance(t, TypeParam):
         return mapping.get(t.name, t)
-    if isinstance(t, TypeApp):
-        if not t.args:
-            return t
-        return TypeApp(t.name, tuple(subst_type(a, mapping) for a in t.args))
-    return t
+    if not t.args:
+        return t
+    return TypeApp(t.name, tuple(subst_type(a, mapping) for a in t.args))
 
 
 def subst_sig(sig: MethodSig, mapping: dict) -> MethodSig:

@@ -7,8 +7,9 @@ import pytest
 from feathergo import cosim
 from feathergo.dicttrans import dict_name, ptr_name
 from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
-from feathergo.reduce import _descend, vtype
+from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, vtype
 from feathergo.syntax import (
+    Expr,
     If,
     InterfaceDecl,
     MethodCall,
@@ -30,7 +31,7 @@ from feathergo.syntax import (
     subexprs,
     walk,
 )
-from feathergo.typecheck import subst_type
+from feathergo.typecheck import Decls, subst_type
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -271,3 +272,70 @@ def macro_step_whole(d, decls):
     frames = []
     m = cosim.macro_step(_descend(d, frames), decls, frames)
     return dataclasses.replace(m, expr=plug(frames, m.expr)) if m.kind == "stepped" else m
+
+
+@dataclasses.dataclass(frozen=True)
+class Stepped:
+    expr: Expr
+    rule: str
+    redex: Expr
+
+
+StepOutcome = Stepped | Value | PanicOutcome | Stuck
+
+
+def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
+    """One-shot stepping: descend from the root, contract at the focus and
+    ``plug`` the contractum back in. The reference the machine
+    (``reduce.run``, which resumes at the hole) is tested against."""
+    spine = []
+    redex = _descend(e, spine)
+    out = _contract(redex, decls, generic)
+    if type(out) is not tuple:
+        return out
+    contractum, rule = out
+    return Stepped(plug(spine, contractum), rule, redex)
+
+
+def fg_step(e: Expr, decls: Decls) -> StepOutcome:
+    return _step_once(e, decls, generic=False)
+
+
+def fgg_step(e: Expr, decls: Decls) -> StepOutcome:
+    return _step_once(e, decls, generic=True)
+
+
+def erase_value(v: Expr) -> Expr:
+    """The value-level erasure: drop type actuals recursively. Used to state
+    value preservation for the erasure translation."""
+    return fold(v, lambda n, kids: StructLit(TypeApp(n.type.name), tuple(kids)) if type(n) is StructLit else n)
+
+
+def fit_poly(xs, ys, degree: int):
+    """Ordinary least squares for a low-degree polynomial; returns
+    (coefficients low-to-high, r_squared). Solved by Gaussian elimination on
+    the normal equations; fine for the tiny systems used here."""
+    k = degree + 1
+    ata = [[sum(x ** (i + j) for x in xs) for j in range(k)] for i in range(k)]
+    atb = [sum(y * x**i for x, y in zip(xs, ys)) for i in range(k)]
+    coeffs = _solve(ata, atb)
+    mean = sum(ys) / len(ys)
+    ss_tot = sum((y - mean) ** 2 for y in ys)
+    ss_res = sum((y - sum(c * x**i for i, c in enumerate(coeffs))) ** 2 for x, y in zip(xs, ys))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return coeffs, r2
+
+
+def _solve(a, b):
+    n = len(b)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
+        m[col], m[pivot] = m[pivot], m[col]
+        if abs(m[col][col]) < 1e-12:
+            raise ValueError("singular system")
+        for r in range(n):
+            if r != col:
+                factor = m[r][col] / m[col][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]

@@ -6,16 +6,16 @@ import time
 
 import pytest
 
-from feathergo.bench import BenchConfig, fit_poly, generate, run_suite
+from feathergo.bench import BenchConfig, generate, run_suite
 from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import Translator, translate_program
-from feathergo.erasure import erase_program, erase_value
+from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import pretty_print
 from feathergo.typecheck import fg_typecheck_program, fgg_typecheck_program
 
-from conftest import ASSERT_FIXTURES, FGG_FILES, load, read
+from conftest import ASSERT_FIXTURES, FGG_FILES, erase_value, fit_poly, load, read
 
 
 class _Criterion:

@@ -3,17 +3,18 @@ import pytest
 from feathergo.bench import (
     CSV_HEADER,
     BenchConfig,
-    fit_poly,
     generate,
     render_csv,
     run_suite,
 )
 from feathergo.dicttrans import Translator
-from feathergo.erasure import erase_program, erase_value
+from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import MethodDecl, pretty_print, print_decl
 from feathergo.typecheck import fgg_typecheck_program
+
+from conftest import erase_value, fit_poly
 
 
 def test_family_a_base_program_has_two_methods():

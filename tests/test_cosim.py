@@ -17,7 +17,7 @@ from feathergo.cosim import (
 )
 from feathergo.dicttrans import Translator
 from feathergo.parser import parse_fgg
-from feathergo.reduce import Stepped, _descend, fg_step, is_value
+from feathergo.reduce import _descend, is_value
 from feathergo.syntax import (
     Binop,
     BoolLit,
@@ -39,7 +39,17 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 
-from conftest import CORPUS, FGG_FILES, generated_struct_names, load, macro_step_whole, reference_contract_at, reference_redex_positions
+from conftest import (
+    CORPUS,
+    FGG_FILES,
+    Stepped,
+    fg_step,
+    generated_struct_names,
+    load,
+    macro_step_whole,
+    reference_contract_at,
+    reference_redex_positions,
+)
 
 from test_reduce import FGG_SOURCES, assert_unique_decomposition
 
@@ -392,6 +402,8 @@ def test_normalization_overflow_is_a_failed_budget_terminal(monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert json.loads(out)["terminal"] == report.terminal.as_dict()
     assert "Traceback" not in err
+    # every index matched, so the reason on stderr is the terminal's
+    assert err == report.terminal.detail + "\n"
 
 
 @pytest.mark.parametrize("kind, focus", [("value", IntLit(1)), ("panic", Panic())])
@@ -416,6 +428,27 @@ def test_a_source_panic_the_target_does_not_share_is_a_disagreeing_terminal(monk
     report = check_correspondence(load("typerep.fgg"))
     assert report.terminal == cosim.Terminal("panic", False, "target did not panic: stepped")
     assert len(report.records) == 2 and not report.ok
+
+
+def test_a_failed_check_keeps_the_first_mismatch_and_prints_a_reason(monkeypatch, capsys):
+    # one mismatch at index 1, then matching indices up to the budget: the
+    # report keeps index 1's text, and the console command prints it
+    real, calls = cosim._same_state, []
+
+    def mismatch_at_one(tgt, out, pairs, agreed):
+        calls.append(None)
+        matched, agreed = real(tgt, out, pairs, agreed)
+        return (matched and len(calls) != 2), agreed
+
+    monkeypatch.setattr(cosim, "_same_state", mismatch_at_one)
+    report = check_correspondence(load("omega.fgg"), max_steps=5)
+    assert [r.matched for r in report.records] == [True, False, True, True, True]
+    assert report.terminal.kind == "budget" and not report.ok
+    assert report.mismatch_detail.startswith("index 1:")
+    calls.clear()
+    assert main(["cosim", "--steps", "5", str(CORPUS / "omega.fgg")]) == 1
+    err = capsys.readouterr().err
+    assert err == report.mismatch_detail + "\n"
 
 
 def test_a_check_translates_main_once(monkeypatch):

@@ -338,25 +338,18 @@ def test_receiver_chain_is_typed_once_per_translation_root(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["c8", "chain200"])
-def test_side_tables_add_no_recursion_depth(name):
+def test_side_tables_add_no_recursion_depth(name, default_recursion_limit):
     # the typecheckers consult their side tables inline, so a deep term
     # needs no more frames than before: family c8 and a 200-deep chain
     # still translate and typecheck at the interpreter's default limit
-    import sys
-
     from feathergo.bench import BenchConfig, generate
     from feathergo.typecheck import fgg_typecheck_expr
 
     program = generate(BenchConfig("c", 8)) if name == "c8" else _id_chain(200)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        fgg_typecheck_expr(program.main, {}, {}, Decls(program), types={})
-        out = translate_program(program)
-        assert fg_typecheck_program(out, "extended") == []
-        fgg_typecheck_expr(out.main, {}, {}, Decls(out), types={})
-    finally:
-        sys.setrecursionlimit(limit)
+    fgg_typecheck_expr(program.main, {}, {}, Decls(program), types={})
+    out = translate_program(program)
+    assert fg_typecheck_program(out, "extended") == []
+    fgg_typecheck_expr(out.main, {}, {}, Decls(out), types={})
 
 
 def test_translated_output_reparses(typerep_out):

@@ -1,7 +1,7 @@
 import pytest
 
 from feathergo.bench import BenchConfig, generate
-from feathergo.erasure import ErasureError, erase_program, erase_value
+from feathergo.erasure import ErasureError, erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import (
@@ -17,7 +17,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import fg_typecheck_program
 
-from conftest import FGG_FILES, SMALL_FAMILIES, TERMINATING, load
+from conftest import FGG_FILES, SMALL_FAMILIES, TERMINATING, erase_value, load
 
 
 def method_decl(program, recv, name):

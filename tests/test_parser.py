@@ -98,6 +98,22 @@ def test_generic_syntax_rejected_in_fg():
     assert "fgg" in str(ei.value)
 
 
+@pytest.mark.parametrize(
+    "expr, col",
+    [
+        ("Nil{}.(Box[int])", 29),  # a type
+        ("Box[int]{1}", 22),  # struct-literal type actuals
+        ("Nil{}.Id[int]()", 27),  # call type actuals
+    ],
+    ids=["type", "struct-literal", "call"],
+)
+def test_type_arguments_rejected_in_fg_at_their_bracket(expr, col):
+    with pytest.raises(ParseError) as ei:
+        parse_fg("package main\ntype Nil struct {}\nfunc main() { _ = %s }\n" % expr)
+    d = ei.value.diagnostics[0]
+    assert (d.message, d.line, d.col) == ("type arguments require the fgg dialect", 3, col)
+
+
 def test_duplicate_declaration_accepted_by_parser():
     # duplicates are a typecheck error, not a parse error
     src = "package main\ntype Nil struct {}\ntype Nil struct {}\nfunc main() { _ = Nil{} }\n"

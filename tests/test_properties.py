@@ -5,14 +5,14 @@ import pytest
 
 from feathergo.dicttrans import Translator
 from feathergo.parser import parse_fgg
-from feathergo.reduce import PanicOutcome, Stepped, Value, fg_step, fgg_step, step_count
+from feathergo.reduce import PanicOutcome, Value, step_count
 from feathergo.typecheck import (
     Decls,
     fgg_subtype,
     fgg_typecheck_expr,
 )
 
-from conftest import TERMINATING
+from conftest import TERMINATING, Stepped, fg_step, fgg_step
 
 
 @pytest.mark.parametrize("path", TERMINATING, ids=lambda p: p.name)

@@ -9,12 +9,9 @@ from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.reduce import (
     PanicOutcome,
-    Stepped,
     Stuck,
     Value,
     compile_body,
-    fg_step,
-    fgg_step,
     instantiate_body,
     is_value,
     run,
@@ -44,7 +41,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import Decls
 
-from conftest import CORPUS, FGG_FILES, TERMINATING, load, read, reference_body
+from conftest import CORPUS, FGG_FILES, TERMINATING, Stepped, fg_step, fgg_step, load, read, reference_body
 
 
 @pytest.fixture(scope="module")

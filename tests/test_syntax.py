@@ -27,7 +27,7 @@ from feathergo.syntax import (
     walk,
 )
 
-from conftest import FGG_FILES, load, read
+from conftest import FGG_FILES, Stepped, fg_step, fgg_step, load, read
 
 
 def test_print_leaf_literal():
@@ -215,7 +215,6 @@ def test_deep_terms_hash_without_origin_tags(default_recursion_limit):
 
 def _states(program, lang, cap=60):
     """The states of a run of ``program``, from main on."""
-    from feathergo.reduce import Stepped, fg_step, fgg_step
     from feathergo.typecheck import Decls
 
     step, decls = (fgg_step if lang == "fgg" else fg_step), Decls(program)

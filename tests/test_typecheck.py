@@ -37,7 +37,7 @@ from feathergo.typecheck import (
     subst_type,
 )
 
-from conftest import CORPUS_FILES, FGG_FILES, SMALL_FAMILIES, load, read, reference_fragment_messages
+from conftest import CORPUS_FILES, FGG_FILES, SMALL_FAMILIES, Stepped, fgg_step, load, read, reference_fragment_messages
 
 
 @pytest.fixture(scope="module")
@@ -620,8 +620,6 @@ def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
     # their co-simulations (the checker joins an ``if`` whose branches became
     # distinct struct values): the memoised answer is the one a fresh
     # ``Decls`` computes, and a closed goal is computed once per program
-    from feathergo.reduce import Stepped, fgg_step
-
     met, computed = [], []
     join, compute = typecheck._fgg_interface_join, typecheck._interface_join
 
