@@ -114,11 +114,7 @@ def cmd_translate(args) -> int:
     program = _load(args.file, "fgg", args.json)
     try:
         if args.mode == "dict":
-            options = dicttrans.TransOptions(
-                skip_redundant_asserts=args.skip_redundant_asserts,
-                type_metadata=not args.no_type_metadata,
-            )
-            out, inventory = dicttrans.translate_with_info(program, options)
+            out, inventory = dicttrans.translate_with_info(program)
             inventory = [e.as_dict() for e in inventory]
         else:
             out, warnings = erasure.erase_program(program)
@@ -229,8 +225,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(p, dialects=False)
     p.add_argument("--mode", choices=("dict", "erasure"), required=True)
     p.add_argument("-o", "--output", help="write the translated program here")
-    p.add_argument("--skip-redundant-asserts", action="store_true")
-    p.add_argument("--no-type-metadata", action="store_true")
     p.add_argument("--emit-inventory", action="store_true", help="print the generated-declaration manifest as JSON")
     p.set_defaults(fn=cmd_translate)
 

@@ -158,7 +158,7 @@ class RunMemo:
     def __init__(self):
         self.src_types: dict = {}
         self.trans: dict = {}
-        self.ctx = Ctx({}, {}, {}, {}, types=self.src_types, trans=self.trans)
+        self.ctx = Ctx({}, {}, {}, types=self.src_types, trans=self.trans)
         self.types: dict = {}
         self.normal: dict = {}
         self.settled: dict = {}
@@ -530,8 +530,8 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
     pos = src.align[-1]
     for j in range(len(src.stypes), n):
         raw = _hole_frames(
-            src.translator.translate_expr(built[n - j], ctx)[0],
-            src.translator.translate_expr(built[n - j - 1], ctx)[0],
+            src.translator.translate_expr(built[n - j], ctx),
+            src.translator.translate_expr(built[n - j - 1], ctx),
         )
         if raw is None:
             return
@@ -767,7 +767,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
         m = macro_step(tgt.focus, tdecls, tgt.frames)
         if isinstance(step, PanicOutcome):
             agree = matched and m.kind == "panic"
-            terminal = Terminal("panic", agree, step.message if agree else "target did not panic: %s" % m.kind)
+            terminal = Terminal("panic", agree, step.message if agree else here or "target did not panic: %s" % m.kind)
             break
         contractum, rule = step
         records.append(StepRecord(i, rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched))

@@ -17,11 +17,6 @@ through ``Translator._declare``, which records what emitted it: the
 inventory and the name-collision check read the emitted declarations.
 ``Translator.translate_decls`` emits them all; ``translate_program`` adds
 the translated ``main``.
-
-Optional flags, both off by default: ``skip_redundant_asserts`` drops the
-receiver asserts of field selects and calls when the translated receiver
-already has the needed struct type; ``type_metadata=False`` omits all
-type-rep machinery and is only valid for assertion-free programs.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .erasure import check_erased_any, ill_typed
+from .erasure import accept_source
 from .syntax import (
     ANY,
     Binop,
@@ -59,7 +54,6 @@ from .syntax import (
     fold,
     print_type,
     subexprs,
-    walk,
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
@@ -73,12 +67,6 @@ from .typecheck import (
 
 class TranslationError(Exception):
     diagnostics = ()  # the checker's, when the source does not typecheck
-
-
-@dataclass(frozen=True)
-class TransOptions:
-    skip_redundant_asserts: bool = False
-    type_metadata: bool = True
 
 
 @dataclass(frozen=True)
@@ -166,13 +154,12 @@ class Ctx:
     side table of the subterms typed so far under (delta; gamma), and the
     translations made so far under it. A subterm translates the same way
     wherever it occurs under one context, so ``trans`` maps ``id(node)`` to
-    ``(node, (translated expression, fg type name))``; holding the node
-    keeps its id from being reused while the entry lives."""
+    ``(node, translated expression)``; holding the node keeps its id from
+    being reused while the entry lives."""
 
     delta: dict
     eta: dict
     gamma: dict
-    fg_types: dict  # var name -> concrete fg type name (receiver only)
     types: dict = field(default_factory=dict)
     trans: dict = field(default_factory=dict)
 
@@ -182,17 +169,10 @@ def _this(name: str = "this") -> Var:
 
 
 class Translator:
-    def __init__(self, program: Program, options: TransOptions | None = None):
-        self.options = options or TransOptions()
-        diags = fgg_typecheck_program(program)
-        if diags:
-            raise ill_typed(diags, TranslationError)
+    def __init__(self, program: Program):
+        checked = accept_source(fgg_typecheck_program(program), TranslationError)
         self.program = program
-        self.decls, self.envs = diags.decls, diags.envs
-        if not self.options.type_metadata and any(isinstance(n, TypeAssert) for n in walk(program)):
-            raise TranslationError(
-                "type metadata can only be disabled for assertion-free programs"
-            )
+        self.decls, self.envs = checked.decls, checked.envs
         self.arities = self._collect_arities()
         self.max_formal = max([0] + [max_formal(d) for d in program.decls])
         self.sources: dict = {}  # decl_name -> what emitted that declaration
@@ -210,7 +190,6 @@ class Translator:
         return sorted(out)
 
     def _check_source_names(self) -> None:
-        check_erased_any(self.decls, TranslationError)
         for d in self.program.decls:
             if isinstance(d, StructDecl):
                 for f in d.fields:
@@ -321,7 +300,6 @@ class Translator:
         """makeDict: (i) the parameter's own dictionary, (ii) dictionary
         supertyping by destructuring, (iii) a fresh dictionary of abstractors
         for a concrete type."""
-        meta = self.options.type_metadata
         if isinstance(tau, TypeParam):
             have = ctx.delta.get(tau.name)
             if have is None:
@@ -336,8 +314,7 @@ class Translator:
                 FieldSel(ctx.eta[tau.name], m, origin="dict")
                 for m in fgg_methods(bound, ctx.delta, self.decls)
             ]
-            if meta:
-                fields.append(FieldSel(ctx.eta[tau.name], "_type", origin="dict"))
+            fields.append(FieldSel(ctx.eta[tau.name], "_type", origin="dict"))
             return StructLit(TypeApp(dict_name(bound.name)), tuple(fields))
         if not fgg_subtype(tau, bound, ctx.delta, self.decls):
             raise TranslationError(
@@ -347,9 +324,8 @@ class Translator:
             StructLit(TypeApp(ptr_name(tau.name, m)))
             for m in fgg_methods(bound, ctx.delta, self.decls)
         ]
-        if meta:
-            zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
-            fields.append(self.typemeta(tau, zeta))
+        zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
+        fields.append(self.typemeta(tau, zeta))
         return StructLit(TypeApp(dict_name(bound.name)), tuple(fields))
 
     # -- expressions -----------------------------------------------------------
@@ -357,22 +333,19 @@ class Translator:
     def typeof(self, e: Expr, ctx: Ctx) -> Type:
         return fgg_typecheck_expr(e, ctx.delta, ctx.gamma, self.decls, types=ctx.types)
 
-    def translate_expr(self, e: Expr, ctx: Ctx):
-        """Returns (translated expression, concrete fg type name or None).
-
-        The fg type is tracked so redundant receiver asserts can be skipped
-        and so int/bool positions only assert erased operands. A subterm in
+    def translate_expr(self, e: Expr, ctx: Ctx) -> Expr:
+        """The translation of ``e`` under ``ctx``. A subterm in
         ``ctx.trans`` is not translated again: its recorded translation,
         the same object, is reused.
+
+        Receivers of field selects and calls, arithmetic operands and
+        conditions are re-asserted to their erased type unconditionally,
+        so that translating a term commutes with substitution (lockstep
+        relies on it).
         """
-        skip = self.options.skip_redundant_asserts
         done = ctx.trans
 
-        def asserted(te, fgname, want: str):
-            # d-field / d-call always reassert the receiver; the flag drops
-            # the assert when the translated receiver already has that type
-            if skip and fgname == want:
-                return te
+        def asserted(te, want: str):
             return TypeAssert(te, TypeApp(want), origin="erase")
 
         def translated(e, kids):
@@ -382,44 +355,38 @@ class Translator:
             return hit[1]
 
         def translated_node(e, kids):
-            # kids: the (translated expression, fg type name) of each subexpression
+            # kids: the translation of each subexpression
             t = type(e)
             if t is Var:
-                return Var(e.name), ctx.fg_types.get(e.name)
-            if t is IntLit:
-                return e, "int"
-            if t is BoolLit:
-                return e, "bool"
+                return Var(e.name)
+            if t is IntLit or t is BoolLit:
+                return e
             if t is StructLit:
                 d = self.decls.structs[e.type.name]
                 dicts = tuple(self.make_dict(e.type.args, d.formal, ctx))
-                return StructLit(TypeApp(e.type.name), tuple(k[0] for k in kids) + dicts), e.type.name
+                return StructLit(TypeApp(e.type.name), tuple(kids) + dicts)
             if t is FieldSel:
-                return FieldSel(asserted(*kids[0], self.typeof(e.recv, ctx).name), e.fieldname), None
+                return FieldSel(asserted(kids[0], self.typeof(e.recv, ctx).name), e.fieldname)
             if t is TypeAssert:
                 zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
                 rep = self.typemeta(e.type, zeta)
-                return MethodCall(rep, "tryCast", (), (kids[0][0],)), None
+                return MethodCall(rep, "tryCast", (), (kids[0],))
             if t is MethodCall:
                 recv_t = self.typeof(e.recv, ctx)
-                args = tuple(k[0] for k in kids[1:])
+                args = tuple(kids[1:])
                 spec = fgg_methods(recv_t, ctx.delta, self.decls)[e.name]
                 dicts = tuple(self.make_dict(e.targs, spec.tformal, ctx))
                 if isinstance(recv_t, TypeParam):
                     # d-dictcall: resolve through the parameter's dictionary
                     target = FieldSel(ctx.eta[recv_t.name], e.name, origin="dict")
-                    return MethodCall(target, "Apply", (), (kids[0][0],) + dicts + args, origin="dict"), None
-                return MethodCall(asserted(*kids[0], recv_t.name), e.name, (), dicts + args), None
+                    return MethodCall(target, "Apply", (), (kids[0],) + dicts + args, origin="dict")
+                return MethodCall(asserted(kids[0], recv_t.name), e.name, (), dicts + args)
             if t is Binop:
-                # operands are asserted unconditionally so that translating a
-                # term commutes with substitution (lockstep relies on it)
-                tl, tr = (TypeAssert(k[0], TypeApp("int"), origin="erase") for k in kids)
-                return Binop(e.op, tl, tr), ("bool" if e.op in ("<", ">") else "int")
+                return Binop(e.op, asserted(kids[0], "int"), asserted(kids[1], "int"))
             if t is If:
-                tc = TypeAssert(kids[0][0], TypeApp("bool"), origin="erase")
-                return If(tc, kids[1][0], kids[2][0]), None
+                return If(asserted(kids[0], "bool"), kids[1], kids[2])
             if t is Seq:
-                return Seq(kids[0][0], kids[1][0]), kids[1][1]
+                return Seq(kids[0], kids[1])
             raise TranslationError("cannot translate %r" % t.__name__)
 
         return fold(e, translated, lambda n: () if id(n) in done else subexprs(n))
@@ -431,63 +398,57 @@ class Translator:
         calls: a caller that translates successive states of one run passes
         the same one, so the subterms a step leaves in place keep their
         translation objects and only the new nodes are translated."""
-        return self.translate_expr(e, Ctx({}, {}, {}, {}) if ctx is None else ctx)[0]
+        return self.translate_expr(e, Ctx({}, {}, {}) if ctx is None else ctx)
 
     # -- declarations -----------------------------------------------------------
 
     def translate_interface(self, d: InterfaceDecl) -> list:
-        meta = self.options.type_metadata
         specs = [self.erased_spec(s) for s in d.specs]
-        if meta:
-            specs += [self.spec_mdata(s.name, s.sig) for s in d.specs]
+        specs += [self.spec_mdata(s.name, s.sig) for s in d.specs]
         out: list = [self._declare(InterfaceDecl(d.name, (), tuple(specs)), "erased interface %s" % d.name)]
 
         dict_fields = [
             Param(s.name, TypeApp(func_iface_name(arity(s.sig)))) for s in d.specs
         ]
-        if meta:
-            dict_fields.append(Param("_type", TypeApp(TYPE_MDATA)))
+        dict_fields.append(Param("_type", TypeApp(TYPE_MDATA)))
         dict_struct = StructDecl(dict_name(d.name), (), tuple(dict_fields))
         out.append(self._declare(dict_struct, "dictionary for %s" % d.name))
 
-        if meta:
-            zeta = {
-                fp.name: FieldSel(_this(), "_type_%d" % i, origin="sim")
-                for i, fp in enumerate(d.formal)
-            }
-            body: Expr = Var("x")
-            for s in reversed(d.specs):
-                actual = MethodCall(
-                    TypeAssert(Var("x"), TypeApp(d.name), origin="sim"),
-                    spec_method_name(s.name),
-                    (),
-                    (),
-                    origin="sim",
-                )
-                want = self.signature_meta(s.sig, zeta)
-                body = If(Neq(actual, want, origin="sim"), Panic(), body, origin="sim")
-            out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
+        zeta = {
+            fp.name: FieldSel(_this(), "_type_%d" % i, origin="sim")
+            for i, fp in enumerate(d.formal)
+        }
+        body: Expr = Var("x")
+        for s in reversed(d.specs):
+            actual = MethodCall(
+                TypeAssert(Var("x"), TypeApp(d.name), origin="sim"),
+                spec_method_name(s.name),
+                (),
+                (),
+                origin="sim",
+            )
+            want = self.signature_meta(s.sig, zeta)
+            body = If(Neq(actual, want, origin="sim"), Panic(), body, origin="sim")
+        out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
         for s in d.specs:
             out.extend(self.meth_ptr(d.name, s.name, s.sig))
         return out
 
     def translate_struct(self, d: StructDecl) -> list:
-        meta = self.options.type_metadata
         fields = [Param(f.name, ANY) for f in d.fields]
         fields += list(self.as_param(d.formal))
         out: list = [self._declare(StructDecl(d.name, (), tuple(fields)), "erased struct %s" % d.name)]
-        if meta:
-            body: Expr = Var("x")
-            for i in reversed(range(len(d.formal))):
-                stored = FieldSel(
-                    FieldSel(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), "dict_%d" % i, origin="sim"),
-                    "_type",
-                    origin="sim",
-                )
-                cond = Neq(FieldSel(_this(), "_type_%d" % i, origin="sim"), stored, origin="sim")
-                body = If(cond, Panic(), body, origin="sim")
-            body = Seq(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), body, origin="sim")
-            out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
+        body: Expr = Var("x")
+        for i in reversed(range(len(d.formal))):
+            stored = FieldSel(
+                FieldSel(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), "dict_%d" % i, origin="sim"),
+                "_type",
+                origin="sim",
+            )
+            cond = Neq(FieldSel(_this(), "_type_%d" % i, origin="sim"), stored, origin="sim")
+            body = If(cond, Panic(), body, origin="sim")
+        body = Seq(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), body, origin="sim")
+        out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
         return out
 
     def _type_rep(self, name: str, nparams: int, cast: Expr, source: str) -> list:
@@ -500,55 +461,49 @@ class Translator:
         ]
 
     def translate_method(self, d: MethodDecl) -> list:
-        meta = self.options.type_metadata
         delta, gamma = self.envs[(d.recv_type, d.name)]
         eta = {
             r: FieldSel(Var(d.recv_name), "dict_%d" % i, origin="dict")
             for i, r in enumerate(d.recv_params)
         }
         eta.update({fp.name: Var("dict_%d" % j) for j, fp in enumerate(d.sig.tformal)})
-        ctx = Ctx(delta, eta, gamma, {d.recv_name: d.recv_type})
-        body, _ = self.translate_expr(d.body, ctx)
+        body = self.translate_expr(d.body, Ctx(delta, eta, gamma))
 
         params = self.as_param(d.sig.tformal) + tuple(Param(p.name, ANY) for p in d.sig.params)
         erased = MethodDecl(d.recv_name, d.recv_type, (), d.name, MethodSig((), params, ANY), body)
         out = [self._declare(erased, "erased method body")]
-        if meta:
-            zeta = {
-                r: FieldSel(FieldSel(_this(), "dict_%d" % i, origin="sim"), "_type", origin="sim")
-                for i, r in enumerate(d.recv_params)
-            }
-            spec_sig = MethodSig((), (), TypeApp(fn_meta_name(arity(d.sig))))
-            spec_body = self.signature_meta(d.sig, zeta)
-            spec = MethodDecl("this", d.recv_type, (), spec_method_name(d.name), spec_sig, spec_body)
-            out.append(self._declare(spec, "signature simulation for %s.%s" % (d.recv_type, d.name)))
+        zeta = {
+            r: FieldSel(FieldSel(_this(), "dict_%d" % i, origin="sim"), "_type", origin="sim")
+            for i, r in enumerate(d.recv_params)
+        }
+        spec_sig = MethodSig((), (), TypeApp(fn_meta_name(arity(d.sig))))
+        spec_body = self.signature_meta(d.sig, zeta)
+        spec = MethodDecl("this", d.recv_type, (), spec_method_name(d.name), spec_sig, spec_body)
+        out.append(self._declare(spec, "signature simulation for %s.%s" % (d.recv_type, d.name)))
         out.extend(self.meth_ptr(d.recv_type, d.name, d.sig))
         return out
 
     # -- program -----------------------------------------------------------------
 
     def runtime_decls(self) -> list:
-        meta = self.options.type_metadata
         out: list = []
         if "Any" not in self.decls.interfaces:
             out.append(self._declare(InterfaceDecl("Any"), "erased type representation"))
-        if meta:
-            rep_iface = InterfaceDecl(TYPE_MDATA, (), (MethodSpec("tryCast", TRY_CAST),))
-            out.append(self._declare(rep_iface, "type-rep interface"))
+        rep_iface = InterfaceDecl(TYPE_MDATA, (), (MethodSpec("tryCast", TRY_CAST),))
+        out.append(self._declare(rep_iface, "type-rep interface"))
         for n in self.arities:
             params = (Param("rec", ANY),) + tuple(Param("x_%d" % i, ANY) for i in range(n))
             func = InterfaceDecl(func_iface_name(n), (), (MethodSpec("Apply", MethodSig((), params, ANY)),))
             out.append(self._declare(func, "%d-ary method pointer interface" % n))
-        if meta:
-            for n in self.arities:
-                record = StructDecl(fn_meta_name(n), (), rep_fields(n + 1))
-                out.append(self._declare(record, "signature simulation record"))
-            for i in range(self.max_formal):
-                # tryCast is never invoked; declared so the record fields typecheck
-                out += self._type_rep(param_index_name(i), 0, Panic(), "type-parameter index")
-            for b in BUILTIN_STRUCTS:
-                cast = Seq(TypeAssert(Var("x"), TypeApp(b), origin="sim"), Var("x"), origin="sim")
-                out += self._type_rep(meta_name(b), 0, cast, "type-rep for builtin %s" % b)
+        for n in self.arities:
+            record = StructDecl(fn_meta_name(n), (), rep_fields(n + 1))
+            out.append(self._declare(record, "signature simulation record"))
+        for i in range(self.max_formal):
+            # tryCast is never invoked; declared so the record fields typecheck
+            out += self._type_rep(param_index_name(i), 0, Panic(), "type-parameter index")
+        for b in BUILTIN_STRUCTS:
+            cast = Seq(TypeAssert(Var("x"), TypeApp(b), origin="sim"), Var("x"), origin="sim")
+            out += self._type_rep(meta_name(b), 0, cast, "type-rep for builtin %s" % b)
         return out
 
     def translate_decls(self) -> list:
@@ -569,16 +524,16 @@ class Translator:
         return Program(tuple(self.translate_decls()), self.translate_closed_expr(self.program.main))
 
 
-def translate_program(program: Program, options: TransOptions | None = None) -> Program:
+def translate_program(program: Program) -> Program:
     """Translate a typechecked FGG program to FG-extended. Deterministic; a
-    pure function of (program, options)."""
-    return Translator(program, options).translate_program()
+    pure function of the program."""
+    return Translator(program).translate_program()
 
 
-def translate_with_info(program: Program, options: TransOptions | None = None):
+def translate_with_info(program: Program):
     """The translation and its inventory: one ``InventoryEntry`` per
     declaration of the translation, in order."""
-    t = Translator(program, options)
+    t = Translator(program)
     out = t.translate_program()
     kinds = {MethodDecl: "method", StructDecl: "struct", InterfaceDecl: "interface"}
     return out, tuple(

@@ -35,7 +35,7 @@ from .syntax import (
     fold,
 )
 from .typecheck import (
-    Decls,
+    Checked,
     fgg_bounds_of,
     fgg_typecheck_expr,
     fgg_typecheck_program,
@@ -46,30 +46,28 @@ class ErasureError(Exception):
     diagnostics = ()  # the checker's, when the source does not typecheck
 
 
-def ill_typed(diags: list, error: type) -> Exception:
-    """``error`` for a source the checker found ``diags`` in, carrying a
-    copy of them as its ``diagnostics`` (the program keeps ``diags``)."""
-    ex = error("source program does not typecheck: " + "; ".join(d.message for d in diags))
-    ex.diagnostics = list(diags)
-    return ex
-
-
-def check_erased_any(decls: Decls, error: type) -> None:
-    """Both translators declare ``type Any interface {}`` unless the source
-    does; a source ``Any`` must be that interface, with no formals and no
-    specs, or ``error`` is raised."""
-    d = decls.interfaces.get("Any")
-    if "Any" in decls.structs or (d is not None and (d.formal or d.specs)):
+def accept_source(checked: Checked, error: type) -> Checked:
+    """``checked``, the checker's judgement of a source, if both translators
+    accept that source, else ``error``. For an ill-typed source the error
+    carries a copy of the diagnostics as its ``diagnostics`` (the program
+    keeps the judgement). Both translators declare ``type Any interface {}``
+    unless the source does, so a source ``Any`` must be that interface, with
+    no formals and no specs."""
+    if checked:
+        ex = error("source program does not typecheck: " + "; ".join(d.message for d in checked))
+        ex.diagnostics = list(checked)
+        raise ex
+    d = checked.decls.interfaces.get("Any")
+    if "Any" in checked.decls.structs or (d is not None and (d.formal or d.specs)):
         raise error("source declares Any incompatibly with the erased Any")
+    return checked
 
 
 class _Eraser:
     def __init__(self, program: Program):
-        diags = fgg_typecheck_program(program)
-        if diags:
-            raise ill_typed(diags, ErasureError)
+        checked = accept_source(fgg_typecheck_program(program), ErasureError)
         self.program = program
-        self.decls, self.envs = diags.decls, diags.envs
+        self.decls, self.envs = checked.decls, checked.envs
         self.asserts = False  # whether erasing met a type assertion
 
     def erase_expr(self, e: Expr, delta: dict, gamma: dict, fg_types: dict):
@@ -130,7 +128,6 @@ class _Eraser:
         return MethodDecl(d.recv_name, d.recv_type, (), d.name, sig, body)
 
     def erase_program(self) -> Program:
-        check_erased_any(self.decls, ErasureError)
         decls = []
         if "Any" not in self.decls.interfaces:
             decls.append(InterfaceDecl("Any"))

@@ -360,6 +360,18 @@ def test_translate_and_cosim_take_no_dialect_flags(capsys, command, flag):
     assert error.startswith("feathergo: error: unrecognized arguments: %s " % flag[0])
 
 
+@pytest.mark.parametrize("flag", ["--skip-redundant-asserts", "--no-type-metadata"])
+def test_translate_has_one_dictionary_translation(capsys, flag):
+    # the translation always emits type metadata and always re-asserts
+    # receivers; the flags that once turned either off are usage errors
+    with pytest.raises(SystemExit) as ei:
+        main(["translate", "--mode", "dict", flag, corpus_path("gtfunc.fgg")])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1] == "feathergo: error: unrecognized arguments: %s" % flag
+
+
 def test_run_builds_one_decls_for_a_judged_program(capsys, monkeypatch):
     # run takes the source's index from the check that came before it
     built = []

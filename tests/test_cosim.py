@@ -451,6 +451,23 @@ def test_a_failed_check_keeps_the_first_mismatch_and_prints_a_reason(monkeypatch
     assert err == report.mismatch_detail + "\n"
 
 
+def test_a_panic_terminal_that_mismatched_names_the_mismatch(monkeypatch):
+    # the target panics too, but the states disagree at the panic index:
+    # the terminal carries that index's text, as a value terminal does
+    real, calls = cosim._same_state, []
+
+    def mismatch_at_two(tgt, out, pairs, agreed):
+        calls.append(None)
+        matched, agreed = real(tgt, out, pairs, agreed)
+        return (matched and len(calls) != 3), agreed
+
+    monkeypatch.setattr(cosim, "_same_state", mismatch_at_two)
+    report = check_correspondence(load("typerep.fgg"))
+    assert report.terminal.kind == "panic" and not report.terminal.both_sides_agree
+    assert report.terminal.detail.startswith("index 2:")
+    assert report.terminal.detail == report.mismatch_detail
+
+
 def test_a_check_translates_main_once(monkeypatch):
     # the target's main, translated under the run's context, is also the
     # target's start state; a later call that finds it in the context's

@@ -4,7 +4,6 @@ from feathergo import bench, dicttrans
 from feathergo.dicttrans import (
     RESERVED_NAME,
     Ctx,
-    TransOptions,
     Translator,
     arity,
     max_formal,
@@ -162,7 +161,7 @@ def test_make_dict_concrete_type_builds_abstractors():
     # case (iii): the figure's main builds OrdDict{Gt: ..., meta}
     p = load("gtfunc.fgg")
     tr = Translator(p)
-    ctx = Ctx({}, {}, {}, {})
+    ctx = Ctx({}, {}, {})
     d = tr.make_dict1(TypeApp("int"), TypeApp("Ord", (TypeApp("int"),)), ctx)
     assert print_expr(d) == "OrdDict{int_Gt{}, Int_meta{}}"
 
@@ -173,7 +172,7 @@ def test_make_dict_identity_case():
     tr = Translator(p)
     eta = {"T": FieldSel(Var("this"), "dict_0", origin="dict")}
     delta = {"T": TypeApp("Ord", (TypeParam("T"),))}
-    d = tr.make_dict1(TypeParam("T"), TypeApp("Ord", (TypeParam("T"),)), Ctx(delta, eta, {}, {}))
+    d = tr.make_dict1(TypeParam("T"), TypeApp("Ord", (TypeParam("T"),)), Ctx(delta, eta, {}))
     assert d is eta["T"]
 
 
@@ -183,7 +182,7 @@ def test_make_dict_supertyping_copies_fields():
     tr = Translator(p)
     eta = {"β": Var("dict_0")}
     delta = {"β": TypeApp("Ord", (TypeParam("β"),))}
-    d = tr.make_dict1(TypeParam("β"), TypeApp("Eq", (TypeParam("β"),)), Ctx(delta, eta, {}, {}))
+    d = tr.make_dict1(TypeParam("β"), TypeApp("Eq", (TypeParam("β"),)), Ctx(delta, eta, {}))
     assert print_expr(d) == "EqDict{dict_0.Equal, dict_0._type}"
 
 
@@ -275,7 +274,7 @@ def test_translate_assert_matches_figure_main(typerep_out):
 def test_translate_var():
     p = load("gtfunc.fgg")
     tr = Translator(p)
-    assert tr.translate_expr(Var("x"), Ctx({}, {}, {"x": TypeApp("Any")}, {}))[0] == Var("x")
+    assert tr.translate_expr(Var("x"), Ctx({}, {}, {"x": TypeApp("Any")})) == Var("x")
 
 
 # -- whole programs ---------------------------------------------------------------------
@@ -289,12 +288,11 @@ def test_minimal_program_inventory():
     assert any(e.name == "Nil_meta.tryCast" for e in inventory)
 
 
-@pytest.mark.parametrize("skip", [False, True], ids=["default", "skip-redundant-asserts"])
 @pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)
-def test_inventory_lists_the_written_declarations_in_order(path, skip):
+def test_inventory_lists_the_written_declarations_in_order(path):
     # one entry per declaration of the written program, in its order, named
     # and kinded by the declaration itself
-    out, inventory = translate_with_info(parse_fgg(path.read_text()), TransOptions(skip_redundant_asserts=skip))
+    out, inventory = translate_with_info(parse_fgg(path.read_text()))
     written = [
         ("%s.%s" % (d.recv_type, d.name), "method") if isinstance(d, MethodDecl)
         else (d.name, "struct" if isinstance(d, StructDecl) else "interface")
@@ -329,7 +327,7 @@ def test_receiver_chain_is_typed_once_per_translation_root(monkeypatch):
     lookups = []
     real = typecheck.fgg_methods
     monkeypatch.setattr(typecheck, "fgg_methods", lambda *a: lookups.append(a[0]) or real(*a))
-    ctx = Ctx({}, {}, {}, {})
+    ctx = Ctx({}, {}, {})
     tr.translate_expr(program.main, ctx)
     # one lookup per inner call; the outermost call is never a receiver
     assert lookups.count(TypeApp("Box", (TypeApp("int"),))) == depth - 1
@@ -412,34 +410,6 @@ def test_dictionary_shape_invariant():
         walk(out)
 
 
-# -- optional flags ------------------------------------------------------------------
-
-
-def test_skip_redundant_asserts_flag():
-    p = load("fgg_list.fgg")
-    plain = translate_program(p)
-    skipped = translate_program(p, TransOptions(skip_redundant_asserts=True))
-    assert fg_typecheck_program(skipped, "extended") == []
-    assert node_count(skipped) < node_count(plain)
-    assert run(skipped, lang="fg").value == run(plain, lang="fg").value
-
-
-def test_no_type_metadata_flag_on_assert_free_program():
-    p = load("gtfunc.fgg")
-    out = translate_program(p, TransOptions(type_metadata=False))
-    assert fg_typecheck_program(out, "extended") == []
-    names = [getattr(d, "name", None) for d in out.decls]
-    assert "_type_mdata" not in names and "Ord_meta" not in names
-    dict_struct = decl_by_name(out, "OrdDict", StructDecl)
-    assert [f.name for f in dict_struct.fields] == ["Gt"]
-    assert run(out, lang="fg").value == run(p, lang="fgg").value  # bool result unchanged
-
-
-def test_no_type_metadata_rejected_with_asserts():
-    with pytest.raises(dicttrans.TranslationError):
-        translate_program(load("typerep.fgg"), TransOptions(type_metadata=False))
-
-
 # -- name collisions --------------------------------------------------------------------
 
 
@@ -478,18 +448,14 @@ def test_collision_with_another_generated_type_name_rejected(decls, message):
     assert str(ei.value) == message
 
 
-def test_type_rep_names_are_free_without_type_metadata():
-    # the collision check reads the emitted declarations: without type
-    # metadata no S_meta is emitted, so a source S_meta beside S is fine
+def test_collision_with_generated_type_rep_name_rejected():
+    # the type-rep of S is S_meta, so a source S_meta beside S collides
     src = (
         "package main\ntype Any interface {}\ntype S struct {}\ntype S_meta struct {}\n"
         "func main() { _ = S_meta{} }\n"
     )
     with pytest.raises(dicttrans.TranslationError, match="collide with generated names: S_meta"):
         translate_program(parse_fgg(src))
-    out = translate_program(parse_fgg(src), TransOptions(type_metadata=False))
-    assert fg_typecheck_program(out, "extended") == []
-    assert run(out, lang="fg").value == run(parse_fgg(src)).value
 
 
 def test_reserved_field_name_rejected():
