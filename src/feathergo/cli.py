@@ -217,7 +217,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="evaluate a program")
     common(p)
-    p.add_argument("--max-steps", type=_at_least(0), default=reduce.DEFAULT_MAX_STEPS)
+    budget = "step budget (default {:,})".format(reduce.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_at_least(0), default=reduce.DEFAULT_MAX_STEPS, help=budget)
     p.add_argument("--trace", action="store_true", help="one line per step on stderr")
     p.set_defaults(fn=cmd_run)
 

@@ -115,7 +115,7 @@ def _dict_contract(e: Expr, decls: Decls, types: dict):
         return None
     o = e.origin
     if (o == "dict" or o == "sim" and t is FieldSel) and is_value(e.recv):
-        out = _contract(e, decls, False)
+        out = _contract(e, subexprs(e), decls, False)
         if type(out) is tuple:
             return out[0]
     # assertion refinement: |- recv : u and u <: t strictly
@@ -207,7 +207,7 @@ def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
         if any(k is not s for k, s in zip(kids, subexprs(e))):
             out = rebuild(e, kids)
         while type(out) is TypeAssert and out.origin == "erase" and is_value(out.recv):
-            step = _contract(out, decls, False)
+            step = _contract(out, (out.recv,), decls, False)
             if type(step) is not tuple:
                 break
             out = step[0]
@@ -408,7 +408,8 @@ def _settle_into(z: Zipper, cut: Cut, e: Expr, decls: Decls, memo: RunMemo) -> i
     while cut.c and is_value(e):
         e = settle(cut.pop(e), decls, memo)
     del z.frames[cut.c:], z.ctypes[cut.c:]
-    z.focus, low = _resume(e, z.frames)
+    node, kids, low, stale = _resume(e, z.frames)
+    z.focus = rebuild(node, kids) if stale else node  # a zipper holds whole nodes
     del z.ctypes[low:]
     z.fresh, z.kept = len(z.frames), min(z.kept, low)
     return low
@@ -440,14 +441,15 @@ class Source:
     def __init__(self, translator: Translator, e: Expr):
         self.translator = translator
         self.frames: list = []
-        self.focus = _descend(e, self.frames)
+        self.focus = _descend(e, self.frames)[0]
         self.low = 0
         self.out = Zipper(None)
         self.stypes, self.align = [], [0]
 
     def step(self, e: Expr) -> None:
         """Put the contractum ``e`` in place of the focus."""
-        self.focus, low = _resume(e, self.frames)
+        node, kids, low, stale = _resume(e, self.frames)
+        self.focus = rebuild(node, kids) if stale else node
         self.low = min(self.low, low)
 
     def keep(self, k: int) -> None:
@@ -612,17 +614,10 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
     the focus of the machine context ``frames``, which the step advances
     in place: the outcome's ``expr`` is the new focus, and ``low`` the
     number of leading frames it left in place."""
-    low = len(frames)
-
-    def advance(e):
-        nonlocal low
-        e, k = _resume(e, frames)
-        low = min(low, k)
-        return e
-
+    low, kids, stale = len(frames), subexprs(d), False
     erase_steps = 0
     while True:
-        out = _contract(d, decls, False)
+        out = _contract(d, kids, decls, False)
         t = type(out)
         if t is Value:
             return MacroOutcome("value", d, erase_steps, None, 0, low=low)
@@ -632,17 +627,19 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
             raise RuntimeError("target stuck: %s" % out.reason)
         if classify(d) != "erase":
             break
-        d = advance(out[0])
+        d, kids, k, stale = _resume(out[0], frames)
+        low = min(low, k)
         erase_steps += 1
     # the single ordinary step
     mid_rule = out[1]
-    d = advance(out[0])
+    d, kids, k, stale = _resume(out[0], frames)
+    low = min(low, k)
     sim_steps = 0
     while True:
         sim = classify(d) == "sim"
         if not sim and type(d) is not TypeAssert and type(d) is not Panic:
             break
-        out = _contract(d, decls, False)
+        out = _contract(d, kids, decls, False)
         t = type(out)
         if t is PanicOutcome:
             return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, low=low)
@@ -650,9 +647,10 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
             raise RuntimeError("target stuck: %s" % out.reason)
         if not sim:
             break
-        d = advance(out[0])
+        d, kids, k, stale = _resume(out[0], frames)
+        low = min(low, k)
         sim_steps += 1
-    return MacroOutcome("stepped", d, erase_steps, mid_rule, sim_steps, low=low)
+    return MacroOutcome("stepped", rebuild(d, kids) if stale else d, erase_steps, mid_rule, sim_steps, low=low)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +755,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
         )
         mismatch = mismatch or here
 
-        step = _contract(src.focus, translator.decls, True)
+        step = _contract(src.focus, subexprs(src.focus), translator.decls, True)
         if isinstance(step, Value):
             agree = matched and not tgt.frames and is_value(tgt.focus)
             terminal = Terminal("value", agree, show_expr(tgt.term()) if agree else here)

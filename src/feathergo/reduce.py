@@ -9,24 +9,25 @@ subterm, the focus, contracts in place.
 
 ``run`` drives a refocusing machine. It keeps the evaluation context as a
 spine of ``(node, kids, i)`` frames from the root down, the hole being
-``kids[i]`` of the last frame, and contracts at the focus. Then it resumes
-at the hole, not at the root:
+``kids[i]`` of the last frame, and contracts at the focus, a ``(node,
+kids)`` pair. Then it resumes at the hole, not at the root:
 
 * a contractum that is not a value is descended into;
 * a value fills the hole, and the machine moves on to the next strict
   sibling that is not a value;
-* when no such sibling is left, it rebuilds the frame's node once and
-  contracts there, or climbs on if that node is a struct literal (a value).
+* when no such sibling is left, the frame's node with the filled kids is
+  the focus, not rebuilt (Danvy & Nielsen's refocus-then-fuse, BRICS
+  RS-04-26), or the machine climbs on if that node is a struct literal.
 
 Climbing out of a subterm shows that it is a value, so only siblings not yet
 visited are tested for value-ness. A step costs work in what it changed, not
-in the depth of the hole, and the whole term is built only as the final
-value. Co-simulation steps on the same machine (``_contract`` and
-``_resume``, which also tells it how many frames a step left in place), and
-its dictionary resolution contracts the tagged plumbing with ``_contract``
-too. Every loop runs over the explicit spine, so term depth is not bounded
-by the recursion limit. The stepper holds no global state; distinct runs
-are independent.
+in the depth of the hole; the whole term is built only as the final value,
+and a redex only for a ``trace`` callback. Co-simulation steps on the same
+machine (``_contract`` and ``_resume``, which also tells it how many frames
+a step left in place and whether the focus is stale), and its dictionary
+resolution contracts the tagged plumbing with ``_contract`` too. Every loop
+runs over the explicit spine, so term depth is not bounded by the recursion
+limit. The stepper holds no global state; distinct runs are independent.
 
 r-call substitutes the receiver, arguments and type actuals into the
 method's body through the body's template (``compile_body``): compiled once
@@ -101,8 +102,13 @@ class Stuck:
     reason: str
 
 
+_VALUE_HEADS = (StructLit, IntLit, BoolLit)  # a value's heads; a focus with one is a value
+
+
 def is_value(e: Expr) -> bool:
-    todo = [e]
+    if type(e) is not StructLit or not e.args:
+        return type(e) in _VALUE_HEADS
+    todo = [*e.args]
     while todo:
         t = type(e := todo.pop())
         if t is StructLit:
@@ -242,21 +248,6 @@ def compile_body(m: MethodDecl):
     return instantiate
 
 
-def instantiate_body(decls: Decls, m: MethodDecl, recv: Expr, args, targs, rtype=None) -> Expr:
-    """body(vtype(v).m): substitute receiver, value arguments and type
-    actuals into the declared body, ``m`` being ``decls.methods[(m.recv_type,
-    m.name)]``. Used by r-call, which dictionary resolution also takes on
-    an applicator call with unevaluated arguments. ``recv`` must be a
-    value, ``rtype`` its ``vtype`` if the caller has it, and ``args`` one
-    per value parameter. The body's template is built at the method's
-    first instantiation and kept in ``decls.templates``."""
-    key = (m.recv_type, m.name)
-    tpl = decls.templates.get(key)
-    if tpl is None:
-        tpl = decls.templates[key] = compile_body(m)
-    return tpl(recv, args, targs, rtype)
-
-
 _BINOPS = {
     "<": lambda a, b: BoolLit(a < b),
     ">": lambda a, b: BoolLit(a > b),
@@ -265,22 +256,27 @@ _BINOPS = {
 }
 
 
-def _contract(e: Expr, decls: Decls, generic: bool):
-    """Head contraction of ``e``, whose strict subexpressions are values:
-    the pair ``(contractum, rule)`` for a step, else a ``Value``,
-    ``PanicOutcome`` or ``Stuck``. ``e`` is the redex."""
+def _contract(e: Expr, kids: tuple, decls: Decls, generic: bool):
+    """Head contraction of the redex ``e``, whose strict subexpressions are
+    the values ``kids``, newer than ``e``'s own where ``e`` is stale: the
+    pair ``(contractum, rule)`` for a step, else a ``Value``,
+    ``PanicOutcome`` or ``Stuck``. r-call checks arity at every call."""
     t = type(e)
     if t is MethodCall:
-        rt = vtype(e.recv)
-        m = decls.methods.get((rt.name, e.name))
-        if m is None:
-            return Stuck("no method %s on %s" % (e.name, print_type(rt)))
-        if len(m.sig.params) != len(e.args):
+        rt = vtype(kids[0])
+        key = (rt.name, e.name)
+        tpl = decls.templates.get(key)
+        if tpl is None:
+            m = decls.methods.get(key)
+            if m is None:  # kept out of the table: stuck at every call
+                return Stuck("no method %s on %s" % (e.name, print_type(rt)))
+            tpl = decls.templates[key] = len(m.sig.params), compile_body(m)
+        if tpl[0] != len(kids) - 1:
             return Stuck("arity mismatch calling %s" % e.name)
-        return instantiate_body(decls, m, e.recv, e.args, e.targs, rt), "r-call"
+        return tpl[1](kids[0], kids[1:], e.targs, rt), "r-call"
 
     if t is FieldSel:
-        v = e.recv
+        v = kids[0]
         if type(v) is not StructLit:
             return Stuck("field select on %s" % print_expr(v))
         d = decls.structs.get(v.type.name)
@@ -292,7 +288,7 @@ def _contract(e: Expr, decls: Decls, generic: bool):
         return Stuck("no field %s on %s" % (e.fieldname, v.type.name))
 
     if t is TypeAssert:
-        v = e.recv
+        v = kids[0]
         if generic:
             ok = fgg_subtype(vtype(v), e.type, {}, decls)
         else:
@@ -303,20 +299,20 @@ def _contract(e: Expr, decls: Decls, generic: bool):
         return PanicOutcome(vtype(v), e.type, msg)
 
     if t is Binop:
-        if type(e.left) is not IntLit or type(e.right) is not IntLit:
+        if type(kids[0]) is not IntLit or type(kids[1]) is not IntLit:
             return Stuck("binop %s on non-int values" % e.op)
-        return _BINOPS[e.op](e.left.value, e.right.value), "r-ext-binop"
+        return _BINOPS[e.op](kids[0].value, kids[1].value), "r-ext-binop"
 
     if t is Neq:
-        return BoolLit(e.left != e.right), "r-ext-neq"
+        return BoolLit(kids[0] != kids[1]), "r-ext-neq"
 
     if t is If:
-        if type(e.cond) is not BoolLit:
+        if type(kids[0]) is not BoolLit:
             return Stuck("if condition is not a bool")
-        return (e.then if e.cond.value else e.els), "r-ext-if"
+        return kids[1 if kids[0].value else 2], "r-ext-if"
 
     if t is Seq:
-        return e.rest, "r-ext-seq"
+        return kids[1], "r-ext-seq"
 
     if t is Panic:
         return PanicOutcome(None, None, "panic")
@@ -327,15 +323,15 @@ def _contract(e: Expr, decls: Decls, generic: bool):
     return Stuck("free variable %s" % e.name)  # subexprs rejects any class but Var here
 
 
-def _descend(e: Expr, spine: list) -> Expr:
+def _descend(e: Expr, spine: list) -> tuple:
     """Push the evaluation context of ``e`` onto ``spine`` and return its
-    focus: the leftmost innermost subterm that is not a value and whose
-    strict subexpressions all are. A value ``e`` is its own focus, with
-    nothing pushed."""
+    focus and the focus's subexpressions: the leftmost innermost subterm
+    that is not a value and whose strict subexpressions all are. A value
+    ``e`` is its own focus, with nothing pushed."""
     while True:
         t = type(e)
         if t is IntLit or t is BoolLit:
-            return e
+            return e, ()
         kids = subexprs(e)
         for i in range(1 if t is If or t is Seq else len(kids)):
             if not is_value(kids[i]):
@@ -343,20 +339,17 @@ def _descend(e: Expr, spine: list) -> Expr:
                 e = kids[i]
                 break
         else:
-            return e
-
-
-_VALUE_HEADS = (StructLit, IntLit, BoolLit)  # a focus with one of these is a value
+            return e, kids
 
 
 def _resume(e: Expr, spine: list) -> tuple:
-    """The next focus once ``e`` has replaced the focus at the hole of
-    ``spine``'s last frame, and the number of leading frames of ``spine``
-    left in place."""
+    """The next focus ``(node, kids)`` once ``e`` has replaced the focus at
+    the hole of ``spine``'s last frame, the number of leading frames left in
+    place, and whether ``node`` is stale: a refilled frame's node."""
     low = len(spine)
-    e = _descend(e, spine)
+    e, kids = _descend(e, spine)
     if type(e) not in _VALUE_HEADS:
-        return e, low
+        return e, kids, low, False
     # a value pushed nothing, and the climb only pops: the frames left on
     # exit are those left in place
     while spine:
@@ -366,12 +359,12 @@ def _resume(e: Expr, spine: list) -> tuple:
             if not is_value(kids[j]):
                 spine[-1] = (node, kids, j)
                 low = len(spine) - 1
-                return _descend(kids[j], spine), low
+                return (*_descend(kids[j], spine), low, False)
         spine.pop()
-        e = rebuild(node, kids)
-        if type(e) not in _VALUE_HEADS:
-            break
-    return e, len(spine)
+        if type(node) is not StructLit:
+            return node, kids, len(spine), True
+        e = StructLit(node.type, kids)
+    return e, kids, len(spine), False
 
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -396,23 +389,25 @@ def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg",
     """Run main's expression on the machine, one contraction per step.
 
     ``lang`` selects the stepper ("fgg" or any fg dialect). ``trace`` is an
-    optional callback invoked with (rule, redex) per step. Never exceeds
-    ``max_steps``; exhausting the budget signals possible divergence. A
-    program already judged runs on its judgement's ``Decls``.
+    optional callback invoked with (rule, redex) per step, a stale redex
+    built for it alone. Never exceeds ``max_steps``; exhausting the budget
+    signals possible divergence. A program already judged runs on its
+    judgement's ``Decls``.
     """
     decls = kept_decls(program)
     generic = lang == "fgg"
     spine = []
-    e = _descend(program.main, spine)
+    e, kids = _descend(program.main, spine)
+    stale = False
     for steps in range(max_steps):
-        out = _contract(e, decls, generic)
+        out = _contract(e, kids, decls, generic)
         if type(out) is not tuple:
             break
         if trace is not None:
-            trace(out[1], e)
-        e = _resume(out[0], spine)[0]
+            trace(out[1], rebuild(e, kids) if stale else e)
+        e, kids, _, stale = _resume(out[0], spine)
     else:
-        out = _contract(e, decls, generic)  # the term is looked at before the budget
+        out = _contract(e, kids, decls, generic)  # the term is looked at before the budget
         if type(out) is tuple:
             return RunResult("budget_exhausted", max_steps)
         steps = max_steps

@@ -86,9 +86,9 @@ class Decls:
     delta (a closed goal cannot depend on delta), ``joins`` maps ``(tt,
     te)`` to ``_fgg_interface_join`` under an empty delta, ``msets`` maps a
     ``TypeApp`` to its substituted method set (which never depends on
-    delta), and ``templates`` maps a method's ``(recv_type, name)`` to the
-    substitution template ``reduce.instantiate_body`` compiles its body
-    into at its first call. All rely on a ``Decls`` never being mutated after
+    delta), and ``templates`` maps a method's ``(recv_type, name)`` to its
+    arity and body template, which r-call compiles (``reduce.compile_body``)
+    at its first call. All rely on a ``Decls`` never being mutated after
     construction: build a new one for a new program. The tables live on
     the instance, so checks of distinct programs never share an entry.
     A ``Decls`` keeps the program's declarations, not the program, so the

@@ -7,7 +7,7 @@ import pytest
 from feathergo import cosim
 from feathergo.dicttrans import dict_name, ptr_name
 from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
-from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, vtype
+from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, compile_body, vtype
 from feathergo.syntax import (
     Expr,
     If,
@@ -128,6 +128,19 @@ def reference_body(m, recv, args, targs):
     typemap = {r: t for r, t in zip(m.recv_params, vtype(recv).args)}
     typemap.update({fp.name: t for fp, t in zip(m.sig.tformal, targs)})
     return subst_expr(m.body, varmap, typemap)
+
+
+def instantiate_body(decls: Decls, m: MethodDecl, recv: Expr, args, targs, rtype=None) -> Expr:
+    """body(vtype(v).m): substitute receiver, value arguments and type
+    actuals into the declared body through its template, as r-call does,
+    ``m`` being ``decls.methods[(m.recv_type, m.name)]``. ``args`` may be
+    unevaluated, as dictionary resolution passes an applicator's. The
+    template is compiled at the method's first instantiation and kept in
+    ``decls.templates`` beside its arity, where r-call keeps it."""
+    key = (m.recv_type, m.name)
+    if key not in decls.templates:
+        decls.templates[key] = len(m.sig.params), compile_body(m)
+    return decls.templates[key][1](recv, args, targs, rtype)
 
 
 def shallow_reprs(e) -> list:
@@ -270,7 +283,7 @@ def macro_step_whole(d, decls):
     """``cosim.macro_step`` on the whole term ``d``: the outcome's ``expr``
     is the whole term after the step, not the machine's new focus."""
     frames = []
-    m = cosim.macro_step(_descend(d, frames), decls, frames)
+    m = cosim.macro_step(_descend(d, frames)[0], decls, frames)
     return dataclasses.replace(m, expr=plug(frames, m.expr)) if m.kind == "stepped" else m
 
 
@@ -289,8 +302,8 @@ def _step_once(e: Expr, decls: Decls, generic: bool) -> StepOutcome:
     ``plug`` the contractum back in. The reference the machine
     (``reduce.run``, which resumes at the hole) is tested against."""
     spine = []
-    redex = _descend(e, spine)
-    out = _contract(redex, decls, generic)
+    redex, kids = _descend(e, spine)
+    out = _contract(redex, kids, decls, generic)
     if type(out) is not tuple:
         return out
     contractum, rule = out

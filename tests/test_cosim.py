@@ -505,7 +505,7 @@ def _traced_correspondence(program, reference):
     def from_scratch(z, e, decls):  # ``z`` made the settled normal form of ``e``, no frame checked
         nf, steps = _reference_normalize(e, decls, {})
         z.__init__(settle(nf, decls, RunMemo()))
-        z.focus = _descend(z.focus, z.frames)
+        z.focus = _descend(z.focus, z.frames)[0]
         return steps
 
     def traced_target(z, decls, memo):

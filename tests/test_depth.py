@@ -10,11 +10,11 @@ from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
-from feathergo.reduce import instantiate_body, run
+from feathergo.reduce import run
 from feathergo.syntax import INT, IntLit, StructLit, TypeApp, pretty_print
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
-from conftest import reference_body, shallow_reprs
+from conftest import instantiate_body, reference_body, shallow_reprs
 
 DEPTH = 10_000
 BOX = "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"

@@ -7,7 +7,6 @@ from feathergo.dicttrans import (
     Translator,
     arity,
     max_formal,
-    meta_name,
     translate_program,
     translate_with_info,
 )
@@ -32,7 +31,7 @@ from feathergo.syntax import (
 )
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
-from conftest import FGG_FILES, TERMINATING, generated_struct_names, load, read
+from conftest import FGG_FILES, TERMINATING, generated_struct_names, load
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import pytest
 
@@ -12,7 +13,6 @@ from feathergo.reduce import (
     Stuck,
     Value,
     compile_body,
-    instantiate_body,
     is_value,
     run,
     step_count,
@@ -22,6 +22,7 @@ from feathergo.syntax import (
     INT,
     Binop,
     BoolLit,
+    Expr,
     FieldSel,
     FormalParam,
     If,
@@ -37,11 +38,25 @@ from feathergo.syntax import (
     TypeAssert,
     TypeParam,
     Var,
+    rebuild,
     show_expr,
+    subexprs,
+    walk,
 )
 from feathergo.typecheck import Decls
 
-from conftest import CORPUS, FGG_FILES, TERMINATING, Stepped, fg_step, fgg_step, load, read, reference_body
+from conftest import (
+    CORPUS,
+    FGG_FILES,
+    TERMINATING,
+    Stepped,
+    fg_step,
+    fgg_step,
+    instantiate_body,
+    load,
+    read,
+    reference_body,
+)
 
 
 @pytest.fixture(scope="module")
@@ -324,17 +339,18 @@ def test_resume_counts_the_frames_it_left_in_place(make):
     # of the context it left as it was, frame for frame
     program, lang = make()
     decls, spine = Decls(program), []
-    e = reduce._descend(program.main, spine)
+    e, kids = reduce._descend(program.main, spine)
     for _ in range(300):
-        out = reduce._contract(e, decls, lang == "fgg")
+        out = reduce._contract(e, kids, decls, lang == "fgg")
         if type(out) is not tuple:
             break
         before = list(spine)
-        e, low = reduce._resume(out[0], spine)
+        e, kids, low, stale = reduce._resume(out[0], spine)
         same = 0
         while same < min(len(before), len(spine)) and before[same] is spine[same]:
             same += 1
         assert low == same
+        assert stale == any(a is not b for a, b in zip(kids, subexprs(e)))
 
 
 @pytest.mark.parametrize(
@@ -441,6 +457,67 @@ def test_run_builds_no_outcome_per_step(monkeypatch, make):
         assert type(out) is Stepped and out.rule == rule and repr(out.redex) == repr(redex)
         e = out.expr
     assert len(built) == 100
+
+
+def test_untraced_run_rebuilds_no_refilled_frame(monkeypatch):
+    # a value filling a frame's last strict hole leaves the frame's node and
+    # its filled kids as the focus: omega's dict translation refills its
+    # call frame after every r-assert, and builds no node for it; a trace
+    # callback gets each such focus built, and every other one as it is
+    program, lang = _translated(lambda: load("omega.fgg"), "dict")()
+    calls = []
+    monkeypatch.setattr(reduce, "rebuild", lambda *args: calls.append(args) or rebuild(*args))
+    res = run(program, 10_000, lang)
+    assert res.kind == "budget_exhausted" and res.steps == 10_000
+    assert calls == []
+    rules = []
+    run(program, 10_000, lang, trace=lambda rule, redex: rules.append(rule))
+    assert rules[:2] == ["r-assert", "r-call"] and len(calls) == rules.count("r-call") == 5_000
+
+
+def test_r_call_stuck_reasons_repeat():
+    # the template table is looked up first, so a missing method or a wrong
+    # arity must still be stuck on every call, and a missing method leaves
+    # no entry behind
+    decls = Decls(load("omega.fgg"))
+    app = StructLit(TypeApp("App"))
+    cases = [
+        (MethodCall(app, "Spin", (), ()), "no method Spin on App", False),
+        (MethodCall(app, "Loop", (), (IntLit(1),)), "arity mismatch calling Loop", True),
+    ]
+    for e, reason, compiled in cases:
+        for _ in range(2):
+            assert reduce._contract(e, subexprs(e), decls, False) == Stuck(reason)
+        assert ((e.recv.type.name, e.name) in decls.templates) == compiled
+    e = MethodCall(app, "Loop", (), ())
+    out, rule = reduce._contract(e, subexprs(e), decls, False)
+    assert rule == "r-call" and show_expr(out) == "App{}.Loop()"
+
+
+EXPR_CLASSES = set(typing.get_args(Expr))
+CORPUS_INPUTS = [(n, m) for n, m in MACHINE_INPUTS if ".fg" in n]  # the corpus and its translations
+
+
+def _walked_is_value(e) -> bool:
+    return all(type(n) in (StructLit, IntLit, BoolLit) for n in walk(e) if type(n) in EXPR_CLASSES)
+
+
+@pytest.mark.parametrize("make", [m for _, m in CORPUS_INPUTS], ids=[n for n, _ in CORPUS_INPUTS])
+def test_is_value_matches_a_walk(make):
+    program, _ = make()
+    terms = [n for n in walk(program) if type(n) in EXPR_CLASSES]
+    assert terms
+    for e in terms:
+        assert is_value(e) == _walked_is_value(e), show_expr(e)
+
+
+def test_is_value_on_a_deep_struct_nest(default_recursion_limit):
+    box = TypeApp("Box")
+    for leaf, want in [(IntLit(1), True), (StructLit(box), True), (Var("x"), False)]:
+        e = leaf
+        for _ in range(10_000):
+            e = StructLit(box, (BoolLit(True), e))
+        assert is_value(e) is want
 
 
 # ---------------------------------------------------------------------------
