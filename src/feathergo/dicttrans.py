@@ -54,6 +54,7 @@ from .syntax import (
     fold,
     print_type,
     subexprs,
+    type_args,
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
@@ -233,15 +234,18 @@ class Translator:
         )
 
     def typemeta(self, tau: Type, zeta: dict) -> Expr:
-        if isinstance(tau, TypeParam):
+        if type(tau) is TypeApp and not tau.args:
+            return StructLit(TypeApp(meta_name(tau.name)))
+
+        def meta(t, kids):
+            if type(t) is TypeApp:
+                return StructLit(TypeApp(meta_name(t.name)), tuple(kids))
             try:
-                return zeta[tau.name]
+                return zeta[t.name]
             except KeyError:
-                raise TranslationError("typemeta: unbound type parameter %s" % tau.name)
-        return StructLit(
-            TypeApp(meta_name(tau.name)),
-            tuple(self.typemeta(a, zeta) for a in tau.args),
-        )
+                raise TranslationError("typemeta: unbound type parameter %s" % t.name)
+
+        return fold(tau, meta, type_args)
 
     def signature_meta(self, sig: MethodSig, zeta: dict) -> Expr:
         """fnMeta literal: bound reps, argument-type reps, return-type rep.

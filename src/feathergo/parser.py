@@ -198,23 +198,33 @@ class _Parser:
 
     # -- types --------------------------------------------------------------
 
-    def parse_type(self, scope: frozenset):
-        name = self.ident("type name").text
-        if name in scope:
-            return TypeParam(name)
-        return TypeApp(name, self.parse_type_list(scope) if self.at("[") else ())
-
-    def parse_type_list(self, scope: frozenset) -> tuple:
-        if not self.generic:
-            self.fail("type arguments require the fgg dialect")
-        self.expect("[")
-        out = []
-        if not self.at("]"):
-            out.append(self.parse_type(scope))
-            while self.accept(","):
-                out.append(self.parse_type(scope))
-        self.expect("]")
-        return tuple(out)
+    def parse_type(self, scope: frozenset, listed: bool = False):
+        """A type, or if ``listed`` a bracketed list of them. The argument lists
+        still open wait on ``pending``, innermost last, as in ``parse_expr``."""
+        pending, name = [], None
+        while True:
+            if not listed:
+                name = self.ident("type name").text
+                t = TypeParam(name) if name in scope else TypeApp(name)
+            if listed or type(t) is TypeApp and self.at("["):
+                if not self.generic:
+                    self.fail("type arguments require the fgg dialect")
+                self.expect("[")
+                listed = False
+                if not self.accept("]"):
+                    pending.append((name, []))
+                    continue
+                t = TypeApp(name) if name else ()
+            while pending:  # t ends an argument: read the next one, or close the list
+                name, items = pending[-1]
+                items.append(t)
+                if self.accept(","):
+                    break
+                self.expect("]")
+                pending.pop()
+                t = TypeApp(name, tuple(items)) if name else tuple(items)
+            else:
+                return t
 
     def parse_formal(self, outer: frozenset):
         """Parse ``[a Bound, ...]``; bounds see all names of this formal."""
@@ -284,7 +294,7 @@ class _Parser:
             elif t.kind == "ident":
                 self.next()
                 if self.at("[") or self.at("{"):
-                    args = self.parse_type_list(scope) if self.at("[") else ()
+                    args = self.parse_type(scope, True) if self.at("[") else ()
                     self.expect("{")
                     e = self._open_args(pending, partial(StructLit, TypeApp(t.text, args)), "}")
                 else:
@@ -300,7 +310,7 @@ class _Parser:
                         continue
                     name = self.ident("field or method name").text
                     if self.at("["):
-                        targs = self.parse_type_list(scope)
+                        targs = self.parse_type(scope, True)
                         self.expect("(")
                     elif self.accept("("):
                         targs = ()

@@ -6,7 +6,9 @@ Named types are always represented as ``TypeApp``; an FG type is a
 ``TypeApp`` with an empty argument tuple and prints as a bare name.
 
 All nodes are frozen dataclasses, so trees are immutable values that can be
-shared freely across threads and compared structurally. Expression nodes
+shared freely across threads and compared structurally. Named types are
+interned: equal types are one object, compared and hashed by identity, and
+the table keeps each distinct type built in the process. Expression nodes
 have slots, and their generated ``__init__``, ``__eq__``, ``__hash__`` and
 ``__repr__`` are replaced by faster or iterative ones (end of this module)
 that keep the generated ones' signature and results; assigning a field
@@ -37,6 +39,8 @@ def _pos():  # a declaration's (line, col) in its source, (0, 0) if it has none
 # ---------------------------------------------------------------------------
 # Types
 
+_TYPES: dict = {}  # (name, args) -> the one TypeApp for it
+
 
 @dataclass(frozen=True)
 class TypeParam:
@@ -45,9 +49,9 @@ class TypeParam:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class TypeApp:
-    """A named type, instantiated with type actuals.
+    """A named type, instantiated with a tuple of type actuals; interned.
 
     FG types and zero-formal FGG types have ``args == ()`` and print as the
     bare name.
@@ -55,6 +59,17 @@ class TypeApp:
 
     name: str
     args: tuple = ()
+
+    def __new__(cls, name: str, args: tuple = ()):
+        t = _TYPES.get((name, args))
+        if t is None:  # setdefault: two threads building one new type get one object
+            t = object.__new__(cls)
+            t.__dict__.update(name=name, args=args)
+            t = _TYPES.setdefault((name, args), t)
+        return t
+
+    def __reduce__(self):  # copies and pickles are the interned object
+        return TypeApp, (self.name, self.args)
 
 
 Type = TypeParam | TypeApp
@@ -276,11 +291,9 @@ _BINOP_PREC = {"<": _PREC_CMP, ">": _PREC_CMP, "+": _PREC_ADD, "-": _PREC_ADD}
 
 
 def print_type(t: Type) -> str:
-    if isinstance(t, TypeParam):
+    if type(t) is TypeParam or not t.args:
         return t.name
-    if not t.args:
-        return t.name
-    return "%s[%s]" % (t.name, ", ".join(print_type(a) for a in t.args))
+    return fold(t, lambda n, kids: "%s[%s]" % (n.name, ", ".join(kids)) if kids else n.name, type_args)
 
 
 def print_formal(formal: Formal) -> str:
@@ -463,6 +476,11 @@ def subexprs(e: Expr) -> tuple:
     raise TypeError("not an expression: %r" % t.__name__)
 
 
+def type_args(t) -> tuple:
+    """A type's immediate subtypes, the ``kids`` of a ``fold`` over types."""
+    return t.args if type(t) is TypeApp else ()
+
+
 def rebuild(e: Expr, kids) -> Expr:
     """``e`` with its subexpressions replaced by ``kids`` (in ``subexprs``
     order), keeping its scalar fields, carried types and origin tag."""
@@ -617,6 +635,11 @@ def _expr_init(cls):
     return ns["__init__"]
 
 
+def _repr_type(t, kids) -> str:  # the generated dataclass repr, given the arguments'
+    args = kids[0] + "," if len(kids) == 1 else ", ".join(kids)
+    return "TypeApp(name=%r, args=(%s))" % (t.name, args) if type(t) is TypeApp else repr(t)
+
+
 # the generated inits and reprs, which the tests take as the reference
 GENERATED_INITS = {cls: cls.__init__ for cls in Expr.__args__}
 GENERATED_REPRS = {cls: cls.__repr__ for cls in Expr.__args__}
@@ -626,6 +649,7 @@ for _cls in Expr.__args__:
     _cls.__eq__ = _expr_eq
     _cls.__hash__ = _expr_hash
     _cls.__repr__ = _expr_repr
+TypeApp.__repr__ = lambda t: fold(t, _repr_type, type_args)
 
 
 # every node class -> its fields that may hold nodes, last field first (origin

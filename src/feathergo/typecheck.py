@@ -52,6 +52,7 @@ from .syntax import (
     fold,
     print_type,
     subexprs,
+    type_args,
     walk,
 )
 
@@ -90,9 +91,10 @@ class Decls:
     arity and body template, which r-call compiles (``reduce.compile_body``)
     at its first call. All rely on a ``Decls`` never being mutated after
     construction: build a new one for a new program. The tables live on
-    the instance, so checks of distinct programs never share an entry.
-    A ``Decls`` keeps the program's declarations, not the program, so the
-    judgement a program keeps refers back to nothing that keeps it alive.
+    the instance, so checks of distinct programs never share an entry;
+    types are interned, so a key of types hashes by identity. A ``Decls``
+    keeps the program's declarations, not the program, so the judgement a
+    program keeps refers back to nothing that keeps it alive.
     """
 
     def __init__(self, program: Program):
@@ -107,9 +109,7 @@ class Decls:
         self.methods_by_type: dict = {}  # recv_type -> [MethodDecl] in decl order
         self.duplicates: list = []
         for d in program.decls:
-            if isinstance(d, StructDecl):
-                self._add_type(d)
-            elif isinstance(d, InterfaceDecl):
+            if isinstance(d, (StructDecl, InterfaceDecl)):
                 self._add_type(d)
             elif isinstance(d, MethodDecl):
                 key = (d.recv_type, d.name)
@@ -144,11 +144,15 @@ class Decls:
 
 
 def subst_type(t: Type, mapping: dict) -> Type:
-    if isinstance(t, TypeParam):
+    if type(t) is TypeParam:
         return mapping.get(t.name, t)
     if not t.args:
         return t
-    return TypeApp(t.name, tuple(subst_type(a, mapping) for a in t.args))
+
+    def subst(n, kids):
+        return mapping.get(n.name, n) if type(n) is TypeParam else TypeApp(n.name, tuple(kids)) if kids else n
+
+    return fold(t, subst, type_args)
 
 
 def subst_sig(sig: MethodSig, mapping: dict) -> MethodSig:
@@ -156,9 +160,7 @@ def subst_sig(sig: MethodSig, mapping: dict) -> MethodSig:
     parameters are binders and must not occur in ``mapping``."""
     if not mapping:
         return sig
-    tformal = tuple(
-        fp.__class__(fp.name, subst_type(fp.bound, mapping)) for fp in sig.tformal
-    )
+    tformal = tuple(fp.__class__(fp.name, subst_type(fp.bound, mapping)) for fp in sig.tformal)
     params = tuple(p.__class__(p.name, subst_type(p.type, mapping)) for p in sig.params)
     return MethodSig(tformal, params, subst_type(sig.ret, mapping))
 
@@ -182,11 +184,14 @@ def fgg_methods(tau: Type, delta: dict, decls: Decls) -> dict:
     """methods_Delta(tau): specification set with type actuals substituted;
     for a type parameter, the methods of its bound. The set of a ``TypeApp``
     is built once per program and shared: callers must not mutate it."""
-    if isinstance(tau, TypeParam):
-        bound = delta.get(tau.name)
-        if bound is None:
+    seen = set()  # a malformed formal's bounds can name each other
+    while type(tau) is TypeParam:
+        if tau.name not in delta:
             raise CheckError("t-param: unknown type parameter %s" % tau.name)
-        return fgg_methods(bound, delta, decls)
+        if tau.name in seen:
+            raise CheckError("t-param: cyclic bound of type parameter %s" % tau.name)
+        seen.add(tau.name)
+        tau = delta[tau.name]
     mset = decls.msets.get(tau)
     if mset is None:
         mset = decls.msets[tau] = _method_set(tau, decls)
@@ -205,11 +210,7 @@ def _method_set(tau: TypeApp, decls: Decls) -> dict:
     if isinstance(d, InterfaceDecl):
         eta = {fp.name: a for fp, a in zip(d.formal, tau.args)}
         return {s.name: subst_sig(s.sig, eta) for s in d.specs}
-    out = {}
-    for m in decls.methods_by_type.get(tau.name, ()):
-        eta = {r: a for r, a in zip(m.recv_params, tau.args)}
-        out[m.name] = subst_sig(m.sig, eta)
-    return out
+    return {m.name: subst_sig(m.sig, dict(zip(m.recv_params, tau.args))) for m in decls.methods_by_type.get(tau.name, ())}
 
 
 def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls) -> bool:
@@ -266,17 +267,19 @@ def fgg_bounds_check(formal, actuals, delta: dict, decls: Decls, what: str) -> d
 
 
 def fgg_wf(tau: Type, delta: dict, decls: Decls) -> None:
-    if isinstance(tau, TypeParam):
-        if tau.name not in delta:
-            raise CheckError("t-param: unknown type parameter %s" % tau.name)
-        return
-    d = decls.type_decl(tau.name)
-    if d is None:
-        raise CheckError("t-named: unknown type %s" % tau.name)
-    if tau.args or d.formal:  # a nullary type, as every FG type is, has no bounds
-        for a in tau.args:
-            fgg_wf(a, delta, decls)
-        fgg_bounds_check(d.formal, tau.args, delta, decls, "t-named: %s" % tau.name)
+    # names are looked up on entering a node, bounds checked on leaving it, as in a recursive descent
+    todo = [tau]  # types to enter, and (type, decl) pairs to leave
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            fgg_bounds_check(t[1].formal, t[0].args, delta, decls, "t-named: %s" % t[0].name)
+        elif type(t) is TypeParam:
+            if t.name not in delta:
+                raise CheckError("t-param: unknown type parameter %s" % t.name)
+        elif (d := decls.type_decl(t.name)) is None:
+            raise CheckError("t-named: unknown type %s" % t.name)
+        elif t.args or d.formal:  # a nullary type, as every FG type is, has no bounds
+            todo += [(t, d), *reversed(t.args)]
 
 
 def fgg_bounds_of(tau: Type, delta: dict) -> Type:
@@ -464,8 +467,6 @@ def _join(tt, te, expected, sub):
     if isinstance(tt, Bottom):
         return te
     if isinstance(te, Bottom):
-        return tt
-    if tt == te:
         return tt
     if sub(tt, te):
         return te

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from feathergo import cosim
-from feathergo.dicttrans import dict_name, ptr_name
+from feathergo.dicttrans import TranslationError, dict_name, meta_name, ptr_name
 from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
 from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, compile_body, vtype
 from feathergo.syntax import (
@@ -96,6 +96,48 @@ def default_recursion_limit():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(limit)
+
+
+def reference_print_type(t) -> str:
+    """``print_type`` by recursion over the type: the reference the fold in
+    ``syntax`` is tested against."""
+    if isinstance(t, TypeParam) or not t.args:
+        return t.name
+    return "%s[%s]" % (t.name, ", ".join(reference_print_type(a) for a in t.args))
+
+
+def reference_subst_type(t, mapping: dict):
+    """``subst_type`` by recursion over the type."""
+    if isinstance(t, TypeParam):
+        return mapping.get(t.name, t)
+    if not t.args:
+        return t
+    return TypeApp(t.name, tuple(reference_subst_type(a, mapping) for a in t.args))
+
+
+def reference_typemeta(tau, zeta: dict):
+    """``Translator.typemeta`` by recursion over the type."""
+    if isinstance(tau, TypeParam):
+        try:
+            return zeta[tau.name]
+        except KeyError:
+            raise TranslationError("typemeta: unbound type parameter %s" % tau.name)
+    return StructLit(TypeApp(meta_name(tau.name)), tuple(reference_typemeta(a, zeta) for a in tau.args))
+
+
+# a named type as a plain frozen dataclass, with the generated repr
+_GeneratedTypeApp = dataclasses.make_dataclass(
+    "TypeApp", [("name", str), ("args", tuple, dataclasses.field(default=()))], frozen=True
+)
+
+
+def reference_type_repr(t) -> str:
+    """The repr the generated dataclass ``repr`` prints for ``t``."""
+
+    def plain(t):
+        return _GeneratedTypeApp(t.name, tuple(map(plain, t.args))) if type(t) is TypeApp else t
+
+    return repr(plain(t))
 
 
 def subst_expr(e, varmap: dict, typemap: dict):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from feathergo import cli
 from feathergo.cli import main
 from feathergo.dicttrans import translate_program
 from feathergo.parser import tokenize
@@ -281,8 +282,7 @@ def test_unknown_flag_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["parse", "typecheck", "run"])
 def test_deep_input_fails_cleanly(capsys, tmp_path, default_recursion_limit, command):
-    # a deep expression goes through; only nested type arguments, which are
-    # parsed and checked recursively, still reach the one-line exit 3
+    # a deep expression and deeply nested type arguments both go through
     deep = tmp_path / "deep.fgg"
     deep.write_text("package main\nfunc main() { _ = %s }\n" % " + ".join(["1"] * 3000))
     code, out, err = run_cli(capsys, command, str(deep), *(["--max-steps", "10"] if command == "run" else []))
@@ -293,9 +293,22 @@ def test_deep_input_fails_cleanly(capsys, tmp_path, default_recursion_limit, com
     deep_type = tmp_path / "deep_type.fgg"
     nested = "Box[" * 3000 + "int" + "]" * 3000
     deep_type.write_text("package main\ntype Any interface {}\ntype Box[T Any] struct {}\nfunc main() { _ = %s{} }\n" % nested)
-    code, _, err = run_cli(capsys, command, str(deep_type))
-    assert code == 3
-    assert err == "%s: error: input nested too deeply\n" % deep_type
+    code, out, err = run_cli(capsys, command, str(deep_type))
+    assert code == 0 and err == ""
+    printed = "package main\n\ntype Any interface {}\n\ntype Box[T Any] struct {}\n\nfunc main() {\n\t_ = %s{}\n}\n" % nested
+    assert out == {"parse": printed, "typecheck": "ok\n", "run": "%s{}\n" % nested}[command]
+
+
+@pytest.mark.parametrize("command", ["parse", "typecheck", "run"])
+def test_recursion_error_is_one_line_exit_3(capsys, monkeypatch, command):
+    # no known input overflows the stack; should one, the command still
+    # ends with one line and exit 3, not a traceback
+    def overflow(source, lang):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "parse_program", overflow)
+    path = corpus_path("gtfunc.fgg")
+    assert run_cli(capsys, command, path) == (3, "", "%s: error: input nested too deeply\n" % path)
 
 
 def test_non_ascii_digit_is_a_diagnostic(capsys, tmp_path):

@@ -1,7 +1,7 @@
-"""Deep terms at the interpreter's default recursion limit: every expression
-pass folds iteratively (``repr`` included), so 10^4 levels of nesting go
-through the whole pipeline, and the interpreter runs them to their value in
-linear time."""
+"""Deep terms and types at the interpreter's default recursion limit: every
+expression and type pass folds iteratively (``repr`` included), so 10^4
+levels of nesting go through the whole pipeline, and the interpreter runs
+them to their value in linear time."""
 
 import pytest
 
@@ -25,6 +25,9 @@ DEEP_INPUTS = {
     "literal": BOX + "func main() { _ = " + "Box[Any]{" * DEPTH + "1" + "}" * DEPTH + " }\n",
     "statements": BOX + "func (b Box[T]) Many() int {\n" + "\tb\n" * DEPTH + "\treturn 1\n}\n"
     "func main() { _ = Box[int]{1}.Many() }\n",
+    "type": "package main\ntype Any interface {}\ntype Box[T Any] struct {}\n"
+    "func (b Box[T]) Wrap() Box[Box[T]] { return Box[Box[T]]{} }\n"
+    "func main() { _ = " + "Box[" * DEPTH + "int" + "]" * DEPTH + "{}.Wrap() }\n",
 }
 
 
@@ -49,7 +52,14 @@ def test_deep_input_goes_through_every_stage(default_recursion_limit, name):
     assert check_correspondence(program, max_steps=2).ok
 
 
-@pytest.mark.parametrize("name, steps, value", [("chain", DEPTH, "Box[int]{1}"), ("binop", DEPTH - 1, str(DEPTH))])
+@pytest.mark.parametrize(
+    "name, steps, value",
+    [
+        ("chain", DEPTH, "Box[int]{1}"),
+        ("binop", DEPTH - 1, str(DEPTH)),
+        ("type", 1, "Box[" * (DEPTH + 1) + "int" + "]" * (DEPTH + 1) + "{}"),
+    ],
+)
 def test_deep_input_runs_to_its_value(default_recursion_limit, name, steps, value):
     res = run(parse_fgg(DEEP_INPUTS[name]), lang="fgg")
     assert res.kind == "value" and res.steps == steps
@@ -75,3 +85,6 @@ def test_deep_input_reprs(default_recursion_limit, name):
         box = "StructLit(type=TypeApp(name='Box', args=(TypeApp(name='int', args=()),)), args=(IntLit(value=1),))"
         want = "MethodCall(recv=" * DEPTH + box + ", name='Id', targs=(), args=(), origin=None)" * DEPTH
         assert repr(program.main) == want
+    if name == "type":
+        deep = "TypeApp(name='Box', args=(" * DEPTH + "TypeApp(name='int', args=())" + ",))" * DEPTH
+        assert repr(program.main) == "MethodCall(recv=StructLit(type=%s, args=()), name='Wrap', targs=(), args=(), origin=None)" % deep

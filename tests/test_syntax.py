@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import inspect
+import pickle
+import sys
+import threading
 import typing
 
 import pytest
 
 from feathergo import syntax
 from feathergo.bench import FAMILIES, BenchConfig, generate
-from feathergo.dicttrans import translate_program
+from feathergo.dicttrans import TranslationError, Translator, translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fg, parse_fgg
 from feathergo.syntax import (
@@ -19,15 +23,29 @@ from feathergo.syntax import (
     StructLit,
     TypeApp,
     TypeAssert,
+    TypeParam,
     node_count,
     pretty_print,
     print_expr,
+    print_type,
     rebuild,
     subexprs,
     walk,
 )
+from feathergo.typecheck import subst_type
 
-from conftest import FGG_FILES, Stepped, fg_step, fgg_step, load, read
+from conftest import (
+    FGG_FILES,
+    Stepped,
+    fg_step,
+    fgg_step,
+    load,
+    read,
+    reference_print_type,
+    reference_subst_type,
+    reference_type_repr,
+    reference_typemeta,
+)
 
 
 def test_print_leaf_literal():
@@ -320,3 +338,89 @@ def test_node_init_defaults():
     call = MethodCall(x, "M")
     assert call.targs == () and call.args == () and call.origin is None
     assert StructLit(TypeApp("Nil")).args == ()
+
+
+# ---------------------------------------------------------------------------
+# Interned types
+
+
+def test_equal_types_are_one_object(corpus_programs):
+    # from the parser, from substitution, from the translators and from
+    # direct construction, in any argument form
+    box_int = TypeApp("Box", (INT,))
+    assert TypeApp("Box", (TypeApp("int"),)) is box_int and TypeApp(name="Box", args=(INT,)) is box_int
+    assert TypeApp("Box") is TypeApp("Box", ()) and TypeApp("int") is INT
+    program = parse_fgg("package main\ntype Any interface {}\ntype Box[T Any] struct {}\nfunc main() { _ = Box[int]{} }\n")
+    assert program.main.type is box_int
+    assert subst_type(TypeApp("Box", (TypeParam("T"),)), {"T": INT}) is box_int
+    assert copy.copy(box_int) is box_int and copy.deepcopy(box_int) is box_int
+    assert pickle.loads(pickle.dumps(box_int)) is box_int
+    for source in corpus_programs.values():
+        for p in (source, translate_program(source), erase_program(source)[0]):
+            for n in walk(p):
+                if type(n) is TypeApp:
+                    assert TypeApp(n.name, n.args) is n and TypeApp(n.name, tuple(n.args)) is n
+    # equality and hashing are identity's, not generated ones that read the arguments
+    assert TypeApp.__eq__ is object.__eq__ and TypeApp.__hash__ is object.__hash__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        box_int.name = "Pair"
+
+
+def test_threads_building_one_new_type_get_one_object():
+    # 8 threads build the same types, none of which exists yet, at once,
+    # switching as often as the interpreter allows
+    prefix = "Probe%d_" % id(object())
+    start = threading.Barrier(8, timeout=60)
+    built = [None] * 8
+
+    def build(k):
+        start.wait()
+        built[k] = [TypeApp(prefix + str(i), (TypeApp(prefix + "arg", (TypeApp(str(i)),)),)) for i in range(2000)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for types in built[1:]:
+        assert all(a is b for a, b in zip(types, built[0])) and len(types) == len(built[0]) == 2000
+
+
+@pytest.fixture(scope="module")
+def every_type(translated_corpus):
+    """Every type in the corpus and its translations, and in families a-e
+    at 2 and 3 and their translations, in a fixed order."""
+    programs = list(translated_corpus.values())
+    for family in FAMILIES:
+        for n in (2, 3):
+            p = generate(BenchConfig(family, n))
+            programs += [p, translate_program(p), erase_program(p)[0]]
+    types = {n for p in programs for n in walk(p) if type(n) in (TypeApp, TypeParam)}
+    return sorted(types, key=reference_type_repr)
+
+
+def test_type_folds_match_the_recursive_references(every_type, corpus_programs):
+    params = sorted({t.name for t in every_type if type(t) is TypeParam})
+    closed = [t for t in every_type if not any(type(n) is TypeParam for n in walk(t))]
+    assert len(params) > 5 and any(t.args and t.args[0].args for t in closed)  # nested types among them
+    mapping = {name: closed[i * 7 % len(closed)] for i, name in enumerate(params)}
+    zeta = {name: syntax.Var("z_" + name) for name in params[::2]}  # the others unbound
+    translator = Translator(corpus_programs["fgg_list.fgg"])
+    for t in every_type:
+        assert print_type(t) == reference_print_type(t)
+        assert repr(t) == reference_type_repr(t)
+        assert subst_type(t, mapping) is reference_subst_type(t, mapping)
+        assert subst_type(t, {}) is t
+        try:
+            want = repr(reference_typemeta(t, zeta))
+        except TranslationError as err:
+            with pytest.raises(TranslationError, match="^%s$" % err):
+                translator.typemeta(t, zeta)
+        else:
+            assert repr(translator.typemeta(t, zeta)) == want

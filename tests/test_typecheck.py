@@ -398,6 +398,37 @@ def test_declaration_and_main_diagnostics_sit_at_their_keyword():
     assert [(d.line, d.col, d.message.split(":")[0]) for d in diags] == [(2, 3, "t-struct"), (3, 2, "t-func"), (4, 4, "main")]
 
 
+@pytest.mark.parametrize(
+    "decls, message",
+    [
+        ("type S struct { a Foo[Bar] }\n", "t-struct: struct S: t-named: unknown type Foo"),
+        (
+            "type I interface { M() int }\ntype Box[T I] struct {}\ntype Two[A Any, B Any] struct {}\n"
+            "type S struct { a Two[Box[int], Nope] }\n",
+            "t-struct: struct S: t-named: Box: type argument int does not implement bound I",
+        ),
+    ],
+    ids=["name-before-arguments", "argument-bounds-before-next-argument"],
+)
+def test_well_formedness_reports_in_descent_order(decls, message):
+    # a type's name is looked up before its arguments are, and an argument's
+    # bounds are checked before the next argument is looked at
+    program = parse_fgg("package main\ntype Any interface {}\n" + decls + "func main() { _ = 1 }\n")
+    assert [d.message for d in fgg_typecheck_program(program)] == [message]
+
+
+def test_cyclic_type_parameter_bounds_are_a_diagnostic():
+    src = (
+        "package main\ntype Any interface {}\ntype S[T U, U T] struct {}\n"
+        "func (s S[T, U]) M(x T) Any { return x.Foo() }\nfunc main() { _ = S[Any, Any]{} }\n"
+    )
+    assert [d.message for d in fgg_typecheck_program(parse_fgg(src))] == [
+        "t-formal: bound of T in struct S must be an interface type",
+        "t-formal: bound of U in struct S must be an interface type",
+        "method S.M: t-param: cyclic bound of type parameter T",
+    ]
+
+
 def test_fg_listing_ok():
     for dialect in ("core", "extended"):
         assert fg_typecheck_program(load("fg_list.fg"), dialect) == []
