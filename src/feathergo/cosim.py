@@ -21,8 +21,9 @@ The harness implements, as executable artifacts:
   Both sides step on ``reduce``'s refocusing machine and keep their
   evaluation contexts across steps, so each stage works on the hole a step
   plugged and the frames it reopens, not on the whole term. The target is
-  ``Translator.translate_decls`` and ``main`` translated once, under the
-  run's context; that translation is also the target's start state.
+  the program's kept declaration translation
+  (``Translator.translated_decls``) and ``main`` translated once, under
+  the run's context; that translation is also the target's start state.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
+from operator import is_not
 
 from .dicttrans import Ctx, Translator
 from .reduce import (
@@ -59,6 +61,7 @@ from .syntax import (
     subexprs,
 )
 from .typecheck import CheckError, Decls, fg_subtype, fgg_typecheck_expr
+
 
 class NormalizeOverflow(Exception):
     pass
@@ -145,7 +148,8 @@ class RunMemo:
       declarations, kept apart from the source one;
     * ``normal``: target subterms that hold no dictionary-resolution redex;
     * ``settled``: target subterm -> its settled form, and settled form ->
-      itself;
+      itself. The scan that adds a subterm to ``normal`` records its
+      settled form here too, so every subterm in ``normal`` has one;
     * ``pairs``: pairs of target subterms the state comparison found equal.
 
     A step adds entries only for the nodes it creates. ``trim``, called
@@ -181,6 +185,24 @@ class RunMemo:
             self.limit = None
 
 
+def _settle_node(e: Expr, kids: tuple, forms, decls: Decls, done: dict) -> Expr:
+    """Record and return the settled form of ``e``, whose subexpressions
+    ``kids`` settle to ``forms``: ``e`` rebuilt from them (``e`` itself if
+    each is its kid), then its erase-tagged asserts over values
+    discharged as the machine's r-assert contracts them
+    (``reduce._contract``). A failing assert stays put."""
+    out = rebuild(e, forms) if any(map(is_not, forms, kids)) else e
+    while type(out) is TypeAssert and out.origin == "erase" and is_value(out.recv):
+        step = _contract(out, (out.recv,), decls, False)
+        if type(step) is not tuple:
+            break
+        out = step[0]
+    done[id(e)] = (e, out)
+    if out is not e:
+        done[id(out)] = (out, out)
+    return out
+
+
 def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
     """Discharge pending erasure asserts over values: an erase-tagged
     ``v.(t)`` contracts to ``v`` where the machine's r-assert steps it
@@ -193,27 +215,18 @@ def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
     discharged: a failing one stays put and surfaces as a divergence. A
     term with nothing to discharge comes back as the same object.
     ``memo.settled`` gives the settled form of every subterm settled so
-    far, and settling does not descend into them.
+    far, and of every subterm the resolution scan found redex-free
+    (``_first_redex``), so settling a normal form is one lookup; a term
+    the scan never saw, such as the frames ``Cut.pop`` reopens, is
+    settled by a ``fold`` that does not descend into the recorded ones.
     """
     done = memo.settled
 
-    def settled(e, kids):
+    def settled(e, forms):
         hit = done.get(id(e))
         if hit is not None:
             return hit[1]
-        if not kids:
-            return e
-        out = e
-        if any(k is not s for k, s in zip(kids, subexprs(e))):
-            out = rebuild(e, kids)
-        while type(out) is TypeAssert and out.origin == "erase" and is_value(out.recv):
-            step = _contract(out, (out.recv,), decls, False)
-            if type(step) is not tuple:
-                break
-            out = step[0]
-        done[id(e)] = (e, out)
-        done[id(out)] = (out, out)
-        return out
+        return _settle_node(e, subexprs(e), forms, decls, done) if forms else e
 
     return fold(e, settled, lambda n: () if id(n) in done else subexprs(n))
 
@@ -226,8 +239,10 @@ def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
     pair ``(spine, contractum)``: the frames above it, as ``syntax.plug``
     takes them, and what it contracts to; None if there is none. Subterms
     in ``memo.normal`` are skipped, and every subterm scanned whole without
-    a redex is added to it."""
-    normal, types = memo.normal, memo.types
+    a redex is added to it, with its settled form recorded in
+    ``memo.settled`` (``settle``), built from its kids' recorded forms as
+    the scan leaves it; a leaf is its own form."""
+    normal, types, done = memo.normal, memo.types, memo.settled
     spine, path = [], []  # the kids of each node above ``node``, and its index there
     node = e
     while True:
@@ -252,6 +267,9 @@ def _first_redex(e: Expr, decls: Decls, memo: RunMemo):
             spine.pop()
             path.pop()
             normal[id(parent)] = parent
+            if id(parent) not in done:
+                forms = [k if (hit := done.get(id(k))) is None else hit[1] for k in kids]
+                _settle_node(parent, kids, forms, decls, done)
         else:
             return None
 
@@ -280,9 +298,11 @@ def dict_normalize(e: Expr, decls: Decls, memo: RunMemo, cut: Cut | None = None)
     ``memo.normal`` knows to hold no redex and records those it scans
     whole, so after a contraction only the rebuilt spine and the
     contractum are scanned again; ``memo.types`` types each assertion
-    receiver once. A caller that normalises successive states of one run
-    passes the same memo, and the subterms a step leaves in place are not
-    scanned or typed again.
+    receiver once. The search also records the settled form of each
+    subterm it adds to ``memo.normal``, so the normal form it returns
+    settles by a lookup. A caller that normalises successive states of
+    one run passes the same memo, and the subterms a step leaves in place
+    are not scanned, typed or settled again.
 
     With a ``cut``, ``e`` is the hole of the checked frames above it, and
     before each scan the cut reopens the frames that may read ``e``
@@ -729,7 +749,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
     """
     translator = Translator(program)
     memo = RunMemo()
-    decls = tuple(translator.translate_decls())
+    decls = translator.translated_decls()
     # the target's main, translated once under the run's context: the two
     # sides then share every subterm no step has touched, and compare by
     # identity there

@@ -15,8 +15,10 @@ co-simulation harness classifies redexes and resolves dictionaries by them
 alone. Tags do not affect equality. Likewise every declaration is emitted
 through ``Translator._declare``, which records what emitted it: the
 inventory and the name-collision check read the emitted declarations.
-``Translator.translate_decls`` emits them all; ``translate_program`` adds
-the translated ``main``.
+``Translator.translate_decls`` emits them all, and
+``Translator.translated_decls`` keeps them with the program object, so a
+program's declarations are translated once; ``translate_program`` adds the
+translated ``main``.
 """
 
 from __future__ import annotations
@@ -524,8 +526,22 @@ class Translator:
         self._check_collisions(decls)
         return decls
 
+    def translated_decls(self) -> tuple:
+        """``translate_decls``, once per program object: the first call
+        keeps the declarations, with their ``sources``, in that object's
+        ``__dict__``, as ``fgg_typecheck_program`` keeps its judgement, and
+        later calls, by any translator of the object, take both from
+        there. Two threads that translate a new program at once can at
+        worst both emit the declarations; each gets an equal result."""
+        kept = self.program.__dict__.get("_translated")
+        if kept is None:
+            kept = self.program.__dict__["_translated"] = (tuple(self.translate_decls()), dict(self.sources))
+        else:
+            self.sources.update(kept[1])
+        return kept[0]
+
     def translate_program(self) -> Program:
-        return Program(tuple(self.translate_decls()), self.translate_closed_expr(self.program.main))
+        return Program(self.translated_decls(), self.translate_closed_expr(self.program.main))
 
 
 def translate_program(program: Program) -> Program:

@@ -267,8 +267,9 @@ Decl = StructDecl | InterfaceDecl | MethodDecl
 @dataclass(frozen=True)
 class Program:
     """A whole program; ``pos`` is that of ``func main``.
-    ``typecheck.fgg_typecheck_program`` keeps its judgement in the instance
-    ``__dict__``, outside the fields."""
+    ``typecheck.fgg_typecheck_program`` keeps its judgement, and
+    ``dicttrans.Translator.translated_decls`` its translated declarations,
+    in the instance ``__dict__``, outside the fields."""
 
     decls: tuple  # tuple[Decl, ...]
     main: Expr

@@ -7,7 +7,7 @@ import pytest
 from feathergo import cosim
 from feathergo.dicttrans import TranslationError, dict_name, meta_name, ptr_name
 from feathergo.parser import _ASI_AFTER_KIND, _ASI_AFTER_TEXT, KEYWORDS, Diagnostic, ParseError, Tok, parse_program
-from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, compile_body, vtype
+from feathergo.reduce import PanicOutcome, Stuck, Value, _contract, _descend, compile_body, is_value, vtype
 from feathergo.syntax import (
     Expr,
     If,
@@ -319,6 +319,37 @@ def reference_contract_at(e, path: tuple, decls, types=None):
     if out is None:
         raise ValueError("no dictionary-resolution redex at path")
     return plug(spine, out)
+
+
+def reference_settle(e, decls, done=None):
+    """``cosim.settle`` as a ``fold`` over the whole term with its own
+    erase-assert discharge: an erase-tagged ``v.(t)`` over a value
+    contracts to ``v`` where the machine's r-assert steps it, and a term
+    with nothing to discharge comes back as the same object. ``done``
+    maps ``id(node)`` to ``(node, settled form)`` (a fresh table by
+    default); the fold does not descend into its nodes. The oracle for
+    the settled forms ``cosim`` records as its resolution scan goes."""
+    done = {} if done is None else done
+
+    def settled(e, kids):
+        hit = done.get(id(e))
+        if hit is not None:
+            return hit[1]
+        if not kids:
+            return e
+        out = e
+        if any(k is not s for k, s in zip(kids, subexprs(e))):
+            out = rebuild(e, kids)
+        while type(out) is TypeAssert and out.origin == "erase" and is_value(out.recv):
+            step = _contract(out, (out.recv,), decls, False)
+            if type(step) is not tuple:
+                break
+            out = step[0]
+        done[id(e)] = (e, out)
+        done[id(out)] = (out, out)
+        return out
+
+    return fold(e, settled, lambda n: () if id(n) in done else subexprs(n))
 
 
 def macro_step_whole(d, decls):

@@ -9,7 +9,6 @@ from feathergo.bench import (
 )
 from feathergo.dicttrans import Translator
 from feathergo.erasure import erase_program
-from feathergo.parser import parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import MethodDecl, pretty_print, print_decl
 from feathergo.typecheck import fgg_typecheck_program

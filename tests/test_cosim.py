@@ -6,6 +6,7 @@ import random
 import pytest
 
 from feathergo import cosim
+from feathergo.bench import BenchConfig, generate
 from feathergo.cli import main
 from feathergo.cosim import (
     MEMO_MIN_ENTRIES,
@@ -15,7 +16,7 @@ from feathergo.cosim import (
     dict_normalize,
     settle,
 )
-from feathergo.dicttrans import Translator
+from feathergo.dicttrans import Translator, translate_program, translate_with_info
 from feathergo.parser import parse_fgg
 from feathergo.reduce import _descend, is_value
 from feathergo.syntax import (
@@ -49,6 +50,7 @@ from conftest import (
     macro_step_whole,
     reference_contract_at,
     reference_redex_positions,
+    reference_settle,
 )
 
 from test_reduce import FGG_SOURCES, assert_unique_decomposition
@@ -300,6 +302,54 @@ def test_dict_resolution_preserves_typing_and_never_panics():
     assert checked > 0
 
 
+def _assert_settled_as_recorded(memo, decls) -> tuple:
+    """Each subterm in ``memo.normal`` has the settled form
+    ``reference_settle`` gives it recorded in ``memo.settled``, and that
+    very subterm where the reference returns its input. Returns the
+    number of subterms checked and of those whose form is another
+    term."""
+    moved = 0
+    for n in memo.normal.values():
+        got, want = memo.settled[id(n)][1], reference_settle(n, decls)
+        assert repr(got) == repr(want), show_expr(n)
+        if want is n:
+            assert got is n, show_expr(n)
+        moved += got is not n
+    return len(memo.normal), moved
+
+
+def test_the_scan_records_each_normal_subterm_settled():
+    # the resolution scan settles each subterm it finds redex-free as a
+    # fold over the whole subterm settles it
+    checked = moved = 0
+    for s, tdecls in _sampled_states(random.Random(5)):
+        memo = RunMemo()
+        nf = dict_normalize(s, tdecls, memo)[0]
+        n, m = _assert_settled_as_recorded(memo, tdecls)
+        checked, moved = checked + n, moved + m
+        assert repr(settle(nf, tdecls, memo)) == repr(reference_settle(nf, tdecls))
+    assert checked > 5000 and moved > 1000
+
+
+def test_a_check_records_each_normal_subterm_settled(monkeypatch):
+    # the same, for the tables a whole correspondence check leaves
+    runs, target_stage = [], cosim.target_normal_form
+
+    def recording(z, decls, memo):
+        if not runs or runs[-1][0] is not memo:
+            runs.append((memo, decls))
+        return target_stage(z, decls, memo)
+
+    monkeypatch.setattr(cosim, "target_normal_form", recording)
+    programs = [load(p.name) for p in FGG_FILES]
+    programs += [generate(BenchConfig(f, n)) for f in "abcde" for n in (2, 3)]
+    for program in programs:
+        assert check_correspondence(program).ok
+    assert len(runs) == len(programs)
+    counts = [_assert_settled_as_recorded(memo, decls) for memo, decls in runs]
+    assert sum(n for n, _ in counts) > 5000 and sum(m for _, m in counts) > 1000
+
+
 def test_macro_determinism_randomized():
     # alternative decomposition search finds no second successor (1000 trials;
     # every non-value state along every sampled run, cycling if needed)
@@ -326,6 +376,18 @@ def test_macro_determinism_randomized():
 def test_correspondence_whole_corpus(path):
     report = check_correspondence(parse_fgg(path.read_text()), max_steps=500)
     assert report.ok, report.mismatch_detail or report.terminal
+
+
+PINNED_REPORTS = json.loads((CORPUS / "cosim_reports.json").read_text())
+
+
+@pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)
+def test_correspondence_report_matches_the_pinned_one(path):
+    # byte for byte, as ``cosim --report json`` prints it: omega to 2,000
+    # steps, every other program to its end
+    steps = 2000 if path.name == "omega.fgg" else 500
+    report = check_correspondence(parse_fgg(path.read_text()), max_steps=steps)
+    assert report.to_json() == json.dumps(PINNED_REPORTS[path.name], indent=2)
 
 
 def test_source_stage_refines_an_assertion_through_the_target_join(monkeypatch):
@@ -485,6 +547,30 @@ def test_a_check_translates_main_once(monkeypatch):
     assert len(fresh) == 1
 
 
+def test_a_program_translates_its_declarations_once(monkeypatch):
+    # the program keeps its declaration translation: a check after the
+    # translation emits no declarations, a check of a new program emits
+    # them once, and both report alike; so does the inventory
+    emitted, real = [], Translator.translate_decls
+
+    def counting(self):
+        emitted.append(self.program)
+        return real(self)
+
+    monkeypatch.setattr(Translator, "translate_decls", counting)
+    translated = load("fgg_list.fgg")
+    out = translate_program(translated)
+    emitted.clear()
+    after = check_correspondence(translated)
+    assert emitted == []
+    fresh = check_correspondence(load("fgg_list.fgg"))
+    assert len(emitted) == 1
+    assert after.to_json() == fresh.to_json()
+    emitted.clear()
+    assert translate_with_info(translated) == (out, translate_with_info(load("fgg_list.fgg"))[1])
+    assert len(emitted) == 1  # the fresh program's
+
+
 # -- the memos one correspondence check carries ---------------------------------------
 
 
@@ -504,7 +590,7 @@ def _traced_correspondence(program, reference):
 
     def from_scratch(z, e, decls):  # ``z`` made the settled normal form of ``e``, no frame checked
         nf, steps = _reference_normalize(e, decls, {})
-        z.__init__(settle(nf, decls, RunMemo()))
+        z.__init__(reference_settle(nf, decls))
         z.focus = _descend(z.focus, z.frames)[0]
         return steps
 
