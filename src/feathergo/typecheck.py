@@ -1,9 +1,11 @@
 """Typechecker for FGG, and for FG as its parameter-free fragment.
 
 FG is FGG without type parameters, so there is one judgement: an FG program
-is checked by the FGG rules under an empty type environment, after one pass
-that reports what the FG grammar lacks (type formals, type actuals and,
-under the "core" dialect, ``if``/sequencing/``panic``/``!=``).
+is checked by the FGG rules under an empty type environment. What the FG
+grammar lacks (type formals, type actuals and, under the "core" dialect,
+``if``/sequencing/``panic``/``!=``) is reported ahead of the judgement's
+diagnostics, each at its declaration's position, by a walk that runs only
+where the judgement alone cannot show there is none.
 
 The checker is a pure function of the program; the program-level entry
 points return a (possibly empty) list of diagnostics, each citing the rule
@@ -582,33 +584,54 @@ def kept_decls(program: Program) -> Decls:
 def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     """Check a whole FG program; returns a list of diagnostics (empty = ok).
 
-    FG is the parameter-free fragment of FGG: one pass reports each node
-    outside the fragment, then the FGG judgement checks the program under
-    an empty type environment."""
-    return [Diagnostic(m) for m in _not_fg(program, dialect)] + _check_program(program)
+    FG is the parameter-free fragment of FGG: the FGG judgement checks the
+    program under an empty type environment, and each node outside the
+    fragment is reported ahead of the judgement's diagnostics. The walk that
+    finds those nodes runs only when the judgement reports a diagnostic, a
+    declaration carries a type formal, or the dialect is "core". Otherwise
+    it would find nothing: with no formals every delta is empty, and the
+    judgement puts every type the walk inspects (field, specification and
+    method parameter and result types, literal and assertion types, call
+    type actuals) through ``fgg_wf`` or ``fgg_bounds_check``, so a type
+    parameter there is unknown and a type argument exceeds an empty
+    formal list, each a diagnostic."""
+    diags = list(_check_program(program))
+    if diags or dialect == "core" or any(_formals(d) for d in program.decls):
+        diags[:0] = _not_fg(program, dialect)
+    return diags
+
+
+def _formals(d) -> bool:
+    if type(d) is MethodDecl:
+        return bool(d.recv_params or d.sig.tformal)
+    return bool(d.formal) or any(s.sig.tformal for s in getattr(d, "specs", ()))
 
 
 def _not_fg(program: Program, dialect: str) -> list:
-    """The FG rule each node of ``program`` outside the fragment breaks, as
-    messages in preorder (fields in declaration order). A type's arguments
-    are looked at only when it has some."""
-    out = []
-    for d in program.decls:
-        if type(d) is MethodDecl:
+    """A diagnostic for each node of ``program`` outside the fragment,
+    naming the FG rule it breaks, at its declaration's ``pos`` (``main``'s
+    at the program's), in preorder (fields in declaration order). A type's
+    arguments are looked at only when it has some."""
+    core, out = dialect == "core", []
+    for d in (*program.decls, program):
+        msgs = []
+        if type(d) is Program:
+            _not_fg_expr(d.main, core, msgs)
+        elif type(d) is MethodDecl:
             if d.recv_params or d.sig.tformal:
-                out.append("t-func: fg methods take no type parameters (method %s.%s)" % (d.recv_type, d.name))
-            _not_fg_types(_sig_types(d.sig), out)
-            _not_fg_expr(d.body, dialect == "core", out)
-            continue
-        if d.formal:
-            out.append("t-type: fg declarations take no type formal (%s)" % d.name)
-        _not_fg_types([fp.bound for fp in d.formal], out)
-        _not_fg_types([f.type for f in getattr(d, "fields", ())], out)
-        for s in getattr(d, "specs", ()):
-            if s.sig.tformal:
-                out.append("t-specification: fg specs take no type formal (%s)" % s.name)
-            _not_fg_types(_sig_types(s.sig), out)
-    _not_fg_expr(program.main, dialect == "core", out)
+                msgs.append("t-func: fg methods take no type parameters (method %s.%s)" % (d.recv_type, d.name))
+            _not_fg_types(_sig_types(d.sig), msgs)
+            _not_fg_expr(d.body, core, msgs)
+        else:
+            if d.formal:
+                msgs.append("t-type: fg declarations take no type formal (%s)" % d.name)
+            _not_fg_types([fp.bound for fp in d.formal], msgs)
+            _not_fg_types([f.type for f in getattr(d, "fields", ())], msgs)
+            for s in getattr(d, "specs", ()):
+                if s.sig.tformal:
+                    msgs.append("t-specification: fg specs take no type formal (%s)" % s.name)
+                _not_fg_types(_sig_types(s.sig), msgs)
+        out += [Diagnostic(m, *d.pos) for m in msgs]
     return out
 
 
@@ -649,16 +672,17 @@ def _check_program(program: Program) -> Checked:
     once per ``fg_typecheck_program`` call, which keeps nothing: an FG
     program is checked once, and then only run. So a count of
     ``fgg_typecheck_program`` calls counts the callers that asked, the
-    translators' included, not the judgements made."""
+    translators' included, not the judgements made. A declaration without
+    type formals gets no renaming and no t-formal check, and a message is
+    built only for a diagnostic."""
     decls = Decls(program)
     diags = list(decls.duplicates)
     envs = {}
 
-    for name, d in list(decls.structs.items()):
+    for name, d in decls.structs.items():
         if name in BUILTIN_STRUCTS:
             continue
-        where = "struct %s" % name
-        delta = _fgg_formal_ok(d.formal, {}, decls, where, d.pos, diags)
+        delta = _fgg_formal_ok(d.formal, {}, decls, "struct " + name, d.pos, diags) if d.formal else {}
         seen = set()
         for f in d.fields:
             if f.name in seen:
@@ -667,72 +691,65 @@ def _check_program(program: Program) -> Checked:
             try:
                 fgg_wf(f.type, delta, decls)
             except CheckError as err:
-                diags.append(Diagnostic("t-struct: %s: %s" % (where, err.message), *d.pos))
+                diags.append(Diagnostic("t-struct: struct %s: %s" % (name, err.message), *d.pos))
 
     for name, d in decls.interfaces.items():
-        where = "interface %s" % name
-        delta = _fgg_formal_ok(d.formal, {}, decls, where, d.pos, diags)
+        delta = _fgg_formal_ok(d.formal, {}, decls, "interface " + name, d.pos, diags) if d.formal else {}
         seen = set()
         for s in d.specs:
             if s.name in seen:
                 diags.append(Diagnostic("t-interface: duplicate method %s in %s" % (s.name, name), *d.pos))
             seen.add(s.name)
-            spec = "%s.%s" % (name, s.name)
-            sdelta = _fgg_formal_ok(s.sig.tformal, delta, decls, spec, d.pos, diags)
-            pnames = [p.name for p in s.sig.params]
-            if len(set(pnames)) != len(pnames):
-                diags.append(Diagnostic("t-specification: parameter names not distinct in %s" % spec, *d.pos))
+            sig = s.sig
+            sdelta = delta
+            if sig.tformal:
+                sdelta = _fgg_formal_ok(sig.tformal, delta, decls, "%s.%s" % (name, s.name), d.pos, diags)
+            if len({p.name for p in sig.params}) != len(sig.params):
+                what = "parameter names not distinct in %s.%s" % (name, s.name)
+                diags.append(Diagnostic("t-specification: " + what, *d.pos))
             try:
-                for p in s.sig.params:
+                for p in sig.params:
                     fgg_wf(p.type, sdelta, decls)
-                fgg_wf(s.sig.ret, sdelta, decls)
+                fgg_wf(sig.ret, sdelta, decls)
             except CheckError as err:
-                diags.append(Diagnostic("t-specification: %s: %s" % (spec, err.message), *d.pos))
+                diags.append(Diagnostic("t-specification: %s.%s: %s" % (name, s.name, err.message), *d.pos))
 
-    for (tname, mname), m in decls.methods.items():
-        where = "method %s.%s" % (tname, mname)
-        if decls.kind_of(tname) != "struct":
-            diags.append(Diagnostic("t-func: receiver %s is not a declared struct" % tname, *m.pos))
+    for key, m in decls.methods.items():
+        sd = decls.structs.get(key[0])
+        if sd is None:
+            diags.append(Diagnostic("t-func: receiver %s is not a declared struct" % key[0], *m.pos))
             continue
-        sd = decls.structs[tname]
-        if len(m.recv_params) != len(sd.formal):
-            diags.append(
-                Diagnostic(
-                    "t-func: receiver of %s needs %d type parameters, got %d"
-                    % (where, len(sd.formal), len(m.recv_params)),
-                    *m.pos,
-                )
-            )
-            continue
-        if len(set(m.recv_params)) != len(m.recv_params):
-            diags.append(Diagnostic("t-func: receiver type parameters not distinct in %s" % where, *m.pos))
-            continue
-        # Receiver bounds come from the struct declaration, renamed to the
-        # receiver's parameter list.
-        ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, m.recv_params)}
-        delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, m.recv_params)}
-        delta = _fgg_formal_ok(m.sig.tformal, delta, decls, where, m.pos, diags)
-        names = [m.recv_name] + [p.name for p in m.sig.params]
-        if len(set(names)) != len(names):
-            diags.append(Diagnostic("t-func: parameter names not distinct in %s" % where, *m.pos))
-        gamma = {m.recv_name: TypeApp(tname, tuple(TypeParam(r) for r in m.recv_params))}
-        gamma.update({p.name: p.type for p in m.sig.params})
-        envs[(tname, mname)] = (delta, gamma)
+        sig, delta, recv = m.sig, {}, TypeApp(key[0])
+        if m.recv_params or sd.formal or sig.tformal:
+            where = "method %s.%s" % key
+            if len(m.recv_params) != len(sd.formal):
+                what = "receiver of %s needs %d type parameters, got %d" % (where, len(sd.formal), len(m.recv_params))
+                diags.append(Diagnostic("t-func: " + what, *m.pos))
+                continue
+            if len(set(m.recv_params)) != len(m.recv_params):
+                diags.append(Diagnostic("t-func: receiver type parameters not distinct in %s" % where, *m.pos))
+                continue
+            # Receiver bounds come from the struct declaration, renamed to the
+            # receiver's parameter list.
+            ren = {fp.name: TypeParam(r) for fp, r in zip(sd.formal, m.recv_params)}
+            delta = {r: subst_type(fp.bound, ren) for fp, r in zip(sd.formal, m.recv_params)}
+            delta = _fgg_formal_ok(sig.tformal, delta, decls, where, m.pos, diags)
+            recv = TypeApp(key[0], tuple(TypeParam(r) for r in m.recv_params))
+        gamma = {m.recv_name: recv}
+        gamma.update({p.name: p.type for p in sig.params})
+        if len(gamma) != len(sig.params) + 1:
+            diags.append(Diagnostic("t-func: parameter names not distinct in method %s.%s" % key, *m.pos))
+        envs[key] = (delta, gamma)
         try:
-            for p in m.sig.params:
+            for p in sig.params:
                 fgg_wf(p.type, delta, decls)
-            fgg_wf(m.sig.ret, delta, decls)
-            t = fgg_typecheck_expr(m.body, delta, gamma, decls, expected=m.sig.ret)
-            if not fgg_subtype(t, m.sig.ret, delta, decls):
-                diags.append(
-                    Diagnostic(
-                        "t-func: body of %s has type %s, not a subtype of %s"
-                        % (where, print_type(t), print_type(m.sig.ret)),
-                        *m.pos,
-                    )
-                )
+            fgg_wf(sig.ret, delta, decls)
+            t = fgg_typecheck_expr(m.body, delta, gamma, decls, expected=sig.ret)
+            if not fgg_subtype(t, sig.ret, delta, decls):
+                what = "has type %s, not a subtype of %s" % (print_type(t), print_type(sig.ret))
+                diags.append(Diagnostic("t-func: body of method %s.%s %s" % (*key, what), *m.pos))
         except CheckError as err:
-            diags.append(Diagnostic("%s: %s" % (where, err.message), *m.pos))
+            diags.append(Diagnostic("method %s.%s: %s" % (*key, err.message), *m.pos))
 
     try:
         fgg_typecheck_expr(program.main, {}, {}, decls)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -10,18 +11,29 @@ from feathergo.bench import BenchConfig, generate
 from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import TranslationError, Translator, translate_program
 from feathergo.erasure import ErasureError, erase_program
-from feathergo.parser import parse_fg, parse_fgg
+from feathergo.parser import Diagnostic, parse_fg, parse_fgg
 from feathergo.reduce import run
 from feathergo.syntax import (
+    INT,
     Binop,
     FieldSel,
+    FormalParam,
     If,
     InterfaceDecl,
     IntLit,
+    MethodCall,
     MethodDecl,
+    MethodSig,
     Panic,
+    Param,
+    Program,
+    StructDecl,
+    StructLit,
     TypeApp,
+    TypeAssert,
     TypeParam,
+    fold,
+    rebuild,
     walk,
 )
 from feathergo.typecheck import (
@@ -622,6 +634,155 @@ def test_fragment_check_matches_the_walk_over_every_node():
             assert [d.message for d in fg_typecheck_program(program, dialect)] == want + fgg, (name, dialect)
             counts[dialect] = counts.get(dialect, 0) + len(want)
     assert 0 < counts["extended"] < counts["core"]
+
+
+def test_fragment_diagnostics_carry_their_declarations_positions():
+    # a built FG program with a generic method and a type-argument call in
+    # main: each fragment diagnostic sits at its declaration, main's at the
+    # program's position
+    generic = MethodSig((FormalParam("T", TypeApp("Any")),), (Param("x", TypeParam("T")),), INT)
+    program = Program(
+        (
+            InterfaceDecl("Any", pos=(2, 1)),
+            StructDecl("S", pos=(3, 1)),
+            MethodDecl("s", "S", (), "M", generic, IntLit(1), pos=(4, 1)),
+        ),
+        MethodCall(StructLit(TypeApp("S")), "M", (INT,), (IntLit(1),)),
+        pos=(5, 1),
+    )
+    assert fgg_typecheck_program(program) == []
+    for dialect in ("core", "extended"):
+        assert fg_typecheck_program(program, dialect) == [
+            Diagnostic("t-func: fg methods take no type parameters (method S.M)", 4, 1),
+            Diagnostic("t-named: T is not an fg type", 4, 1),
+            Diagnostic("t-call: fg methods take no type arguments (M)", 5, 1),
+        ]
+
+
+def test_the_fragment_walk_runs_only_where_the_judgement_cannot_answer(monkeypatch):
+    # both translations of every corpus source and of each family at 2 are
+    # judged without the walk; a program with type formals is walked
+    calls = []
+    walk_fragment = typecheck._not_fg
+    monkeypatch.setattr(typecheck, "_not_fg", lambda p, dialect: calls.append(p) or walk_fragment(p, dialect))
+    for program in [load(p.name) for p in FGG_FILES] + [generate(BenchConfig(f, 2)) for f in "abcde"]:
+        assert fg_typecheck_program(translate_program(program), "extended") == []
+        assert fg_typecheck_program(erase_program(program)[0], "extended") == []
+    assert calls == []
+    assert fg_typecheck_program(parse_fgg(_NOT_FG), "extended") != []
+    assert len(calls) == 1
+
+
+def _retype(program, f):
+    """``program`` with the value ``v`` of each type slot replaced by
+    ``f(kind, v)``. A slot's kind is "field", "spec-param", "spec-ret",
+    "param" or "ret" (a method's), or, in an expression, "literal",
+    "assert" or "targs" (a call's type actuals, a tuple), with "main-"
+    before it in ``main``."""
+
+    def expr(e, where):
+        def retyped(n, kids):
+            n = rebuild(n, kids)
+            if type(n) is StructLit:
+                return replace(n, type=f(where + "literal", n.type))
+            if type(n) is TypeAssert:
+                return replace(n, type=f(where + "assert", n.type))
+            if type(n) is MethodCall:
+                return replace(n, targs=f(where + "targs", n.targs))
+            return n
+
+        return fold(e, retyped)
+
+    def sig(s, where):
+        params = tuple(replace(p, type=f(where + "param", p.type)) for p in s.params)
+        return replace(s, params=params, ret=f(where + "ret", s.ret))
+
+    decls = []
+    for d in program.decls:
+        if type(d) is StructDecl:
+            d = replace(d, fields=tuple(replace(p, type=f("field", p.type)) for p in d.fields))
+        elif type(d) is InterfaceDecl:
+            d = replace(d, specs=tuple(replace(s, sig=sig(s.sig, "spec-")) for s in d.specs))
+        else:
+            d = replace(d, sig=sig(d.sig, ""), body=expr(d.body, ""))
+        decls.append(d)
+    return replace(program, decls=tuple(decls), main=expr(program.main, "main-"))
+
+
+def _slots(program) -> list:
+    kinds = []
+    _retype(program, lambda kind, v: kinds.append(kind) or v)
+    return kinds
+
+
+def _mutant(program, k: int, new):
+    """``program`` with its ``k``-th type slot's value ``v`` replaced by
+    ``new(kind, v)``."""
+    seen = itertools.count()
+    return _retype(program, lambda kind, v: new(kind, v) if next(seen) == k else v)
+
+
+def _keeps_the_walk_first_messages(program) -> bool:
+    fgg = [d.message for d in typecheck._check_program(program)]
+    return all(
+        [d.message for d in fg_typecheck_program(program, dialect)] == reference_fragment_messages(program, dialect) + fgg
+        for dialect in ("core", "extended")
+    )
+
+
+_FORMAL_FREE = """package main
+type I interface { M(x S) S }
+type S struct { f int }
+func (s S) M(x S) S { return S{s.f}.M(x).(S) }
+func main() { _ = S{1}.M(S{2}).(I) }
+"""
+
+
+def test_a_stray_type_argument_or_parameter_is_reported_as_the_walk_reports_it():
+    # the walk is skipped on a formal-free program the judgement accepts:
+    # a type argument or a type parameter in any position the walk
+    # inspects must make the judgement report, and the messages are the
+    # walk's followed by the judgement's, as when the walk ran first
+    program = parse_fgg(_FORMAL_FREE)
+    assert fg_typecheck_program(program, "extended") == []
+    kinds = _slots(program)
+    assert {k.removeprefix("main-") for k in kinds} == {
+        "field", "spec-param", "spec-ret", "param", "ret", "literal", "assert", "targs"
+    }
+    assert {"main-literal", "main-assert", "main-targs"} <= set(kinds)
+    strays = (
+        lambda kind, v: (INT,) if kind.endswith("targs") else TypeApp(v.name, (INT,)),
+        lambda kind, v: (TypeParam("X"),) if kind.endswith("targs") else TypeParam("X"),
+    )
+    for k, kind in enumerate(kinds):
+        for stray in strays:
+            mutant = _mutant(program, k, stray)
+            assert reference_fragment_messages(mutant, "extended"), kind
+            assert typecheck._check_program(mutant), kind
+            assert _keeps_the_walk_first_messages(mutant), kind
+
+
+def test_mutated_translations_keep_the_walk_first_messages():
+    # a type name swapped for another declared one, or a type actual added,
+    # at sampled type slots of every dict and erasure output
+    rng = random.Random(26)
+    verdicts = {True: 0, False: 0}
+    for name, program in _fragment_inputs().items():
+        if not name.endswith(("(dict)", "(erasure)")):
+            continue
+        names = [TypeApp(d.name) for d in program.decls if type(d) is not MethodDecl] + [INT, TypeApp("bool")]
+        kinds = _slots(program)
+        for k in rng.sample(range(len(kinds)), min(16, len(kinds))):
+            if kinds[k].endswith("targs"):
+                new = lambda kind, v: v + (rng.choice(names),)
+            elif rng.random() < 0.5:
+                new = lambda kind, v: rng.choice(names)
+            else:
+                new = lambda kind, v: TypeApp(v.name, v.args + (rng.choice(names),))
+            mutant = _mutant(program, k, new)
+            assert _keeps_the_walk_first_messages(mutant), (name, kinds[k])
+            verdicts[fg_typecheck_program(mutant, "extended") == []] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
 
 
 _FG_DECLS = (
