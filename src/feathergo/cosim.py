@@ -44,7 +44,6 @@ from .reduce import (
     is_value,
 )
 from .syntax import (
-    _HEAD,
     Expr,
     FieldSel,
     If,
@@ -57,6 +56,8 @@ from .syntax import (
     fold,
     plug,
     rebuild,
+    same,
+    same_head,
     show_expr,
     subexprs,
 )
@@ -519,9 +520,7 @@ def _hole_frames(t: Expr, h: Expr):
 def _same_head(f, g) -> bool:
     """Whether frames ``f`` and ``g`` have the same class, hole index,
     number of subexpressions and head."""
-    (x, kx, i), (y, ky, j) = f, g
-    head = _HEAD.get(type(x))
-    return i == j and type(x) is type(y) and len(kx) == len(ky) and not (head and head(x) != head(y))
+    return f[2] == g[2] and len(f[1]) == len(g[1]) and same_head(f[0], g[0])
 
 
 def _frames_match(raw, frames, decls: Decls, memo: RunMemo) -> bool:
@@ -572,26 +571,8 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
         src.align.append(pos)
 
 
-def _same(a: Expr, b: Expr, pairs: dict) -> bool:
-    """``a == b``, skipping the node pairs in ``pairs`` and adding to it
-    every pair found equal."""
-    todo, seen = [(a, b)], []
-    while todo:
-        x, y = todo.pop()
-        if x is y or (id(x), id(y)) in pairs:
-            continue
-        kx, ky, head = subexprs(x), subexprs(y), _HEAD.get(type(x))
-        if type(x) is not type(y) or len(kx) != len(ky) or head and head(x) != head(y):
-            return False
-        seen.append((x, y))
-        todo += zip(kx, ky)
-    for x, y in seen:
-        pairs[(id(x), id(y))] = (x, y)
-    return True
-
-
 def _same_frame(f, g, pairs: dict) -> bool:
-    return _same_head(f, g) and all(k == f[2] or _same(a, b, pairs) for k, (a, b) in enumerate(zip(f[1], g[1])))
+    return _same_head(f, g) and all(k == f[2] or same(a, b, pairs) for k, (a, b) in enumerate(zip(f[1], g[1])))
 
 
 def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
@@ -606,7 +587,7 @@ def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
     while k < n and _same_frame(fa[k], fb[k], pairs):
         k += 1
     a.kept, b.kept = len(fa), len(fb)
-    return k == len(fa) == len(fb) and _same(a.focus, b.focus, pairs), k
+    return k == len(fa) == len(fb) and same(a.focus, b.focus, pairs), k
 
 
 # ---------------------------------------------------------------------------

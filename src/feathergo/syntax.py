@@ -12,7 +12,8 @@ the table keeps each distinct type built in the process. Expression nodes
 have slots, and their generated ``__init__``, ``__eq__``, ``__hash__`` and
 ``__repr__`` are replaced by faster or iterative ones (end of this module)
 that keep the generated ones' signature and results; assigning a field
-still raises ``FrozenInstanceError``.
+still raises ``FrozenInstanceError``. ``==`` is ``same``, which
+co-simulation also calls with its table of node pairs found equal.
 
 Some nodes carry an ``origin`` tag ("erase", "sim" or "dict") identifying
 the translator rule that emitted them; the co-simulation harness uses the
@@ -451,7 +452,8 @@ def show_expr(e: Expr) -> str:
 # Generic traversal
 #
 # The one place that knows which fields of an expression hold subexpressions
-# and which hold types; every structural walk goes through these.
+# and which hold types, and how two expressions compare; every structural
+# walk and comparison goes through these.
 
 _LEAF_EXPRS = (Var, IntLit, BoolLit, Panic)
 
@@ -547,22 +549,38 @@ _HEAD = {
 }
 
 
-def _expr_eq(a, b):
-    """Structural equality of expressions, origin tags excepted. Iterative,
-    like the traversals above."""
-    if type(b) is not type(a):
-        return NotImplemented
-    todo = [(a, b)]
+def same_head(x, y) -> bool:
+    """Whether expressions ``x`` and ``y`` have the same class and head,
+    what each holds besides its subexpressions (origin tags aside)."""
+    head = _HEAD.get(type(x))
+    return type(x) is type(y) and not (head and head(x) is not head(y) and head(x) != head(y))
+
+
+def same(a, b, pairs=None) -> bool:
+    """Structural equality of expressions, origin tags excepted: ``==`` on
+    expressions. Iterative, like the traversals above. With ``pairs``, a
+    dict, it skips the node pairs found equal before, keyed by their ids,
+    and on success adds every pair it compared (holding the nodes keeps
+    their ids from being reused while the dict lives)."""
+    todo, seen = [(a, b)], []
     while todo:
         x, y = todo.pop()
-        if x is not y:
-            kx, ky, head = subexprs(x), subexprs(y), _HEAD.get(type(x))
-            if type(x) is not type(y) or len(kx) != len(ky):
-                return False
-            if head and head(x) is not head(y) and head(x) != head(y):
-                return False
-            todo += zip(kx, ky)
+        if x is y or pairs is not None and (id(x), id(y)) in pairs:
+            continue
+        kx, ky = subexprs(x), subexprs(y)
+        if len(kx) != len(ky) or not same_head(x, y):
+            return False
+        if pairs is not None:
+            seen.append((x, y))
+        todo += zip(kx, ky)
+    if pairs is not None:
+        for x, y in seen:
+            pairs[(id(x), id(y))] = (x, y)
     return True
+
+
+def _expr_eq(a, b):
+    return same(a, b) if type(b) is type(a) else NotImplemented
 
 
 def _hash_node(e, kids) -> int:
@@ -571,7 +589,7 @@ def _hash_node(e, kids) -> int:
 
 
 def _expr_hash(e) -> int:
-    """A hash that agrees with ``_expr_eq``: it reads the class, the head
+    """A hash that agrees with ``same``: it reads the class, the head
     and the subexpressions' hashes, not the origin tag. A fold, so term
     depth is not bounded by the recursion limit."""
     return fold(e, _hash_node)

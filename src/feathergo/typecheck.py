@@ -39,6 +39,7 @@ from .syntax import (
     MethodCall,
     MethodDecl,
     MethodSig,
+    MethodSpec,
     Neq,
     Panic,
     Param,
@@ -335,7 +336,7 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
         try:
             t_e = type(e)  # the classes in order of how often translated programs hold them
             if t_e is StructLit:
-                d = decls.structs.get(e.type.name)
+                d = decls.structs.get(e.type.name) if type(e.type) is TypeApp else None
                 if d is None:
                     raise CheckError("t-literal: %s is not a struct" % print_type(e.type))
                 fields = d.fields
@@ -610,60 +611,32 @@ def _formals(d) -> bool:
 def _not_fg(program: Program, dialect: str) -> list:
     """A diagnostic for each node of ``program`` outside the fragment,
     naming the FG rule it breaks, at its declaration's ``pos`` (``main``'s
-    at the program's), in preorder (fields in declaration order). A type's
-    arguments are looked at only when it has some."""
-    core, out = dialect == "core", []
-    for d in (*program.decls, program):
-        msgs = []
-        if type(d) is Program:
-            _not_fg_expr(d.main, core, msgs)
-        elif type(d) is MethodDecl:
-            if d.recv_params or d.sig.tformal:
-                msgs.append("t-func: fg methods take no type parameters (method %s.%s)" % (d.recv_type, d.name))
-            _not_fg_types(_sig_types(d.sig), msgs)
-            _not_fg_expr(d.body, core, msgs)
-        else:
-            if d.formal:
-                msgs.append("t-type: fg declarations take no type formal (%s)" % d.name)
-            _not_fg_types([fp.bound for fp in d.formal], msgs)
-            _not_fg_types([f.type for f in getattr(d, "fields", ())], msgs)
-            for s in getattr(d, "specs", ()):
-                if s.sig.tformal:
-                    msgs.append("t-specification: fg specs take no type formal (%s)" % s.name)
-                _not_fg_types(_sig_types(s.sig), msgs)
-        out += [Diagnostic(m, *d.pos) for m in msgs]
-    return out
+    at the program's), in the order of ``walk``."""
+    core = dialect == "core"
+    return [
+        Diagnostic(m, *d.pos)
+        for d in (*program.decls, program)
+        for n in walk(d.main if type(d) is Program else d)
+        if (m := _not_fg_node(n, core))
+    ]
 
 
-def _sig_types(sig: MethodSig) -> list:
-    return [*(fp.bound for fp in sig.tformal), *(p.type for p in sig.params), sig.ret]
-
-
-def _not_fg_types(ts, out: list) -> None:
-    for t in ts:
-        if type(t) is TypeParam or t.args:
-            out += ["t-named: %s is not an fg type" % print_type(n) for n in walk(t) if type(n) is TypeParam or n.args]
-
-
-def _not_fg_expr(e: Expr, core: bool, out: list) -> None:
-    todo = [e]  # expressions, and tuples of the types that follow a subtree
-    while todo:
-        n = todo.pop()
-        t = type(n)
-        if t is tuple:
-            _not_fg_types(n, out)
-        elif t is MethodCall:
-            if n.targs:
-                out.append("t-call: fg methods take no type arguments (%s)" % n.name)
-            todo += [*reversed(n.args), n.targs, n.recv]
-        else:
-            if t is StructLit:
-                _not_fg_types((n.type,), out)
-            elif t is TypeAssert:
-                todo.append((n.type,))
-            elif core and t in (If, Seq, Panic, Neq):
-                out.append("t-core: %s is not core fg" % t.__name__.lower())
-            todo += reversed(subexprs(n))
+def _not_fg_node(n, core: bool):
+    """The FG rule node ``n`` breaks, as a message, or None."""
+    t = type(n)
+    if t is TypeParam or t is TypeApp and n.args:
+        return "t-named: %s is not an fg type" % print_type(n)
+    if t is MethodCall and n.targs:
+        return "t-call: fg methods take no type arguments (%s)" % n.name
+    if core and t in (If, Seq, Panic, Neq):
+        return "t-core: %s is not core fg" % t.__name__.lower()
+    if (t is StructDecl or t is InterfaceDecl) and n.formal:
+        return "t-type: fg declarations take no type formal (%s)" % n.name
+    if t is MethodSpec and n.sig.tformal:
+        return "t-specification: fg specs take no type formal (%s)" % n.name
+    if t is MethodDecl and (n.recv_params or n.sig.tformal):
+        return "t-func: fg methods take no type parameters (method %s.%s)" % (n.recv_type, n.name)
+    return None
 
 
 def _check_program(program: Program) -> Checked:

@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import re
 import sys
 
 import pytest
@@ -290,6 +291,15 @@ def reference_fragment_messages(program, dialect: str) -> list:
     """What ``program`` has outside the FG fragment, by ``reference_not_fg``
     over every node of a ``walk``, in its order."""
     return [m for m in (reference_not_fg(n, dialect) for n in walk(program)) if m]
+
+
+_ORIGIN_FIELD = re.compile(r", origin=(None|'\w+')")
+
+
+def reference_same(a, b) -> bool:
+    """Structural equality of expressions, origin tags aside, read off
+    their generated ``repr`` with the origin fields cut out."""
+    return _ORIGIN_FIELD.sub("", repr(a)) == _ORIGIN_FIELD.sub("", repr(b))
 
 
 def reference_redex_positions(e, decls, types=None) -> list:

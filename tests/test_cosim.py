@@ -32,8 +32,10 @@ from feathergo.syntax import (
     StructLit,
     TypeApp,
     TypeAssert,
+    Var,
     fold,
     plug,
+    same,
     show_expr,
     subexprs,
     walk,
@@ -43,6 +45,7 @@ from feathergo.typecheck import CheckError, Decls, fgg_typecheck_expr
 from conftest import (
     CORPUS,
     FGG_FILES,
+    TERMINATING,
     Stepped,
     fg_step,
     generated_struct_names,
@@ -50,6 +53,7 @@ from conftest import (
     macro_step_whole,
     reference_contract_at,
     reference_redex_positions,
+    reference_same,
     reference_settle,
 )
 
@@ -370,6 +374,89 @@ def test_macro_determinism_randomized():
 
 
 # -- correspondence ----------------------------------------------------------------
+
+
+def _state_pairs(monkeypatch) -> list:
+    """The (target, translated source) terms each state comparison of a
+    check of every terminating corpus program compares, by program."""
+    runs, compare = [], cosim._same_state
+
+    def recording(a, b, pairs, known):
+        if not runs or runs[-1][0] is not pairs:
+            runs.append((pairs, []))
+        runs[-1][1].append((a.term(), b.term()))
+        return compare(a, b, pairs, known)
+
+    monkeypatch.setattr(cosim, "_same_state", recording)
+    for path in TERMINATING:
+        assert check_correspondence(parse_fgg(path.read_text())).ok
+    return [states for _, states in runs]
+
+
+_HEAD_CHANGES = {
+    Var: lambda n: Var(n.name + "x"),
+    IntLit: lambda n: IntLit(n.value + 1),
+    BoolLit: lambda n: BoolLit(not n.value),
+    StructLit: lambda n: StructLit(TypeApp(n.type.name + "x", n.type.args), n.args),
+    FieldSel: lambda n: dataclasses.replace(n, fieldname=n.fieldname + "x"),
+    MethodCall: lambda n: dataclasses.replace(n, name=n.name + "x"),
+    TypeAssert: lambda n: dataclasses.replace(n, type=TypeApp("int" if n.type.name != "int" else "bool")),
+    Binop: lambda n: dataclasses.replace(n, op="-" if n.op == "+" else "+"),
+}
+
+
+def _changed(n, what: str):
+    """``n`` with another origin tag, head, or number of subexpressions, or
+    None where it has no such field."""
+    if what == "origin":
+        return dataclasses.replace(n, origin="sim" if n.origin != "sim" else "dict") if hasattr(n, "origin") else None
+    if what == "head":
+        return _HEAD_CHANGES[type(n)](n) if type(n) in _HEAD_CHANGES else None
+    return dataclasses.replace(n, args=n.args + (IntLit(0),)) if type(n) in (StructLit, MethodCall) else None
+
+
+def _variant(e, what: str, rng):
+    """``e`` with one node chosen at random changed by ``_changed``, the
+    nodes above it rebuilt and every other node shared, or None."""
+    spots, stack = [], [(e, ())]
+    while stack:
+        n, spine = stack.pop()
+        if _changed(n, what) is not None:
+            spots.append((n, spine))
+        kids = subexprs(n)
+        stack += [(k, spine + ((n, kids, i),)) for i, k in enumerate(kids)]
+    if not spots:
+        return None
+    n, spine = rng.choice(spots)
+    return plug(spine, _changed(n, what))
+
+
+def test_same_agrees_with_eq_over_the_corpus_state_pairs(monkeypatch):
+    # each program's comparisons share one pairs table, as a check does;
+    # a repeat call is served from the table, and a variant of an equal
+    # pair (an origin tag, a head or an arity changed) compares as == does
+    rng, counts = random.Random(27), {}
+    for states in _state_pairs(monkeypatch):
+        pairs = {}
+        for a, b in states:
+            want = reference_same(a, b)
+            assert same(a, b, pairs) == (a == b) == want
+            known = dict(pairs)
+            assert same(a, b, pairs) == want and pairs == known
+            assert not want or a is b or (id(a), id(b)) in pairs
+            counts[want] = counts.get(want, 0) + 1
+            if not want:
+                continue
+            for what in ("origin", "head", "arity"):
+                c = _variant(b, what, rng)
+                if c is None:
+                    continue
+                known = dict(pairs)
+                got = same(a, c, pairs)
+                assert got == (a == c) == reference_same(a, c) == (what == "origin"), what
+                assert got or pairs == known
+                counts[what] = counts.get(what, 0) + 1
+    assert all(counts.get(k, 0) > 100 for k in (True, "origin", "head", "arity")), counts
 
 
 @pytest.mark.parametrize("path", FGG_FILES, ids=lambda p: p.name)

@@ -5,6 +5,7 @@ them to their value in linear time."""
 
 import pytest
 
+from feathergo import typecheck
 from feathergo.bench import BenchConfig, generate
 from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import translate_program
@@ -14,7 +15,7 @@ from feathergo.reduce import run
 from feathergo.syntax import INT, IntLit, StructLit, TypeApp, pretty_print
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
-from conftest import instantiate_body, reference_body, shallow_reprs
+from conftest import instantiate_body, reference_body, reference_fragment_messages, shallow_reprs
 
 DEPTH = 10_000
 BOX = "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
@@ -88,3 +89,29 @@ def test_deep_input_reprs(default_recursion_limit, name):
     if name == "type":
         deep = "TypeApp(name='Box', args=(" * DEPTH + "TypeApp(name='int', args=())" + ",))" * DEPTH
         assert repr(program.main) == "MethodCall(recv=StructLit(type=%s, args=()), name='Wrap', targs=(), args=(), origin=None)" % deep
+
+
+# A type nested k deep holds k type applications with arguments, and the
+# fragment check reports each one printed in full, so its messages grow
+# with the square of k: the source-side type input is nested past the
+# default recursion limit, not 10^4 deep.
+FRAGMENT_TYPE_DEPTH = 1_200
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_the_fragment_walk_takes_deep_input(default_recursion_limit, monkeypatch, name):
+    # the translations under "core", and the source under "extended": the
+    # walk runs on each (the source has type formals; binop has none, so
+    # the judgement alone answers), and its messages come first
+    program = source = parse_fgg(DEEP_INPUTS[name])
+    if name == "type":
+        k = FRAGMENT_TYPE_DEPTH
+        source = parse_fgg(DEEP_INPUTS[name].replace("Box[" * DEPTH, "Box[" * k).replace("]" * DEPTH, "]" * k))
+    checks = [(translate_program(program), "core"), (erase_program(program)[0], "core"), (source, "extended")]
+    calls, walk_fragment = [], typecheck._not_fg
+    monkeypatch.setattr(typecheck, "_not_fg", lambda p, dialect: calls.append(p) or walk_fragment(p, dialect))
+    for p, dialect in checks:
+        judgement = [d.message for d in typecheck._check_program(p)]
+        want = reference_fragment_messages(p, dialect) + judgement
+        assert [d.message for d in fg_typecheck_program(p, dialect)] == want, dialect
+    assert len(calls) == (2 if name == "binop" else 3)

@@ -659,6 +659,22 @@ def test_fragment_diagnostics_carry_their_declarations_positions():
         ]
 
 
+def test_a_literal_of_a_type_parameter_named_like_a_struct_is_not_a_struct():
+    # only a built program holds one (the parser gives a literal a named
+    # type); in main and in a method body, under both entry points
+    s = StructDecl("S", pos=(2, 1))
+    body = MethodDecl("s", "S", (), "M", MethodSig((), (), TypeApp("S")), StructLit(TypeParam("S")), pos=(3, 1))
+    for decls, main, want in [
+        ((s,), StructLit(TypeParam("S")), Diagnostic("main: t-literal: S is not a struct", 4, 1)),
+        ((s, body), StructLit(TypeApp("S")), Diagnostic("method S.M: t-literal: S is not a struct", 3, 1)),
+    ]:
+        program = Program(decls, main, pos=(4, 1))
+        assert fgg_typecheck_program(program) == [want]
+        for dialect in ("core", "extended"):
+            stray = Diagnostic("t-named: S is not an fg type", want.line, want.col)
+            assert fg_typecheck_program(program, dialect) == [stray, want]
+
+
 def test_the_fragment_walk_runs_only_where_the_judgement_cannot_answer(monkeypatch):
     # both translations of every corpus source and of each family at 2 are
     # judged without the walk; a program with type formals is walked
