@@ -97,7 +97,7 @@ def _refinable(e: Expr, decls: Decls) -> bool:
     """Whether ``e`` is an assert its receiver's type could refine: one to
     an interface (a struct type, int and bool included, has no proper
     subtype), so no other receiver is typed."""
-    return type(e) is TypeAssert and isinstance(e.type, TypeApp) and decls.kind_of(e.type.name) == "interface"
+    return type(e) is TypeAssert and isinstance(e.type, TypeApp) and e.type.name in decls.interfaces
 
 
 def _dict_contract(e: Expr, decls: Decls, types: dict):
@@ -141,9 +141,9 @@ class RunMemo:
     holds its node, so no id is reused while an entry lives; none is keyed
     by the expression, whose generated hash costs its size.
 
-    * ``src_types`` and ``trans``: the source type side table and the
-      translation of every source subterm translated so far, which ``ctx``,
-      the translator's empty-environment context, uses as its own
+    * ``ctx``: the translator's empty-environment context, whose
+      ``types`` is the source type side table and whose ``trans`` holds
+      the translation of every source subterm translated so far
       (``Translator.translate_closed_expr``);
     * ``types``: the type side table of target subterms under the target
       declarations, kept apart from the source one;
@@ -161,9 +161,7 @@ class RunMemo:
     """
 
     def __init__(self):
-        self.src_types: dict = {}
-        self.trans: dict = {}
-        self.ctx = Ctx({}, {}, {}, types=self.src_types, trans=self.trans)
+        self.ctx = Ctx({}, {}, {})
         self.types: dict = {}
         self.normal: dict = {}
         self.settled: dict = {}
@@ -171,7 +169,7 @@ class RunMemo:
         self.limit: int | None = None  # None: set by the next trim
 
     def tables(self) -> tuple:
-        return (self.src_types, self.trans, self.types, self.normal, self.settled, self.pairs)
+        return (self.ctx.types, self.ctx.trans, self.types, self.normal, self.settled, self.pairs)
 
     def size(self) -> int:
         return sum(map(len, self.tables()))
@@ -489,7 +487,7 @@ def source_normal_form(src: Source, decls: Decls, memo: RunMemo) -> None:
     for f in reversed(frames[c:]):
         built.append(plug((f,), built[-1]))
     while c and src.stypes[c - 1] is not None:
-        if _type_of(built[-1], sdecls, memo.src_types) == src.stypes[c - 1]:
+        if _type_of(built[-1], sdecls, memo.ctx.types) == src.stypes[c - 1]:
             break
         c -= 1
         built.append(plug((frames[c],), built[-1]))
@@ -563,7 +561,7 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
             return
         t = None
         if _passes_type(frames[j][0], frames[j][2]):
-            t = _type_of(built[n - j - 1], src.translator.decls, memo.src_types)
+            t = _type_of(built[n - j - 1], src.translator.decls, memo.ctx.types)
             if t is None:
                 return
         pos += len(raw)
@@ -614,7 +612,12 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
     an assertion (or ``panic``) ends the macro step uncontracted. ``d`` is
     the focus of the machine context ``frames``, which the step advances
     in place: the outcome's ``expr`` is the new focus, and ``low`` the
-    number of leading frames it left in place."""
+    number of leading frames it left in place.
+
+    Inside ``check_correspondence`` the erase-asserts phase never fires:
+    the target is settled before each macro step, and settling discharges
+    every erase-tagged assert the phase would contract, so each record
+    reads ``erase_steps: 0``."""
     low, kids, stale = len(frames), subexprs(d), False
     erase_steps = 0
     while True:

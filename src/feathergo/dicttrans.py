@@ -167,10 +167,6 @@ class Ctx:
     trans: dict = field(default_factory=dict)
 
 
-def _this(name: str = "this") -> Var:
-    return Var(name)
-
-
 class Translator:
     def __init__(self, program: Program):
         checked = accept_source(fgg_typecheck_program(program), TranslationError)
@@ -248,6 +244,11 @@ class Translator:
                 raise TranslationError("typemeta: unbound type parameter %s" % t.name)
 
         return fold(tau, meta, type_args)
+
+    def ctx_typemeta(self, tau: Type, ctx: Ctx) -> Expr:
+        """typemeta under ``ctx``: a type parameter's rep is its
+        dictionary's ``_type`` field."""
+        return self.typemeta(tau, {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta})
 
     def signature_meta(self, sig: MethodSig, zeta: dict) -> Expr:
         """fnMeta literal: bound reps, argument-type reps, return-type rep.
@@ -330,8 +331,7 @@ class Translator:
             StructLit(TypeApp(ptr_name(tau.name, m)))
             for m in fgg_methods(bound, ctx.delta, self.decls)
         ]
-        zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
-        fields.append(self.typemeta(tau, zeta))
+        fields.append(self.ctx_typemeta(tau, ctx))
         return StructLit(TypeApp(dict_name(bound.name)), tuple(fields))
 
     # -- expressions -----------------------------------------------------------
@@ -374,9 +374,7 @@ class Translator:
             if t is FieldSel:
                 return FieldSel(asserted(kids[0], self.typeof(e.recv, ctx).name), e.fieldname)
             if t is TypeAssert:
-                zeta = {a: FieldSel(ctx.eta[a], "_type", origin="dict") for a in ctx.eta}
-                rep = self.typemeta(e.type, zeta)
-                return MethodCall(rep, "tryCast", (), (kids[0],))
+                return MethodCall(self.ctx_typemeta(e.type, ctx), "tryCast", (), (kids[0],))
             if t is MethodCall:
                 recv_t = self.typeof(e.recv, ctx)
                 args = tuple(kids[1:])
@@ -421,7 +419,7 @@ class Translator:
         out.append(self._declare(dict_struct, "dictionary for %s" % d.name))
 
         zeta = {
-            fp.name: FieldSel(_this(), "_type_%d" % i, origin="sim")
+            fp.name: FieldSel(Var("this"), "_type_%d" % i, origin="sim")
             for i, fp in enumerate(d.formal)
         }
         body: Expr = Var("x")
@@ -451,7 +449,7 @@ class Translator:
                 "_type",
                 origin="sim",
             )
-            cond = Neq(FieldSel(_this(), "_type_%d" % i, origin="sim"), stored, origin="sim")
+            cond = Neq(FieldSel(Var("this"), "_type_%d" % i, origin="sim"), stored, origin="sim")
             body = If(cond, Panic(), body, origin="sim")
         body = Seq(TypeAssert(Var("x"), TypeApp(d.name), origin="sim"), body, origin="sim")
         out += self._type_rep(meta_name(d.name), len(d.formal), body, "type-rep for %s" % d.name)
@@ -479,7 +477,7 @@ class Translator:
         erased = MethodDecl(d.recv_name, d.recv_type, (), d.name, MethodSig((), params, ANY), body)
         out = [self._declare(erased, "erased method body")]
         zeta = {
-            r: FieldSel(FieldSel(_this(), "dict_%d" % i, origin="sim"), "_type", origin="sim")
+            r: FieldSel(FieldSel(Var("this"), "dict_%d" % i, origin="sim"), "_type", origin="sim")
             for i, r in enumerate(d.recv_params)
         }
         spec_sig = MethodSig((), (), TypeApp(fn_meta_name(arity(d.sig))))

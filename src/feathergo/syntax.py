@@ -295,7 +295,20 @@ _BINOP_PREC = {"<": _PREC_CMP, ">": _PREC_CMP, "+": _PREC_ADD, "-": _PREC_ADD}
 def print_type(t: Type) -> str:
     if type(t) is TypeParam or not t.args:
         return t.name
-    return fold(t, lambda n, kids: "%s[%s]" % (n.name, ", ".join(kids)) if kids else n.name, type_args)
+    out, todo = [], [t]  # todo: types to print and text to emit, last first
+    while todo:
+        n = todo.pop()
+        if type(n) is str:
+            out.append(n)
+        elif type(n) is TypeParam or not n.args:
+            out.append(n.name)
+        else:
+            out += (n.name, "[")
+            todo.append("]")
+            for a in reversed(n.args[1:]):
+                todo += (a, ", ")
+            todo.append(n.args[0])
+    return "".join(out)
 
 
 def print_formal(formal: Formal) -> str:

@@ -84,11 +84,10 @@ BOTTOM = Bottom()
 class Decls:
     """Indexed declaration tables for one program (plus builtins).
 
-    Five memo tables, filled lazily, answer each question once per
-    program: ``fg_sub`` maps ``(t, u)`` to ``fg_subtype(t, u)``,
-    ``fgg_sub`` maps ``(tau, sigma)`` to ``fgg_subtype`` under an empty
-    delta (a closed goal cannot depend on delta), ``joins`` maps ``(tt,
-    te)`` to ``_fgg_interface_join`` under an empty delta, ``msets`` maps a
+    Three memo tables, filled lazily, answer each question once per
+    program: ``fgg_sub`` maps ``(tau, sigma)``, ``sigma`` an interface, to
+    ``fgg_subtype`` under an empty delta (a closed goal cannot depend on
+    delta; ``fg_subtype`` goes through it too), ``msets`` maps a
     ``TypeApp`` to its substituted method set (which never depends on
     delta), and ``templates`` maps a method's ``(recv_type, name)`` to its
     arity and body template, which r-call compiles (``reduce.compile_body``)
@@ -101,9 +100,7 @@ class Decls:
     """
 
     def __init__(self, program: Program):
-        self.fg_sub: dict = {}
         self.fgg_sub: dict = {}
-        self.joins: dict = {}
         self.msets: dict = {}
         self.templates: dict = {}
         self.structs: dict = {s: StructDecl(s) for s in BUILTIN_STRUCTS}
@@ -129,13 +126,6 @@ class Decls:
             self.duplicates.append(Diagnostic("t-prog: duplicate %s declaration %s" % (what, d.name), *d.pos))
         else:
             table[d.name] = d
-
-    def kind_of(self, name: str):
-        if name in self.structs:
-            return "struct"
-        if name in self.interfaces:
-            return "interface"
-        return None
 
     def type_decl(self, name: str):
         return self.structs.get(name) or self.interfaces.get(name)
@@ -234,12 +224,8 @@ def fgg_subtype(tau: Type, sigma: Type, delta: dict, decls: Decls) -> bool:
 
 def fg_subtype(t: str, u: str, decls: Decls) -> bool:
     """t <: u between FG type names: FGG subtyping of the nullary types
-    under an empty delta, memoised in ``decls`` by name."""
-    key = (t, u)
-    ok = decls.fg_sub.get(key)
-    if ok is None:
-        ok = decls.fg_sub[key] = fgg_subtype(TypeApp(t), TypeApp(u), {}, decls)
-    return ok
+    under an empty delta, whose interface goals ``decls.fgg_sub`` keeps."""
+    return t == u or fgg_subtype(TypeApp(t), TypeApp(u), {}, decls)
 
 
 def _fgg_iface_sub(tau, sigma, delta, decls) -> bool:
@@ -436,7 +422,7 @@ def fgg_typecheck_expr(e: Expr, delta: dict, gamma: dict, decls: Decls, expected
                 except CheckError:
                     # mid-reduction the branches may hold distinct struct values;
                     # join them at the least declared interface both implement
-                    t = _fgg_interface_join(tt, te, delta, decls)
+                    t = _interface_join(tt, te, delta, decls)
                     if t is None:
                         raise
             elif t_e is Neq:
@@ -467,10 +453,6 @@ def _need(t):
 
 
 def _join(tt, te, expected, sub):
-    if isinstance(tt, Bottom):
-        return te
-    if isinstance(te, Bottom):
-        return tt
     if sub(tt, te):
         return te
     if sub(te, tt):
@@ -483,20 +465,10 @@ def _join(tt, te, expected, sub):
     )
 
 
-def _fgg_interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
+def _interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
     """Least declared interface instantiation implemented by both types.
     Candidate type arguments are drawn from the types occurring in either
-    side; deterministic (declaration order, then printed form). Closed
-    goals (empty delta) are memoised in ``decls``."""
-    if delta:
-        return _interface_join(tt, te, delta, decls)
-    key = (tt, te)
-    if key not in decls.joins:
-        decls.joins[key] = _interface_join(tt, te, delta, decls)
-    return decls.joins[key]
-
-
-def _interface_join(tt: Type, te: Type, delta: dict, decls: Decls):
+    side; deterministic (declaration order, then printed form)."""
     pool = sorted(set(walk(tt)) | set(walk(te)), key=print_type)
     cands = []
     for iface in decls.interfaces.values():
@@ -535,8 +507,7 @@ def _fgg_formal_ok(formal, outer_delta: dict, decls: Decls, where: str, pos: tup
     delta = dict(outer_delta)
     delta.update({fp.name: fp.bound for fp in formal})
     for fp in formal:
-        bad = not isinstance(fp.bound, TypeApp) or decls.kind_of(fp.bound.name) != "interface"
-        if bad:
+        if not isinstance(fp.bound, TypeApp) or fp.bound.name not in decls.interfaces:
             diags.append(Diagnostic("t-formal: bound of %s in %s must be an interface type" % (fp.name, where), *pos))
             continue
         try:
@@ -597,15 +568,10 @@ def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     parameter there is unknown and a type argument exceeds an empty
     formal list, each a diagnostic."""
     diags = list(_check_program(program))
-    if diags or dialect == "core" or any(_formals(d) for d in program.decls):
+    formals = (_not_fg_node(n, False) for d in program.decls for n in (d, *getattr(d, "specs", ())))
+    if diags or dialect == "core" or any(formals):
         diags[:0] = _not_fg(program, dialect)
     return diags
-
-
-def _formals(d) -> bool:
-    if type(d) is MethodDecl:
-        return bool(d.recv_params or d.sig.tformal)
-    return bool(d.formal) or any(s.sig.tformal for s in getattr(d, "specs", ()))
 
 
 def _not_fg(program: Program, dialect: str) -> list:

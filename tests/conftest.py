@@ -100,8 +100,8 @@ def default_recursion_limit():
 
 
 def reference_print_type(t) -> str:
-    """``print_type`` by recursion over the type: the reference the fold in
-    ``syntax`` is tested against."""
+    """``print_type`` by recursion over the type: the reference the
+    iterative printer in ``syntax`` is tested against."""
     if isinstance(t, TypeParam) or not t.args:
         return t.name
     return "%s[%s]" % (t.name, ", ".join(reference_print_type(a) for a in t.args))

@@ -1,18 +1,26 @@
-"""Write ``tests/corpus/golden_outputs.json``, the pinned outputs that
-``tests/test_golden.py`` compares against. Run by hand from the repository
-root, after a change that is meant to alter an output:
+"""Write the two pinned files under ``tests/corpus/``. Run by hand from the
+repository root, after a change that is meant to alter an output:
 
     PYTHONPATH=src python tests/make_golden.py
 
-The file holds, for each corpus ``.fgg``, what the console script prints
-(exit code, stdout and stderr) for the dict and erasure translations, the
-dict translation's ``--emit-inventory`` JSON and, for the terminating
-programs, ``run --trace``; each command runs in the corpus directory on the
-bare file name. It also holds the text of the ``TranslationError`` that
+``golden_outputs.json``, which ``tests/test_golden.py`` compares against,
+holds for each corpus ``.fgg`` what the console script prints (exit code,
+stdout and stderr) for the dict and erasure translations, the dict
+translation's ``--emit-inventory`` JSON and, for the terminating programs,
+``run --trace``; each command runs in the corpus directory on the bare file
+name. It also holds the text of the ``TranslationError`` that
 ``dicttrans.translate_program`` raises on ``fgg_list_fail.fgg``. For
 families a-e at 2-5 with 1 and 3 iterations it holds the sha256 and node
-count of each printed translation, since their text is large. Regenerating the file is a test-data change: say in ``CHANGES.md``
-which outputs changed and why.
+count of each printed translation, since their text is large.
+
+``cosim_reports.json``, which ``tests/test_cosim.py`` and CI's corpus
+co-simulation step compare against, holds the JSON report of
+``check_correspondence`` for each corpus ``.fgg`` that typechecks: omega to
+2,000 steps, every other program to its end (within 500). It is written one
+step record per line.
+
+Regenerating a file is a test-data change: say in ``CHANGES.md`` which
+outputs changed and why.
 """
 
 import contextlib
@@ -24,6 +32,7 @@ import pathlib
 
 from feathergo import cli
 from feathergo.bench import BenchConfig, generate
+from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import TranslationError, translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
@@ -31,6 +40,7 @@ from feathergo.syntax import node_count, pretty_print
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden_outputs.json"
+COSIM_REPORTS = CORPUS / "cosim_reports.json"
 
 TRANSLATIONS = ("translate --mode dict", "translate --mode erasure", "translate --mode dict --emit-inventory")
 NOT_RUN = ("omega.fgg", "fgg_list_fail.fgg")  # one never ends, the other does not typecheck
@@ -91,6 +101,26 @@ def golden_outputs() -> dict:
     }
 
 
+def cosim_reports() -> str:
+    """The text of ``cosim_reports.json``: each report's fields two spaces
+    in, and its step records one a line."""
+    entries = []
+    for path in sorted(CORPUS.glob("*.fgg")):
+        if path.name == "fgg_list_fail.fgg":
+            continue
+        steps = 2000 if path.name == "omega.fgg" else 500
+        report = json.loads(check_correspondence(parse_fgg(path.read_text()), max_steps=steps).to_json())
+        fields = []
+        for key, value in report.items():
+            text = json.dumps(value)
+            if key == "records" and value:
+                text = "[\n%s\n  ]" % ",\n".join("    " + json.dumps(r) for r in value)
+            fields.append("  %s: %s" % (json.dumps(key), text))
+        entries.append("%s: {\n%s\n}" % (json.dumps(path.name), ",\n".join(fields)))
+    return "{\n%s\n}\n" % ",\n".join(entries)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(golden_outputs(), indent=1) + "\n", encoding="utf-8")
-    print("wrote %s" % GOLDEN)
+    COSIM_REPORTS.write_text(cosim_reports(), encoding="utf-8")
+    print("wrote %s and %s" % (GOLDEN, COSIM_REPORTS))

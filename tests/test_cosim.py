@@ -768,7 +768,7 @@ def test_run_memo_limit_follows_the_size_after_a_clear():
     memo.settled[0] = None
     memo.trim()
     assert memo.size() == 0 and memo.limit is None  # over it: every table cleared
-    memo.trans[0] = None
+    memo.ctx.trans[0] = None
     memo.trim()
     assert memo.limit == MEMO_MIN_ENTRIES
 

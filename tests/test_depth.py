@@ -3,6 +3,10 @@ expression and type pass folds iteratively (``repr`` included), so 10^4
 levels of nesting go through the whole pipeline, and the interpreter runs
 them to their value in linear time."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from feathergo import typecheck
@@ -12,10 +16,10 @@ from feathergo.dicttrans import translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
 from feathergo.reduce import run
-from feathergo.syntax import INT, IntLit, StructLit, TypeApp, pretty_print
+from feathergo.syntax import INT, IntLit, StructLit, TypeApp, TypeParam, pretty_print, print_type
 from feathergo.typecheck import Decls, fg_typecheck_program, fgg_typecheck_program
 
-from conftest import instantiate_body, reference_body, reference_fragment_messages, shallow_reprs
+from conftest import instantiate_body, reference_body, reference_fragment_messages, reference_print_type, shallow_reprs
 
 DEPTH = 10_000
 BOX = "package main\ntype Any interface {}\ntype Box[T Any] struct { v T }\n"
@@ -115,3 +119,55 @@ def test_the_fragment_walk_takes_deep_input(default_recursion_limit, monkeypatch
         want = reference_fragment_messages(p, dialect) + judgement
         assert [d.message for d in fg_typecheck_program(p, dialect)] == want, dialect
     assert len(calls) == (2 if name == "binop" else 3)
+
+
+def _nested(k: int, wrap) -> TypeApp:
+    t = INT
+    for i in range(k):
+        t = wrap(t, i)
+    return t
+
+
+DEEP_TYPES = {
+    "box": lambda: parse_fgg(DEEP_INPUTS["type"]).main.recv.type,
+    "left": lambda: _nested(DEPTH, lambda t, i: TypeApp("Pair", (t, TypeParam("T%d" % (i % 3))))),
+    "right": lambda: _nested(DEPTH, lambda t, i: TypeApp("Pair", (TypeApp("Box", (INT,)), t, INT))),
+}
+
+
+def _recursively(fn, *args):
+    """``fn(*args)`` for a recursive reference on input 10^4 deep: on a
+    thread with a 256 MB stack, under a recursion limit raised for it."""
+    out, limit, size = [], sys.getrecursionlimit(), threading.stack_size(256 << 20)
+    sys.setrecursionlimit(10 * DEPTH)
+    try:
+        thread = threading.Thread(target=lambda: out.append(fn(*args)))
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    return out[0]
+
+
+@pytest.mark.parametrize("name", DEEP_TYPES)
+def test_print_type_of_a_deep_type_matches_the_recursive_reference(default_recursion_limit, name):
+    t = DEEP_TYPES[name]()
+    text = print_type(t)
+    assert text == _recursively(reference_print_type, t)
+    assert text.count("[") == text.count("]") == DEPTH + (name == "right") * DEPTH
+
+
+def test_print_type_time_is_linear_in_depth():
+    # two doublings of the depth: a printer that emits each name once reads
+    # about 4x; one that copies each argument's text into its parent's read
+    # about 12x (2 and 8 x 10^4 levels, best of 7, on a 2-vCPU host)
+    def best(k: int) -> float:
+        t, times = _nested(k, lambda t, i: TypeApp("Box", (t,))), []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            print_type(t)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best(8 * 10**4) / best(2 * 10**4) < 8

@@ -37,6 +37,7 @@ from feathergo.syntax import (
     walk,
 )
 from feathergo.typecheck import (
+    BOTTOM,
     CheckError,
     Decls,
     fg_subtype,
@@ -119,7 +120,7 @@ def test_fgg_subtype_reflexive_and_transitive_on_corpus(corpus_programs):
         pool = set()
 
         def add(t):
-            if isinstance(t, TypeApp) and decls.kind_of(t.name) and not _mentions_param(t):
+            if isinstance(t, TypeApp) and decls.type_decl(t.name) and not _mentions_param(t):
                 pool.add(t)
             if isinstance(t, TypeApp):
                 for a in t.args:
@@ -162,8 +163,41 @@ def test_subtyping_memo_tables_are_per_program(order):
         for _ in range(2):  # the second answer comes from the memo table
             assert fg_subtype("S", "I", decls) is want
             assert fgg_subtype(box_int, TypeApp("I"), {}, decls) is want
-        assert decls.fg_sub[("S", "I")] is want
+        assert decls.fgg_sub[(TypeApp("S"), TypeApp("I"))] is want
         assert decls.fgg_sub[(box_int, TypeApp("I"))] is want
+
+
+def test_fg_subtype_is_fgg_subtype_of_the_nullary_types(corpus_programs):
+    # every pair of type names the corpus's translations declare, int and
+    # bool among them: fg_subtype answers as fgg_subtype does on a fresh
+    # ``Decls``, and files each interface goal in ``fgg_sub``
+    goals = 0
+    for program in corpus_programs.values():
+        for out in (translate_program(program), erase_program(program)[0]):
+            decls, fresh = Decls(out), Decls(out)
+            names = [*decls.structs, *decls.interfaces]
+            assert {"int", "bool"} <= set(names)
+            for t, u in itertools.product(names, repeat=2):
+                want = fgg_subtype(TypeApp(t), TypeApp(u), {}, fresh)
+                assert fg_subtype(t, u, decls) is want, (t, u)
+                if t != u and u in decls.interfaces:
+                    assert decls.fgg_sub[(TypeApp(t), TypeApp(u))] is want
+                    goals += 1
+            assert all(sigma.name in decls.interfaces for _, sigma in decls.fgg_sub)
+    assert goals > 1000
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_join_with_bottom_is_the_other_side(side):
+    # panic joins any type at that type, without a rule of its own: Bottom
+    # is a subtype of every type and no type but Bottom is one of Bottom
+    decls = Decls(load("fgg_list.fgg"))
+    delta = {"T": TypeApp("Any")}
+    for t in (INT, TypeApp("Any"), TypeApp("Nil", (INT,)), TypeParam("T"), BOTTOM):
+        tt, te = {"left": (BOTTOM, t), "right": (t, BOTTOM), "both": (BOTTOM, BOTTOM)}[side]
+        for expected in (None, TypeApp("Any")):
+            got = typecheck._join(tt, te, expected, lambda a, b: fgg_subtype(a, b, delta, decls))
+            assert got is (BOTTOM if side == "both" else t)
 
 
 def test_open_fgg_goals_are_not_memoised():
@@ -826,19 +860,14 @@ def test_fg_negatives(main, rule):
 def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
     # every join met in typing the states of the corpus's source runs and in
     # their co-simulations (the checker joins an ``if`` whose branches became
-    # distinct struct values): the memoised answer is the one a fresh
-    # ``Decls`` computes, and a closed goal is computed once per program
-    met, computed = [], []
-    join, compute = typecheck._fgg_interface_join, typecheck._interface_join
+    # distinct struct values) is the one a fresh ``Decls`` computes
+    met = []
+    join = typecheck._interface_join
 
     def recording_join(tt, te, delta, decls):
         out = join(tt, te, delta, decls)
         met.append((tt, te, delta, decls, out))
         return out
-
-    def recording_compute(tt, te, delta, decls):
-        computed.append((tt, te, id(decls)) if not delta else None)
-        return compute(tt, te, delta, decls)
 
     indexed = {}  # id(decls) -> (decls, the program it indexes)
     init = Decls.__init__
@@ -847,8 +876,7 @@ def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
         indexed[id(self)] = (self, program)
         init(self, program)
 
-    monkeypatch.setattr(typecheck, "_fgg_interface_join", recording_join)
-    monkeypatch.setattr(typecheck, "_interface_join", recording_compute)
+    monkeypatch.setattr(typecheck, "_interface_join", recording_join)
     monkeypatch.setattr(Decls, "__init__", recording_init)
     for path in FGG_FILES:
         program = parse_fgg(path.read_text())
@@ -860,10 +888,6 @@ def test_memoised_interface_joins_equal_fresh_ones(monkeypatch):
                 break
             e = out.expr
         assert check_correspondence(program).ok
-    closed = [m for m in met if not m[2]]
-    assert closed
-    for tt, te, _, decls, out in closed:
-        assert out == compute(tt, te, {}, Decls(indexed[id(decls)][1]))
-        assert decls.joins[(tt, te)] == out
-    keys = [c for c in computed if c is not None]
-    assert len(keys) == len(set(keys)) < len(closed)
+    assert met
+    for tt, te, delta, decls, out in met:
+        assert out == join(tt, te, delta, Decls(indexed[id(decls)][1]))
