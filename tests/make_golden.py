@@ -6,12 +6,14 @@ repository root, after a change that is meant to alter an output:
 ``golden_outputs.json``, which ``tests/test_golden.py`` compares against,
 holds for each corpus ``.fgg`` what the console script prints (exit code,
 stdout and stderr) for the dict and erasure translations, the dict
-translation's ``--emit-inventory`` JSON and, for the terminating programs,
-``run --trace``; each command runs in the corpus directory on the bare file
-name. It also holds the text of the ``TranslationError`` that
-``dicttrans.translate_program`` raises on ``fgg_list_fail.fgg``. For
-families a-e at 2-5 with 1 and 3 iterations it holds the sha256 and node
-count of each printed translation, since their text is large.
+translation's ``--emit-inventory`` JSON, the text ``cosim`` report and,
+for the terminating programs, ``run --trace``; each command runs in the
+corpus directory on the bare file name. It also holds the text of the
+``TranslationError`` that ``dicttrans.translate_program`` raises on
+``fgg_list_fail.fgg``. For families a-e at 2-5 with 1 and 3 iterations it
+holds the sha256 and node count of each printed translation, since their
+text is large, and for families a-e at 2-3 with 1 and 3 iterations the
+sha256 of ``check_correspondence(..., max_steps=200).to_json()``.
 
 ``cosim_reports.json``, which ``tests/test_cosim.py`` and CI's corpus
 co-simulation step compare against, holds the JSON report of
@@ -42,10 +44,12 @@ CORPUS = pathlib.Path(__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden_outputs.json"
 COSIM_REPORTS = CORPUS / "cosim_reports.json"
 
-TRANSLATIONS = ("translate --mode dict", "translate --mode erasure", "translate --mode dict --emit-inventory")
+COMMANDS = ("translate --mode dict", "translate --mode erasure", "translate --mode dict --emit-inventory", "cosim")
 NOT_RUN = ("omega.fgg", "fgg_list_fail.fgg")  # one never ends, the other does not typecheck
 FAMILY_PARAMS = range(2, 6)
 FAMILY_ITERATIONS = (1, 3)
+COSIM_PARAMS = range(2, 4)
+COSIM_STEPS = 200
 
 
 def console(command: str, name: str) -> dict:
@@ -65,7 +69,7 @@ def console(command: str, name: str) -> dict:
 def corpus_outputs() -> dict:
     outputs = {}
     for path in sorted(CORPUS.glob("*.fgg")):
-        commands = TRANSLATIONS if path.name in NOT_RUN else (*TRANSLATIONS, "run --trace")
+        commands = COMMANDS if path.name in NOT_RUN else (*COMMANDS, "run --trace")
         outputs[path.name] = {c: console(c, path.name) for c in commands}
     return outputs
 
@@ -89,6 +93,11 @@ def family_outputs() -> dict:
                     outputs["%s%d x%d %s" % (family, n, iterations, mode)] = {
                         "sha256": hashlib.sha256(text).hexdigest(),
                         "nodes": node_count(out),
+                    }
+                if n in COSIM_PARAMS:
+                    report = check_correspondence(program, max_steps=COSIM_STEPS).to_json()
+                    outputs["%s%d x%d cosim" % (family, n, iterations)] = {
+                        "sha256": hashlib.sha256(report.encode()).hexdigest(),
                     }
     return outputs
 

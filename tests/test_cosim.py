@@ -823,6 +823,28 @@ def test_macro_step_panics_on_a_failing_assert_after_the_ordinary_step():
     ok = Seq(IntLit(1), TypeAssert(IntLit(1), TypeApp("int")))
     m = macro_step_whole(ok, tdecls)
     assert m.kind == "stepped" and m.expr == ok.rest  # left for the next macro step
+    # a failing erasure assert as the focus panics before any ordinary step
+    m = macro_step_whole(TypeAssert(BoolLit(True), TypeApp("int"), origin="erase"), tdecls)
+    assert m.kind == "panic" and m.mid_rule is None and m.sim_steps == 0
+
+
+def test_every_macro_step_of_a_check_starts_from_a_settled_state(monkeypatch):
+    # the check settles the target before each macro step, so no erasure
+    # assert over a value is left for the macro step to discharge
+    real, calls = cosim.macro_step, []
+
+    def settled_first(d, decls, frames):
+        e = plug(frames, d)
+        assert reference_settle(e, decls) is e
+        calls.append(d)
+        return real(d, decls, frames)
+
+    monkeypatch.setattr(cosim, "macro_step", settled_first)
+    programs = [parse_fgg(p.read_text()) for p in FGG_FILES]
+    programs += [generate(BenchConfig(family, 2, 3)) for family in "abcde"]
+    for program in programs:
+        assert check_correspondence(program).ok
+    assert len(calls) > 1000
 
 
 def test_each_dictionary_contractum_is_built_once(monkeypatch):
