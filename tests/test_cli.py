@@ -217,6 +217,7 @@ def test_usage_error_exit_code(capsys):
         ["bench", "--family", "a", "--range", "0..1"],  # family a needs a parameter >= 2
         ["bench", "--family", "a", "--range", "2..3", "--iterations", "0"],
         ["bench", "--family", "a", "--range", "2-3"],
+        ["bench", "--family", "a", "--range", "5..2"],  # an empty sweep
         ["bench", "--family", "b", "--range", "1..1", "--no-run", "--mode", "bogus"],
         ["run", gtfunc, "--max-steps", "-5"],
         ["cosim", gtfunc, "--steps", "-1"],

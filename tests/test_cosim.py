@@ -157,12 +157,19 @@ def test_classify_by_origin_tags():
 # -- the macro step -----------------------------------------------------------------
 
 
-def test_first_macro_of_gtfunc_consumes_erase_assert_then_calls():
-    # derived trace on the translated program: .(GtFunc) then the r-call
+def erase_over_value(e):
+    return [n for n in walk(e) if isinstance(n, TypeAssert) and n.origin == "erase" and is_value(n.recv)]
+
+
+def test_settling_discharges_gtfunc_erase_assert_then_the_macro_calls():
+    # derived trace on the translated program: settling performs the erase
+    # phase, .(GtFunc), and the macro step is then the r-call
     _, out, tdecls = translated("gtfunc.fgg")
-    m = macro_step_whole(out.main, tdecls)
+    assert [n.type.name for n in erase_over_value(out.main)] == ["GtFunc"]
+    settled = settle(out.main, tdecls, RunMemo())
+    assert erase_over_value(settled) == []
+    m = macro_step_whole(settled, tdecls)
     assert m.kind == "stepped"
-    assert m.erase_steps == 1
     assert m.mid_rule == "r-call"
     assert m.sim_steps == 0
 
@@ -184,7 +191,7 @@ def test_trycast_macro_resolves_simulation_in_one_step():
 
 def test_macro_on_plain_term_is_one_ordinary_step():
     _, out, tdecls = translated("arith.fgg")
-    m = macro_step_whole(out.main, tdecls)
+    m = macro_step_whole(settle(out.main, tdecls, RunMemo()), tdecls)
     assert m.kind == "stepped" and m.sim_steps == 0 and m.mid_rule == "r-ext-binop"
 
 
@@ -195,7 +202,7 @@ def test_dict_normalize_reproduces_call_site_resolution():
     # after one macro the applicator is pending on an unevaluated argument;
     # resolution contracts it and refines the assert to the value's own type
     _, out, tdecls = translated("numzero.fgg")
-    m = macro_step_whole(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls)
+    m = macro_step_whole(settle(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls, RunMemo()), tdecls)
     assert show_expr(m.expr) == "NumDict{MyInt_Add{}, MyInt_meta{}}.Add.Apply(Zero{}, App{}.(App).Bar())"
     nf, steps = dict_normalize(m.expr, tdecls, RunMemo())
     assert show_expr(nf) == "Zero{}.(Zero).Add(App{}.(App).Bar())"
@@ -222,10 +229,7 @@ def test_settle_discharges_only_succeeding_erase_asserts():
 
 def test_settle_returns_its_input_when_nothing_settles():
     _, out, tdecls = translated("typerep.fgg")
-    erase_over_value = [
-        n for n in walk(out.main) if isinstance(n, TypeAssert) and n.origin == "erase" and is_value(n.recv)
-    ]
-    assert erase_over_value == []
+    assert erase_over_value(out.main) == []
     assert settle(out.main, tdecls, RunMemo()) is out.main
 
 
@@ -875,7 +879,8 @@ def test_a_frame_is_checked_only_with_normal_settled_kids_beside_the_hole():
     # a frame whose later subexpression holds a resolution redex, or an
     # erase assert that settles, is not checked: it stays below the cut
     _, out, tdecls = translated("numzero.fgg")
-    pending = macro_step_whole(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls).expr
+    nf = settle(dict_normalize(out.main, tdecls, RunMemo())[0], tdecls, RunMemo())
+    pending = macro_step_whole(nf, tdecls).expr
     assert reference_redex_positions(pending, tdecls)
     hole = MethodCall(IntLit(1), "Missing")
     settles = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
