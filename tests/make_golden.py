@@ -12,8 +12,10 @@ corpus directory on the bare file name. It also holds the text of the
 ``TranslationError`` that ``dicttrans.translate_program`` raises on
 ``fgg_list_fail.fgg``. For families a-e at 2-5 with 1 and 3 iterations it
 holds the sha256 and node count of each printed translation, since their
-text is large, and for families a-e at 2-3 with 1 and 3 iterations the
-sha256 of ``check_correspondence(..., max_steps=200).to_json()``.
+text is large, the ``reduce.run`` outcome of the source and of each
+translation (kind, steps, and the printed value or panic text), and for
+families a-e at 2-3 with 1 and 3 iterations the sha256 of
+``check_correspondence(..., max_steps=200).to_json()``.
 
 ``cosim_reports.json``, which ``tests/test_cosim.py`` and CI's corpus
 co-simulation step compare against, holds the JSON report of
@@ -38,6 +40,7 @@ from feathergo.cosim import check_correspondence
 from feathergo.dicttrans import TranslationError, translate_program
 from feathergo.erasure import erase_program
 from feathergo.parser import parse_fgg
+from feathergo.reduce import run
 from feathergo.syntax import node_count, pretty_print
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -88,15 +91,20 @@ def family_outputs() -> dict:
         for n in FAMILY_PARAMS:
             for iterations in FAMILY_ITERATIONS:
                 program = generate(BenchConfig(family, n, iterations))
-                for mode, out in (("dict", translate_program(program)), ("erasure", erase_program(program)[0])):
+                name = "%s%d x%d" % (family, n, iterations)
+                translations = (("dict", translate_program(program)), ("erasure", erase_program(program)[0]))
+                for mode, out in translations:
                     text = pretty_print(out).encode()
-                    outputs["%s%d x%d %s" % (family, n, iterations, mode)] = {
+                    outputs["%s %s" % (name, mode)] = {
                         "sha256": hashlib.sha256(text).hexdigest(),
                         "nodes": node_count(out),
                     }
+                for side, p, lang in (("fgg", program, "fgg"), *[(mode, out, "fg") for mode, out in translations]):
+                    res = run(p, lang=lang)
+                    outputs["%s %s run" % (name, side)] = {"kind": res.kind, "steps": res.steps, "outcome": res.describe()}
                 if n in COSIM_PARAMS:
                     report = check_correspondence(program, max_steps=COSIM_STEPS).to_json()
-                    outputs["%s%d x%d cosim" % (family, n, iterations)] = {
+                    outputs["%s cosim" % name] = {
                         "sha256": hashlib.sha256(report.encode()).hexdigest(),
                     }
     return outputs
