@@ -43,6 +43,7 @@ from .reduce import (
     _contract,
     _descend,
     _resume,
+    _step,
     is_value,
 )
 from .syntax import (
@@ -112,9 +113,11 @@ def _dict_contract(e: Expr, decls: Decls, types: dict):
     it (``reduce._contract``); a contraction the machine would not step is
     no redex, so resolution never panics. The other subexpressions need
     not be values: an applicator call substitutes its (possibly
-    unevaluated) arguments linearly. Assertion refinement only strengthens
-    an assert to the expression's own static type. ``types`` is the side
-    table of closed subterm types (see ``fgg_typecheck_expr``).
+    unevaluated) arguments linearly, so it takes r-call's plain contractum,
+    not the machine's refocus path, which holds only for value arguments.
+    Assertion refinement only strengthens an assert to the expression's own
+    static type. ``types`` is the side table of closed subterm types (see
+    ``fgg_typecheck_expr``).
     """
     t = type(e)
     if t is not FieldSel and t is not MethodCall and t is not TypeAssert:
@@ -468,9 +471,10 @@ class Source:
         self.out = Zipper(None)
         self.stypes, self.align = [], [0]
 
-    def step(self, e: Expr) -> None:
-        """Put the contractum ``e`` in place of the focus."""
-        node, kids, low, stale = _resume(e, self.frames)
+    def moved(self, node: Expr, kids: tuple, low: int, stale: bool) -> None:
+        """The machine stepped to the focus ``(node, kids)``, ``stale`` if
+        ``node`` is a refilled frame's, and left the first ``low`` frames
+        in place."""
         self.focus = rebuild(node, kids) if stale else node
         self.low = min(self.low, low)
 
@@ -620,8 +624,8 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
     ``low`` the number of leading frames it left in place."""
     low, kids, stale = len(frames), subexprs(d), False
     mid_rule, sim_steps = None, 0
-    while mid_rule is None or classify(d) == "sim" or type(d) is TypeAssert or type(d) is Panic:
-        out = _contract(d, kids, decls, False)
+    while mid_rule is None or classify(d) == "sim":
+        out = _step(d, kids, frames, decls, False)
         t = type(out)
         if t is Value:
             return MacroOutcome("value", d, None, 0, low=low)
@@ -630,13 +634,14 @@ def macro_step(d: Expr, decls: Decls, frames: list) -> MacroOutcome:
         if t is Stuck:
             raise RuntimeError("target stuck: %s" % out.reason)
         if mid_rule is None:
-            mid_rule = out[1]  # the single ordinary step
-        elif classify(d) == "sim":
-            sim_steps += 1
+            mid_rule = out[0]  # the single ordinary step
         else:
-            break
-        d, kids, k, stale = _resume(out[0], frames)
+            sim_steps += 1
+        d, kids, k, stale = out[1]
         low = min(low, k)
+    if type(d) is TypeAssert or type(d) is Panic:  # looked at, not stepped: does it fail?
+        if type(_contract(d, kids, decls, False)) is PanicOutcome:
+            return MacroOutcome("panic", None, mid_rule, sim_steps, low=low)
     return MacroOutcome("stepped", rebuild(d, kids) if stale else d, mid_rule, sim_steps, low=low)
 
 
@@ -741,7 +746,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
         )
         mismatch = mismatch or here
 
-        step = _contract(src.focus, subexprs(src.focus), translator.decls, True)
+        step = _step(src.focus, subexprs(src.focus), src.frames, translator.decls, True)
         if isinstance(step, Value):
             agree = matched and not tgt.frames and is_value(tgt.focus)
             terminal = Terminal("value", agree, show_expr(tgt.term()) if agree else here)
@@ -753,13 +758,12 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
             agree = matched and m.kind == "panic"
             terminal = Terminal("panic", agree, step.message if agree else here or "target did not panic: %s" % m.kind)
             break
-        contractum, rule = step
-        records.append(StepRecord(i, rule, m.mid_rule, m.sim_steps, dsteps, matched))
+        records.append(StepRecord(i, step[0], m.mid_rule, m.sim_steps, dsteps, matched))
         if m.kind != "stepped":
             terminal = Terminal(m.kind, False, "target reached %s while source stepped" % m.kind)
             break
         tgt.moved(m.expr, m.low)
-        src.step(contractum)
+        src.moved(*step[1])
     else:
         terminal = Terminal("budget", True, "both sides exceeded %d steps" % max_steps)
     return CorrespondenceReport(tuple(records), terminal, mismatch)

@@ -22,12 +22,12 @@ kids)`` pair. Then it resumes at the hole, not at the root:
 Climbing out of a subterm shows that it is a value, so only siblings not yet
 visited are tested for value-ness. A step costs work in what it changed, not
 in the depth of the hole; the whole term is built only as the final value,
-and a redex only for a ``trace`` callback. Co-simulation steps on the same
-machine (``_contract`` and ``_resume``, which also tells it how many frames
-a step left in place and whether the focus is stale), and its dictionary
-resolution contracts the tagged plumbing with ``_contract`` too. Every loop
-runs over the explicit spine, so term depth is not bounded by the recursion
-limit. The stepper holds no global state; distinct runs are independent.
+and a redex only for a ``trace`` callback. One step of the machine,
+``_step``, serves ``run`` (traced or not) and co-simulation, whose macro
+step and source side step on it too; it tells how many frames a step left
+in place and whether the focus is stale. Every loop runs over the explicit
+spine, so term depth is not bounded by the recursion limit. The stepper
+holds no global state; distinct runs are independent.
 
 r-call substitutes the receiver, arguments and type actuals into the
 method's body through the body's template (``compile_body``): compiled once
@@ -37,12 +37,23 @@ and shares every other subterm, so a call costs work in the nodes that hold
 a hole, not a traversal of the body. Method bodies bind nothing, so the
 substitution is capture-free without renaming.
 
+The machine's r-call does not resume at the hole either: it lands on the
+body's focus by the template's refocus path, the frames from the body's
+root to its first focus, which refocusing the body (Danvy & Nielsen) finds
+once per method instead of once per call. The path is fixed because
+evaluation is call-by-value: r-call fires only once the receiver and the
+arguments are values, so which of the body's subterms are values is known
+when the template is compiled. It would not hold for unevaluated
+arguments, and dictionary resolution substitutes an applicator's arguments
+unevaluated, so resolution, like the tests' one-shot steppers, takes
+``_contract``'s plain contractum, built by the same instantiation.
+
 Outcomes:
 
 * a step -- contracting the focus gives the plain pair ``(contractum,
-  rule)``: ``rule`` names the contraction (r-fields, r-call, r-assert,
-  r-ext-*) and the redex is the focus the caller holds, so a step builds no
-  outcome object.
+  rule)``, and a machine step the pair ``(rule, state)``: ``rule`` names
+  the contraction (r-fields, r-call, r-assert, r-ext-*) and the redex is
+  the focus the caller holds, so a step builds no outcome object.
 * ``Value(value)`` -- the term is a value; no rule fires.
 * ``PanicOutcome`` -- a type assertion failed (or explicit ``panic``); once
   raised, a run halts immediately.
@@ -187,23 +198,60 @@ def _op(n: Expr, ix: list, typed: bool):
     return lambda regs, tm: regs.append(t(*get(regs), origin=o))
 
 
-def compile_body(m: MethodDecl):
-    """The substitution template of ``m``'s body: a function ``(recv, args,
-    targs, rtype)`` returning the body with the receiver, value arguments
-    and type actuals substituted for its variables and type parameters.
+class Template:
+    """A method body compiled for r-call (``compile_body``).
 
-    The holes are the ``Var``s the receiver or a value parameter binds (a
-    parameter shadows a receiver of the same name) and the types that
-    mention a type parameter of the receiver or the method. A subterm
-    without a hole is the same object in every instantiation; a body
-    without one is returned as it is. Each node above a hole becomes a
+    * ``arity``: the number of value parameters;
+    * ``instantiate(kids, targs, rtype)``: the register list of one
+      instantiation for a call's subexpressions ``kids``, the receiver
+      then the arguments, whose entry ``out`` is the substituted body;
+    * ``refocus(regs, spine)``: the machine's next state once the body in
+      ``regs`` has replaced the call at the hole of ``spine``, as
+      ``_resume`` of that body gives it;
+    * ``static``: whether ``refocus`` reaches the focus by the body's
+      refocus path alone, testing nothing."""
+
+    __slots__ = ("arity", "instantiate", "out", "refocus", "static")
+
+    def __init__(self, arity, instantiate, out, refocus, static):
+        self.arity, self.instantiate, self.out, self.refocus, self.static = arity, instantiate, out, refocus, static
+
+    def body(self, kids, targs, rtype):
+        """The body with the receiver, value arguments and type actuals
+        substituted: the plain contractum of r-call."""
+        return self.instantiate(kids, targs, rtype)[self.out]
+
+
+def compile_body(m: MethodDecl) -> Template:
+    """The template of ``m``'s body: its substitution and its refocus path.
+
+    Substitution. The holes are the ``Var``s the receiver or a value
+    parameter binds (a parameter shadows a receiver of the same name) and
+    the types that mention a type parameter of the receiver or the method.
+    A subterm without a hole is the same object in every instantiation; a
+    body without one is returned as it is. Each node above a hole becomes a
     closure (Feeley & Lapalme, "Using closures for code generation",
     1987), listed in post-order. An instantiation runs them over a register
     list that starts as ``[recv, *args, *consts]``, ``consts`` being the
     closed subterms they read: each reads its subexpressions from it and
     appends the node it builds. So it costs one call per open node, and no
     recursion, however deep the body. The type map is built only when some
-    type holds a hole. Built through ``fold``, so iterative too."""
+    type holds a hole. Built through ``fold``, so iterative too.
+
+    Refocus path. Under call-by-value r-call fires only once the receiver
+    and the arguments are values, so which registers hold a value is known
+    here: the argument slots do, a closed subterm does or does not once
+    and for all, and a built node does if it is a struct literal over
+    registers that do. So the path ``_descend`` would take through the
+    instance is fixed: from the root, into the leftmost strict
+    subexpression that is not a value, down to the focus. It is kept as
+    ``(register, kids getter, hole index)`` frames, found by a loop, and
+    ``refocus`` pushes them and lands on the focus without testing a
+    node. It calls ``_descend`` only where the path ends at a closed
+    subterm that is not a value, and ``_resume`` where the body has no hole
+    or is a value. Dictionary resolution passes an applicator's arguments
+    unevaluated, so the path does not hold there: it takes the plain
+    ``body`` (``_contract``), never ``refocus``."""
     slots = {x: i for i, x in enumerate([m.recv_name, *[p.name for p in m.sig.params]])}
     tparams = {*m.recv_params, *[fp.name for fp in m.sig.tformal]}
     consts, opens = [], []  # closed subterms read by open nodes; the open nodes
@@ -226,26 +274,62 @@ def compile_body(m: MethodDecl):
         return (2, len(opens) - 1)
 
     root = fold(m.body, node)
-    if type(root) is not tuple:
-        return lambda recv, args, targs, rtype: root
+    if type(root) is not tuple:  # no hole: the body is the only constant
+        consts.append(root)
+        root = (1, 0)
     k = 1 + len(m.sig.params)
     base = (0, k, k + len(consts))  # registers: [recv, *args, *consts, *built]
-    ops = [_op(n, [base[kind] + i for kind, i in refs], typed) for n, refs, typed in opens]
+    kidregs = [[base[kind] + i for kind, i in refs] for _, refs, _ in opens]
+    ops = [_op(n, ix, typed) for (n, _, typed), ix in zip(opens, kidregs)]
     out = base[root[0]] + root[1]
     typed_body = any(typed for _, _, typed in opens)
     rparams, tformal = m.recv_params, [fp.name for fp in m.sig.tformal]
 
-    def instantiate(recv, args, targs, rtype):
+    def instantiate(kids, targs, rtype):
         tm = None
         if typed_body:
-            tm = dict(zip(rparams, (rtype or vtype(recv)).args))
+            tm = dict(zip(rparams, (rtype or vtype(kids[0])).args))
             tm.update(zip(tformal, targs))
-        regs = [recv, *args, *consts]
+        regs = [*kids, *consts]
         for op in ops:
             op(regs, tm)
-        return regs[out]
+        return regs
 
-    return instantiate
+    # which registers hold a value at every call: the slots, each constant
+    # as it is, and the built nodes in post-order, each after its kids
+    built = base[2]
+    value = [True] * k + [is_value(c) for c in consts]
+    for (n, _, _), ix in zip(opens, kidregs):
+        value.append(type(n) is StructLit and all(value[i] for i in ix))
+    if value[out] or out < built:  # a value, or no hole: test from the root
+        return Template(k - 1, instantiate, out, lambda regs, spine: _resume(regs[out], spine), False)
+    path, r = [], out
+    while r >= built:  # a built non-value: into its first strict kid that is not a value
+        n, ix = opens[r - built][0], kidregs[r - built]
+        hole = next((i for i in range(1 if type(n) is If or type(n) is Seq else len(ix)) if not value[ix[i]]), None)
+        if hole is None:
+            break
+        path.append((r, _getter(ix), hole))
+        r = ix[hole]
+    kids = None if r < built else _getter(kidregs[r - built])
+    return Template(k - 1, instantiate, out, _refocus(path, r, kids), kids is not None)
+
+
+def _refocus(path: list, focus: int, kids):
+    """``Template.refocus`` for a body whose refocus path is ``path``, as
+    ``(register, kids getter, hole index)`` frames, and ends at register
+    ``focus``: the focus, whose kids ``kids`` gets, or a closed non-value
+    where ``kids`` is None, which ``_descend`` continues from."""
+
+    def refocus(regs, spine):
+        low = len(spine)
+        for r, get, i in path:
+            spine.append((regs[r], get(regs), i))
+        if kids is None:
+            return (*_descend(regs[focus], spine), low, False)
+        return regs[focus], kids(regs), low, False
+
+    return refocus
 
 
 _BINOPS = {
@@ -256,6 +340,23 @@ _BINOPS = {
 }
 
 
+def _template(e: MethodCall, rt: TypeApp, nargs: int, decls: Decls):
+    """The template of the method ``e`` calls on a receiver of type ``rt``
+    with ``nargs`` arguments, compiled at its first call and kept in
+    ``decls.templates``; ``Stuck`` if there is no such method or the arity
+    differs, checked at every call."""
+    key = (rt.name, e.name)
+    tpl = decls.templates.get(key)
+    if tpl is None:
+        m = decls.methods.get(key)
+        if m is None:  # kept out of the table: stuck at every call
+            return Stuck("no method %s on %s" % (e.name, print_type(rt)))
+        tpl = decls.templates[key] = compile_body(m)
+    if tpl.arity != nargs:
+        return Stuck("arity mismatch calling %s" % e.name)
+    return tpl
+
+
 def _contract(e: Expr, kids: tuple, decls: Decls, generic: bool):
     """Head contraction of the redex ``e``, whose strict subexpressions are
     the values ``kids``, newer than ``e``'s own where ``e`` is stale: the
@@ -264,16 +365,10 @@ def _contract(e: Expr, kids: tuple, decls: Decls, generic: bool):
     t = type(e)
     if t is MethodCall:
         rt = vtype(kids[0])
-        key = (rt.name, e.name)
-        tpl = decls.templates.get(key)
-        if tpl is None:
-            m = decls.methods.get(key)
-            if m is None:  # kept out of the table: stuck at every call
-                return Stuck("no method %s on %s" % (e.name, print_type(rt)))
-            tpl = decls.templates[key] = len(m.sig.params), compile_body(m)
-        if tpl[0] != len(kids) - 1:
-            return Stuck("arity mismatch calling %s" % e.name)
-        return tpl[1](kids[0], kids[1:], e.targs, rt), "r-call"
+        tpl = _template(e, rt, len(kids) - 1, decls)
+        if type(tpl) is Stuck:
+            return tpl
+        return tpl.body(kids, e.targs, rt), "r-call"
 
     if t is FieldSel:
         v = kids[0]
@@ -367,6 +462,28 @@ def _resume(e: Expr, spine: list) -> tuple:
     return e, kids, len(spine), False
 
 
+def _step(e: Expr, kids: tuple, spine: list, decls: Decls, generic: bool):
+    """One step of the machine at the focus ``(e, kids)`` of ``spine``:
+    ``(rule, (node, kids, low, stale))``, the rule that fired and the next
+    state as ``_resume`` gives it, with ``spine`` advanced in place; else
+    the ``Value``, ``PanicOutcome`` or ``Stuck`` of ``_contract``, with
+    ``spine`` untouched. r-call lands on the body's focus by the body's
+    refocus path (``compile_body``); every other rule contracts and
+    resumes at the hole."""
+    if type(e) is MethodCall:
+        rt = vtype(kids[0])
+        tpl = decls.templates.get((rt.name, e.name))
+        if tpl is None or tpl.arity != len(kids) - 1:  # not compiled yet, or stuck: _template says which
+            tpl = _template(e, rt, len(kids) - 1, decls)
+            if type(tpl) is Stuck:
+                return tpl
+        return "r-call", tpl.refocus(tpl.instantiate(kids, e.targs, rt), spine)
+    out = _contract(e, kids, decls, generic)
+    if type(out) is not tuple:
+        return out
+    return out[1], _resume(out[0], spine)
+
+
 DEFAULT_MAX_STEPS = 1_000_000
 
 
@@ -386,28 +503,30 @@ class RunResult:
 
 
 def run(program: Program, max_steps: int = DEFAULT_MAX_STEPS, lang: str = "fgg", trace=None) -> RunResult:
-    """Run main's expression on the machine, one contraction per step.
+    """Run main's expression on the machine, one ``_step`` per step.
 
-    ``lang`` selects the stepper ("fgg" or any fg dialect). ``trace`` is an
-    optional callback invoked with (rule, redex) per step, a stale redex
-    built for it alone. Never exceeds ``max_steps``; exhausting the budget
-    signals possible divergence. A program already judged runs on its
-    judgement's ``Decls``.
+    ``lang`` selects the stepper, "fgg" or "fg"; any other raises
+    ``ValueError``. ``trace`` is an optional callback invoked with (rule,
+    redex) per step, a stale redex built for it alone. Never exceeds
+    ``max_steps``; exhausting the budget signals possible divergence. A
+    program already judged runs on its judgement's ``Decls``.
     """
+    if lang not in ("fg", "fgg"):
+        raise ValueError("lang must be 'fg' or 'fgg'")
     decls = kept_decls(program)
     generic = lang == "fgg"
     spine = []
     e, kids = _descend(program.main, spine)
     stale = False
     for steps in range(max_steps):
-        out = _contract(e, kids, decls, generic)
+        out = _step(e, kids, spine, decls, generic)
         if type(out) is not tuple:
             break
         if trace is not None:
-            trace(out[1], rebuild(e, kids) if stale else e)
-        e, kids, _, stale = _resume(out[0], spine)
+            trace(out[0], rebuild(e, kids) if stale else e)
+        e, kids, _, stale = out[1]
     else:
-        out = _contract(e, kids, decls, generic)  # the term is looked at before the budget
+        out = _contract(e, kids, decls, generic)  # the term is looked at, not stepped, before the budget
         if type(out) is tuple:
             return RunResult("budget_exhausted", max_steps)
         steps = max_steps

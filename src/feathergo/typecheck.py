@@ -90,7 +90,7 @@ class Decls:
     delta; ``fg_subtype`` goes through it too), ``msets`` maps a
     ``TypeApp`` to its substituted method set (which never depends on
     delta), and ``templates`` maps a method's ``(recv_type, name)`` to its
-    arity and body template, which r-call compiles (``reduce.compile_body``)
+    body template, which r-call compiles (``reduce.compile_body``)
     at its first call. All rely on a ``Decls`` never being mutated after
     construction: build a new one for a new program. The tables live on
     the instance, so checks of distinct programs never share an entry;
@@ -566,7 +566,10 @@ def fg_typecheck_program(program: Program, dialect: str = "core") -> list:
     method parameter and result types, literal and assertion types, call
     type actuals) through ``fgg_wf`` or ``fgg_bounds_check``, so a type
     parameter there is unknown and a type argument exceeds an empty
-    formal list, each a diagnostic."""
+    formal list, each a diagnostic. ``dialect`` is "core" or "extended";
+    any other raises ``ValueError``."""
+    if dialect not in ("core", "extended"):
+        raise ValueError("dialect must be 'core' or 'extended'")
     diags = list(_check_program(program))
     formals = (_not_fg_node(n, False) for d in program.decls for n in (d, *getattr(d, "specs", ())))
     if diags or dialect == "core" or any(formals):

@@ -179,11 +179,11 @@ def instantiate_body(decls: Decls, m: MethodDecl, recv: Expr, args, targs, rtype
     ``m`` being ``decls.methods[(m.recv_type, m.name)]``. ``args`` may be
     unevaluated, as dictionary resolution passes an applicator's. The
     template is compiled at the method's first instantiation and kept in
-    ``decls.templates`` beside its arity, where r-call keeps it."""
+    ``decls.templates``, where r-call keeps it."""
     key = (m.recv_type, m.name)
     if key not in decls.templates:
-        decls.templates[key] = len(m.sig.params), compile_body(m)
-    return decls.templates[key][1](recv, args, targs, rtype)
+        decls.templates[key] = compile_body(m)
+    return decls.templates[key].body((recv, *args), targs, rtype)
 
 
 def shallow_reprs(e) -> list:

@@ -905,3 +905,35 @@ def test_a_source_frame_is_certified_only_where_its_translation_lands():
     assert cosim._frames_match(raw, [(other, subexprs(other), 0)], tdecls, memo) is False
     moved = [(call, subexprs(call), 1)]
     assert cosim._frames_match(raw, moved, tdecls, memo) is False
+
+
+def test_every_r_call_of_a_check_lands_by_its_refocus_path(monkeypatch):
+    # both sides step on the machine, whose every r-call lands through the
+    # template's refocus; dictionary resolution substitutes unevaluated
+    # arguments, so its applicator calls take the plain contractum instead
+    from feathergo import reduce
+
+    landed, plain, stepped = [], [], []
+    compile_body, step = reduce.compile_body, cosim._step
+
+    def recording(m):
+        tpl = compile_body(m)
+        refocus, instantiate = tpl.refocus, tpl.instantiate
+        tpl.refocus = lambda regs, spine: landed.append(m) or refocus(regs, spine)
+        tpl.instantiate = lambda *args: plain.append(m) or instantiate(*args)
+        return tpl
+
+    def machine_step(*args):
+        out = step(*args)
+        if type(out) is tuple and out[0] == "r-call":
+            stepped.append(out)
+        return out
+
+    monkeypatch.setattr(reduce, "compile_body", recording)
+    monkeypatch.setattr(cosim, "_step", machine_step)
+    programs = [parse_fgg(p.read_text()) for p in FGG_FILES]
+    programs += [generate(BenchConfig(family, 2, 3)) for family in "abcde"]
+    for program in programs:
+        assert check_correspondence(program).ok
+    assert len(landed) == len(stepped) > 1000
+    assert len(plain) > len(landed)  # the rest are resolution's applicator calls

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import typing
 
 import pytest
@@ -119,6 +120,23 @@ def test_step_count_zero_for_value_main():
     assert step_count(load("nilmain.fgg"), 0) == 0
     res = run(load("nilmain.fgg"), 0)
     assert res.kind == "value" and res.steps == 0
+
+
+def test_run_rejects_an_unknown_lang():
+    # a misspelt lang ran as FG, whose r-assert compares type names only
+    program = parse_fgg(
+        "package main\ntype Any interface {}\ntype Id struct {}\ntype Box[T Any] struct { v T }\n"
+        "func (this Id) Up(x Any) Any { return x }\n"
+        "func main() { _ = Id{}.Up(Box[int]{1}).(Box[bool]) }\n"
+    )
+    res = run(program, lang="fgg")
+    assert res.kind == "panic" and res.panic.message == "Unable to assert Box[int] as type Box[bool]"
+    assert res.steps == step_count(program, lang="fgg") == 1
+    for lang in ("FGG", "fg-ext", ""):
+        with pytest.raises(ValueError, match="lang must be 'fg' or 'fgg'"):
+            run(program, lang=lang)
+        with pytest.raises(ValueError, match="lang must be 'fg' or 'fgg'"):
+            step_count(program, lang=lang)
 
 
 def test_box_nest_steps_strictly_increase_with_depth():
@@ -335,17 +353,19 @@ def test_machine_matches_one_shot_steps(make):
 
 @pytest.mark.parametrize("make", [m for _, m in MACHINE_INPUTS], ids=[n for n, _ in MACHINE_INPUTS])
 def test_resume_counts_the_frames_it_left_in_place(make):
-    # the count _resume returns with the next focus is the longest prefix
-    # of the context it left as it was, frame for frame
+    # the count a machine step returns with the next focus, by _resume or
+    # by an r-call's refocus path, is the longest prefix of the context it
+    # left as it was, frame for frame
     program, lang = make()
     decls, spine = Decls(program), []
     e, kids = reduce._descend(program.main, spine)
     for _ in range(300):
-        out = reduce._contract(e, kids, decls, lang == "fgg")
-        if type(out) is not tuple:
-            break
         before = list(spine)
-        e, kids, low, stale = reduce._resume(out[0], spine)
+        out = reduce._step(e, kids, spine, decls, lang == "fgg")
+        if type(out) is not tuple:
+            assert spine == before
+            break
+        e, kids, low, stale = out[1]
         same = 0
         while same < min(len(before), len(spine)) and before[same] is spine[same]:
             same += 1
@@ -568,7 +588,7 @@ def test_templates_substitute_type_parameters_and_shadowed_receivers():
     for m in methods:
         args = tuple(IntLit(10 + i) for i in range(len(m.sig.params)))
         for targs in [(), (TypeApp("Q"),)][: 1 + len(m.sig.tformal)]:
-            out = compile_body(m)(recv, args, targs, None)
+            out = compile_body(m).body((recv, *args), targs, None)
             assert repr(out) == repr(reference_body(m, recv, args, targs))
     assert "Nat" in repr(out) and "name='Q'" in repr(out)  # both maps were applied
 
@@ -611,3 +631,144 @@ def test_r_call_costs_no_fold_and_no_type_substitution(monkeypatch):
     assert res.kind == "budget_exhausted" and res.steps == 10_000
     assert at_first_call == [{"fold": 1, "subst_type": 0}]
     assert calls == at_first_call[0]
+
+
+# ---------------------------------------------------------------------------
+# Refocus paths: an r-call lands where _resume of the plain instance lands
+
+
+# the frame a body fills in the refocus oracle: a value body climbs into it
+# and descends into its sibling, a non-value body is pushed below it
+_OUTER = Binop("+", Var("hole"), Binop("+", IntLit(1), IntLit(2)))
+
+
+def assert_refocus_matches_resume(tpl, recv, args, targs) -> bool:
+    """Instantiate ``tpl`` once, land on its focus with ``tpl.refocus`` and
+    with ``_resume`` of the plain instance, each on its own copy of a
+    one-frame spine, and compare the frames (node identity, kids, hole
+    index), the focus and its kids, the frames left in place and
+    staleness. Returns whether the path was static."""
+    regs = tpl.instantiate((recv, *args), targs, None)
+    outer = (_OUTER, subexprs(_OUTER), 0)
+    got_spine, want_spine = [outer], [outer]
+    got = tpl.refocus(regs, got_spine)
+    want = reduce._resume(regs[tpl.out], want_spine)
+    assert len(got_spine) == len(want_spine)
+    for (a, ak, ai), (b, bk, bi) in zip(got_spine, want_spine):
+        assert a is b and ai == bi and len(ak) == len(bk) and all(map(operator.is_, ak, bk))
+    (node, kids, low, stale), (wnode, wkids, wlow, wstale) = got, want
+    assert node is wnode and len(kids) == len(wkids) and all(map(operator.is_, kids, wkids))
+    assert (low, stale) == (wlow, wstale)
+    return tpl.static
+
+
+@pytest.mark.parametrize("make", [m for _, m in MACHINE_INPUTS], ids=[n for n, _ in MACHINE_INPUTS])
+def test_refocus_matches_resume_of_the_plain_instance(make):
+    program, _ = make()
+    for m in Decls(program).methods.values():
+        recv, args, targs = instantiations(m)[0]  # value arguments: the path holds
+        assert_refocus_matches_resume(compile_body(m), recv, args, targs)
+
+
+def _method(body, params=("y",), recv_params=()):
+    return MethodDecl("x", "A", recv_params, "M", MethodSig((), tuple(Param(p, TypeApp("Any")) for p in params)), body)
+
+
+_A, _B = StructLit(TypeApp("A")), StructLit(TypeApp("B"))
+_CLOSED_CALL = MethodCall(_B, "G")
+EDGE_BODIES = {
+    # no hole: a closed non-value and a closed value
+    "closed": (_method(_CLOSED_CALL), False),
+    "closed-value": (_method(StructLit(TypeApp("Box"), (IntLit(1),))), False),
+    # a value: a parameter, a struct literal of parameters
+    "param": (_method(Var("y")), False),
+    "struct-of-params": (_method(StructLit(TypeApp("Pair"), (Var("x"), Var("y")))), False),
+    # a closed non-value before a hole
+    "closed-before-hole": (_method(Binop("+", _CLOSED_CALL, Var("y"))), False),
+    "closed-arg": (_method(MethodCall(Var("x"), "N", (), (Var("y"), _CLOSED_CALL))), False),
+    # if and sequencing: only the first subexpression is strict
+    "if": (_method(If(Neq(Var("y"), IntLit(0)), MethodCall(Var("x"), "N"), Var("y"))), True),
+    "if-on-a-value": (_method(If(Var("y"), _CLOSED_CALL, Var("x"))), True),
+    "seq": (_method(Seq(MethodCall(Var("x"), "N"), Var("y"))), True),
+    "seq-under-call": (_method(MethodCall(Seq(FieldSel(Var("y"), "f"), Var("x")), "N")), True),
+    # a non-value argument after value ones
+    "late-arg": (_method(MethodCall(Var("x"), "N", (), (Var("y"), IntLit(1), MethodCall(Var("y"), "N")))), True),
+    "struct-arg": (_method(StructLit(TypeApp("Pair"), (Var("y"), FieldSel(Var("x"), "f")))), True),
+    # typed: the type parameter is a hole, a typed struct literal a value
+    "typed": (
+        _method(
+            MethodCall(StructLit(TypeApp("Box", (TypeParam("T"),)), (Var("y"),)), "Id", (TypeParam("T"),)),
+            recv_params=("T",),
+        ),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_BODIES))
+def test_refocus_on_edge_bodies(name):
+    m, static = EDGE_BODIES[name]
+    for recv, args, targs in [instantiations(m)[0], (_A, (BoolLit(True),), ())]:
+        assert assert_refocus_matches_resume(compile_body(m), recv, args, targs) is static
+
+
+@pytest.mark.parametrize("deep", ["chain", "struct"])
+def test_refocus_on_a_deep_body(default_recursion_limit, deep):
+    body = Var("y")
+    for _ in range(10_000):
+        body = MethodCall(body, "Id") if deep == "chain" else StructLit(TypeApp("Box"), (body,))
+    m = _method(body)
+    recv, args, targs = instantiations(m)[0]
+    assert assert_refocus_matches_resume(compile_body(m), recv, args, targs) is (deep == "chain")
+
+
+# every side of omega, where every call after the first is counted, and
+# every side of families a-e at 2-5 with 3 iterations
+WORK_INPUTS = [(name, make, True) for name, make in OMEGA_SIDES] + [
+    ("%s-%s%d" % (mode, f, k), (lambda f=f, k=k, mode=mode: _family_side(f, k, mode)), False)
+    for f in "abcde"
+    for k in range(2, 6)
+    for mode in ("fgg", "dict", "erasure")
+]
+
+
+def _family_side(f, k, mode):
+    source = generate(BenchConfig(f, k, 3))
+    return (source, "fgg") if mode == "fgg" else _translated(lambda: source, mode)()
+
+
+@pytest.mark.parametrize("make, every", [(m, e) for _, m, e in WORK_INPUTS], ids=[n for n, _, _ in WORK_INPUTS])
+def test_refocused_r_call_tests_no_body_node(monkeypatch, make, every):
+    # an r-call whose body has a static refocus path pushes its frames and
+    # lands on its focus without asking is_value of a node or descending,
+    # where resuming at the hole tests the body's nodes. A method's first
+    # call compiles its template and is not counted
+    program, lang = make()
+    calls = {"is_value": 0, "_descend": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reduce, name, counted(name, getattr(reduce, name)))
+    static = {key: compile_body(m).static for key, m in Decls(program).methods.items()}
+    seen, work, last, rcalls = set(), [], 0, 0
+
+    def trace(rule, redex):
+        nonlocal last, rcalls
+        if rule == "r-call":
+            rcalls += 1
+            key = (vtype(redex.recv).name, redex.name)
+            if key in seen and static[key]:
+                work.append(sum(calls.values()) - last)
+            seen.add(key)
+        last = sum(calls.values())
+
+    run(program, 10_000, lang, trace=trace)
+    assert work and set(work) == {0}
+    if every:
+        assert len(work) == rcalls - 1 >= 4_999

@@ -480,6 +480,16 @@ def test_fg_listing_ok():
         assert fg_typecheck_program(load("fg_list.fg"), dialect) == []
 
 
+def test_fg_check_rejects_an_unknown_dialect():
+    # a misspelt dialect was checked as extended, so core's rules went unchecked
+    program = parse_fg("package main\nfunc main() { _ = 1 != 2 }\n", "extended")
+    assert [d.message for d in fg_typecheck_program(program, "core")] == ["t-core: neq is not core fg"]
+    assert fg_typecheck_program(program, "extended") == []
+    for dialect in ("Core", "fg", ""):
+        with pytest.raises(ValueError, match="dialect must be 'core' or 'extended'"):
+            fg_typecheck_program(program, dialect)
+
+
 def test_fg_literal_arity_mismatch():
     src = "package main\ntype Pair struct { a Pair; b Pair }\nfunc main() { _ = Pair{} }\n"
     diags = fg_typecheck_program(parse_fgg(src), "core")
