@@ -262,7 +262,7 @@ def compile_body(m: MethodDecl) -> Template:
         if type(n) is Var:
             return n if n.name not in slots else (0, slots[n.name])
         typed = bool(tparams) and any(_mentions(t, tparams) for t in _types(n))
-        if not typed and not any(type(k) is tuple for k in kids):
+        if not typed and tuple not in map(type, kids):
             return n
         refs = []
         for k in kids:
@@ -295,20 +295,26 @@ def compile_body(m: MethodDecl) -> Template:
             op(regs, tm)
         return regs
 
-    # which registers hold a value at every call: the slots, each constant
-    # as it is, and the built nodes in post-order, each after its kids
     built = base[2]
-    value = [True] * k + [is_value(c) for c in consts]
+
+    def holds_value(r):  # whether register r holds a value at every call
+        if r < built:
+            return r < k or is_value(consts[r - k])
+        return value[r - built]
+
+    value = []  # per built node, in post-order: a struct literal over registers that hold values
     for (n, _, _), ix in zip(opens, kidregs):
-        value.append(type(n) is StructLit and all(value[i] for i in ix))
-    if value[out] or out < built:  # a value, or no hole: test from the root
+        value.append(type(n) is StructLit and all(map(holds_value, ix)))
+    if out < built or value[out - built]:  # no hole, or a value: test from the root
         return Template(k - 1, instantiate, out, lambda regs, spine: _resume(regs[out], spine), False)
     path, r = [], out
     while r >= built:  # a built non-value: into its first strict kid that is not a value
         n, ix = opens[r - built][0], kidregs[r - built]
-        hole = next((i for i in range(1 if type(n) is If or type(n) is Seq else len(ix)) if not value[ix[i]]), None)
-        if hole is None:
-            break
+        for hole in range(1 if type(n) is If or type(n) is Seq else len(ix)):
+            if not holds_value(ix[hole]):
+                break
+        else:
+            break  # every strict kid holds a value: the focus
         path.append((r, _getter(ix), hole))
         r = ix[hole]
     kids = None if r < built else _getter(kidregs[r - built])
