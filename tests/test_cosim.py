@@ -35,6 +35,7 @@ from feathergo.syntax import (
     Var,
     fold,
     plug,
+    rebuild,
     same,
     show_expr,
     subexprs,
@@ -905,6 +906,31 @@ def test_a_source_frame_is_certified_only_where_its_translation_lands():
     assert cosim._frames_match(raw, [(other, subexprs(other), 0)], tdecls, memo) is False
     moved = [(call, subexprs(call), 1)]
     assert cosim._frames_match(raw, moved, tdecls, memo) is False
+
+
+def _settled_frame_matches(node, i, settled) -> bool:
+    """Whether the frame of ``node`` at hole ``i`` matches the frame whose
+    subexpressions are ``settled``, the other ones resolved and settled."""
+    out = rebuild(node, settled)
+    return cosim._frames_match([(node, subexprs(node), i)], [(out, settled, i)], translated("arith.fgg")[2], RunMemo())
+
+
+def test_an_if_frame_whose_other_branch_settles_is_not_certified():
+    # an if's type joins its branches, so a branch that settles to another
+    # term may change what the frames above read: the frame must already
+    # be settled
+    hole = MethodCall(IntLit(1), "Missing")
+    settles = TypeAssert(IntLit(7), TypeApp("int"), origin="erase")
+    assert _settled_frame_matches(If(hole, IntLit(1), settles), 0, (hole, IntLit(1), IntLit(7))) is False
+
+
+def test_a_seq_frame_whose_rest_settles_to_another_type_is_not_certified():
+    # a sequence has its second component's type; an erase assert to an
+    # interface over a struct value settles to the struct, whose type is
+    # not the interface's, so the frames above may read it differently
+    hole = MethodCall(IntLit(1), "Missing")
+    nil = StructLit(TypeApp("Nil"), ())
+    assert _settled_frame_matches(Seq(hole, TypeAssert(nil, TypeApp("Any"), origin="erase")), 0, (hole, nil)) is False
 
 
 def test_every_r_call_of_a_check_lands_by_its_refocus_path(monkeypatch):
