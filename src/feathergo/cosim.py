@@ -23,9 +23,9 @@ The harness implements, as executable artifacts:
   Both sides step on ``reduce``'s refocusing machine and keep their
   evaluation contexts across steps, so each stage works on the hole a step
   plugged and the frames it reopens, not on the whole term. The target is
-  the program's kept declaration translation
-  (``Translator.translated_decls``) and ``main`` translated once, under
-  the run's context; that translation is also the target's start state.
+  the program's kept declaration translation, indexed once per program
+  (``Translator.target_decls``), and ``main`` translated once, under the
+  run's context; that translation is also the target's start state.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .reduce import (
     Value,
     _contract,
     _descend,
-    _resume,
     _step,
     is_value,
 )
@@ -142,9 +141,9 @@ MEMO_MIN_ENTRIES = 4096
 class RunMemo:
     """The tables one correspondence check carries from step to step.
 
-    Every table is keyed by ``id(node)`` (``pairs`` by a pair of them) and
-    holds its node, so no id is reused while an entry lives; none is keyed
-    by the expression, whose generated hash costs its size.
+    Every table is keyed by ``id(node)`` and holds its node, so no id is
+    reused while an entry lives; none is keyed by the expression, whose
+    generated hash costs its size.
 
     * ``ctx``: the translator's empty-environment context, whose
       ``types`` is the source type side table and whose ``trans`` holds
@@ -155,8 +154,7 @@ class RunMemo:
     * ``normal``: target subterms that hold no dictionary-resolution redex;
     * ``settled``: target subterm -> its settled form, and settled form ->
       itself. The scan that adds a subterm to ``normal`` records its
-      settled form here too, so every subterm in ``normal`` has one;
-    * ``pairs``: pairs of target subterms the state comparison found equal.
+      settled form here too, so every subterm in ``normal`` has one.
 
     A step adds entries only for the nodes it creates. ``trim``, called
     once per step, clears all the tables together once their total size
@@ -170,11 +168,10 @@ class RunMemo:
         self.types: dict = {}
         self.normal: dict = {}
         self.settled: dict = {}
-        self.pairs: dict = {}
         self.limit: int | None = None  # None: set by the next trim
 
     def tables(self) -> tuple:
-        return (self.ctx.types, self.ctx.trans, self.types, self.normal, self.settled, self.pairs)
+        return (self.ctx.types, self.ctx.trans, self.types, self.normal, self.settled)
 
     def size(self) -> int:
         return sum(map(len, self.tables()))
@@ -356,7 +353,8 @@ class Zipper:
       the type.
     * ``fresh``: the number of leading frames unchanged since the last
       refocus, so that ``frames[j][1][i]`` is still frame ``j``'s content
-      there, for checking it later.
+      there, for checking it later. They are whole (``kids`` is
+      ``subexprs(node)``): the machine leaves no refilled frame in place.
     * ``kept``: the number of leading frames unchanged since the last
       comparison.
     """
@@ -383,8 +381,6 @@ def _check_frames(z: Zipper, upto: int, decls: Decls, memo: RunMemo) -> None:
     frames, ctypes = z.frames, z.ctypes
     for j in range(len(ctypes), min(upto, z.fresh)):
         node, kids, i = frames[j]
-        if any(a is not b for a, b in zip(kids, subexprs(node))):
-            node = rebuild(node, kids)  # a frame the machine moved to the next sibling
         if _dict_contract(node, decls, memo.types) is not None:
             return
         for k in kids[i + 1:]:
@@ -426,18 +422,16 @@ class Cut:
 
 
 def _settle_into(z: Zipper, cut: Cut, e: Expr, decls: Decls, memo: RunMemo) -> int:
-    """Settle ``e``, the normal form at ``cut``, and refocus ``z`` on the
-    result; returns the number of leading frames left in place. A
-    settled value reopens the frame above, whose node may then settle."""
+    """Settle ``e``, the normal form at ``cut``, and descend ``z`` to its
+    focus; returns the number of leading frames left in place. A settled
+    value reopens the frame above, so ``e`` ends a non-value or at the root."""
     e = settle(e, decls, memo)
     while cut.c and is_value(e):
         e = settle(cut.pop(e), decls, memo)
     del z.frames[cut.c:], z.ctypes[cut.c:]
-    node, kids, low, stale = _resume(e, z.frames)
-    z.focus = rebuild(node, kids) if stale else node  # a zipper holds whole nodes
-    del z.ctypes[low:]
-    z.fresh, z.kept = len(z.frames), min(z.kept, low)
-    return low
+    z.focus = _descend(e, z.frames)[0]
+    z.fresh, z.kept = len(z.frames), min(z.kept, cut.c)
+    return cut.c
 
 
 def target_normal_form(z: Zipper, decls: Decls, memo: RunMemo) -> int:
@@ -530,9 +524,13 @@ def _same_head(f, g) -> bool:
 
 def _frames_match(raw, frames, decls: Decls, memo: RunMemo) -> bool:
     """Whether resolving and settling the subexpressions of the ``raw``
-    frames one by one gives ``frames``. Those of an ``if`` or a sequence
-    must be normal and settled already, as its type follows its
-    branches."""
+    frames one by one gives ``frames``. Those of an ``if`` must be normal
+    and settled already, as its type joins its branches. A sequence has
+    its second component's type, which resolving and settling only narrow:
+    each contraction is the machine's, a refinement asserts a subtype, and
+    settling discharges an erase assert only where the machine's r-assert
+    accepts the value. So where the settled component has the raw one's
+    type under ``decls``, the frames above read the sequence alike."""
     for a, b in zip(raw, frames):
         if not _same_head(a, b) or getattr(a[0], "origin", None) != getattr(b[0], "origin", None):
             return False
@@ -540,8 +538,11 @@ def _frames_match(raw, frames, decls: Decls, memo: RunMemo) -> bool:
         for q, (r, f) in enumerate(zip(rk, b[1])):
             if q != ri:
                 s = settle(dict_normalize(r, decls, memo)[0], decls, memo)
-                if s is not f and s != f or s is not r and type(rn) in (If, Seq):
+                if s is not f and s != f or s is not r and type(rn) is If:
                     return False
+                if s is not r and type(rn) is Seq:  # the same type, which is interned, so one object
+                    if not _type_of(s, decls, memo.types) is _type_of(r, decls, memo.types) is not None:
+                        return False
     return True
 
 
@@ -576,11 +577,11 @@ def _certify(src: Source, built: list, decls: Decls, memo: RunMemo) -> None:
         src.align.append(pos)
 
 
-def _same_frame(f, g, pairs: dict) -> bool:
-    return _same_head(f, g) and all(k == f[2] or same(a, b, pairs) for k, (a, b) in enumerate(zip(f[1], g[1])))
+def _same_frame(f, g) -> bool:
+    return _same_head(f, g) and all(k == f[2] or same(a, b) for k, (a, b) in enumerate(zip(f[1], g[1])))
 
 
-def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
+def _same_state(a: Zipper, b: Zipper, known: int):
     """Whether ``a`` and ``b`` hold equal terms, origin tags aside, and the
     number of leading frames they agree on. Equal terms have equal machine
     contexts and foci, so they compare frame by frame; the first ``known``
@@ -589,10 +590,10 @@ def _same_state(a: Zipper, b: Zipper, pairs: dict, known: int):
     fa, fb = a.frames, b.frames
     k = min(known, a.kept, b.kept)
     n = min(len(fa), len(fb))
-    while k < n and _same_frame(fa[k], fb[k], pairs):
+    while k < n and _same_frame(fa[k], fb[k]):
         k += 1
     a.kept, b.kept = len(fa), len(fb)
-    return k == len(fa) == len(fb) and same(a.focus, b.focus, pairs), k
+    return k == len(fa) == len(fb) and same(a.focus, b.focus), k
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +721,11 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
     """
     translator = Translator(program)
     memo = RunMemo()
-    decls = translator.translated_decls()
+    tdecls = translator.target_decls()
     # the target's main, translated once under the run's context: the two
     # sides then share every subterm no step has touched, and compare by
     # identity there
     main = translator.translate_closed_expr(program.main, memo.ctx)
-    tdecls = Decls(Program(decls, main))
     tgt, src = Zipper(main), Source(translator, program.main)
     records, mismatch = [], ""  # the first index's mismatch text
     agreed = 0  # leading frames the sides agreed on at the last comparison
@@ -737,7 +737,7 @@ def check_correspondence(program: Program, max_steps: int = 500) -> Corresponden
             terminal = Terminal("budget", False, "normalization overflow: %s" % ov)
             break
         memo.trim()
-        matched, agreed = _same_state(tgt, src.out, memo.pairs, agreed)
+        matched, agreed = _same_state(tgt, src.out, agreed)
         here = (
             ""
             if matched

@@ -17,8 +17,8 @@ through ``Translator._declare``, which records what emitted it: the
 inventory and the name-collision check read the emitted declarations.
 ``Translator.translate_decls`` emits them all, and
 ``Translator.translated_decls`` keeps them with the program object, so a
-program's declarations are translated once; ``translate_program`` adds the
-translated ``main``.
+program's declarations are translated once (``target_decls`` indexes
+them once); ``translate_program`` adds the translated ``main``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .syntax import (
 )
 from .typecheck import (
     BUILTIN_STRUCTS,
+    Decls,
     fgg_methods,
     fgg_subtype,
     fgg_typecheck_expr,
@@ -537,6 +538,11 @@ class Translator:
         else:
             self.sources.update(kept[1])
         return kept[0]
+
+    def target_decls(self) -> Decls:
+        """The ``Decls`` of ``translated_decls`` (``Decls`` reads no ``main``), kept with them."""
+        held = self.program.__dict__  # setdefault: threads that build one at once all keep the first
+        return held.get("_target_decls") or held.setdefault("_target_decls", Decls(Program(self.translated_decls(), Panic())))
 
     def translate_program(self) -> Program:
         return Program(self.translated_decls(), self.translate_closed_expr(self.program.main))

@@ -13,7 +13,7 @@ have slots, and their generated ``__init__``, ``__eq__``, ``__hash__`` and
 ``__repr__`` are replaced by faster or iterative ones (end of this module)
 that keep the generated ones' signature and results; assigning a field
 still raises ``FrozenInstanceError``. ``==`` is ``same``, which
-co-simulation also calls with its table of node pairs found equal.
+co-simulation's state comparison also calls.
 
 Some nodes carry an ``origin`` tag ("erase", "sim" or "dict") identifying
 the translator rule that emitted them; the co-simulation harness uses the
@@ -569,26 +569,19 @@ def same_head(x, y) -> bool:
     return type(x) is type(y) and not (head and head(x) is not head(y) and head(x) != head(y))
 
 
-def same(a, b, pairs=None) -> bool:
+def same(a, b) -> bool:
     """Structural equality of expressions, origin tags excepted: ``==`` on
-    expressions. Iterative, like the traversals above. With ``pairs``, a
-    dict, it skips the node pairs found equal before, keyed by their ids,
-    and on success adds every pair it compared (holding the nodes keeps
-    their ids from being reused while the dict lives)."""
-    todo, seen = [(a, b)], []
+    expressions. Iterative, like the traversals above; shared subterms
+    compare by identity."""
+    todo = [(a, b)]
     while todo:
         x, y = todo.pop()
-        if x is y or pairs is not None and (id(x), id(y)) in pairs:
+        if x is y:
             continue
         kx, ky = subexprs(x), subexprs(y)
         if len(kx) != len(ky) or not same_head(x, y):
             return False
-        if pairs is not None:
-            seen.append((x, y))
         todo += zip(kx, ky)
-    if pairs is not None:
-        for x, y in seen:
-            pairs[(id(x), id(y))] = (x, y)
     return True
 
 

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -386,16 +388,15 @@ def _state_pairs(monkeypatch) -> list:
     check of every terminating corpus program compares, by program."""
     runs, compare = [], cosim._same_state
 
-    def recording(a, b, pairs, known):
-        if not runs or runs[-1][0] is not pairs:
-            runs.append((pairs, []))
-        runs[-1][1].append((a.term(), b.term()))
-        return compare(a, b, pairs, known)
+    def recording(a, b, known):
+        runs[-1].append((a.term(), b.term()))
+        return compare(a, b, known)
 
     monkeypatch.setattr(cosim, "_same_state", recording)
     for path in TERMINATING:
+        runs.append([])
         assert check_correspondence(parse_fgg(path.read_text())).ok
-    return [states for _, states in runs]
+    return runs
 
 
 _HEAD_CHANGES = {
@@ -437,18 +438,13 @@ def _variant(e, what: str, rng):
 
 
 def test_same_agrees_with_eq_over_the_corpus_state_pairs(monkeypatch):
-    # each program's comparisons share one pairs table, as a check does;
-    # a repeat call is served from the table, and a variant of an equal
-    # pair (an origin tag, a head or an arity changed) compares as == does
+    # every pair of states a check compares, and a variant of each equal
+    # pair (an origin tag, a head or an arity changed), compares as == does
     rng, counts = random.Random(27), {}
     for states in _state_pairs(monkeypatch):
-        pairs = {}
         for a, b in states:
             want = reference_same(a, b)
-            assert same(a, b, pairs) == (a == b) == want
-            known = dict(pairs)
-            assert same(a, b, pairs) == want and pairs == known
-            assert not want or a is b or (id(a), id(b)) in pairs
+            assert same(a, b) == (a == b) == want
             counts[want] = counts.get(want, 0) + 1
             if not want:
                 continue
@@ -456,10 +452,8 @@ def test_same_agrees_with_eq_over_the_corpus_state_pairs(monkeypatch):
                 c = _variant(b, what, rng)
                 if c is None:
                     continue
-                known = dict(pairs)
-                got = same(a, c, pairs)
+                got = same(a, c)
                 assert got == (a == c) == reference_same(a, c) == (what == "origin"), what
-                assert got or pairs == known
                 counts[what] = counts.get(what, 0) + 1
     assert all(counts.get(k, 0) > 100 for k in (True, "origin", "head", "arity")), counts
 
@@ -589,9 +583,9 @@ def test_a_failed_check_keeps_the_first_mismatch_and_prints_a_reason(monkeypatch
     # report keeps index 1's text, and the console command prints it
     real, calls = cosim._same_state, []
 
-    def mismatch_at_one(tgt, out, pairs, agreed):
+    def mismatch_at_one(tgt, out, agreed):
         calls.append(None)
-        matched, agreed = real(tgt, out, pairs, agreed)
+        matched, agreed = real(tgt, out, agreed)
         return (matched and len(calls) != 2), agreed
 
     monkeypatch.setattr(cosim, "_same_state", mismatch_at_one)
@@ -610,9 +604,9 @@ def test_a_panic_terminal_that_mismatched_names_the_mismatch(monkeypatch):
     # the terminal carries that index's text, as a value terminal does
     real, calls = cosim._same_state, []
 
-    def mismatch_at_two(tgt, out, pairs, agreed):
+    def mismatch_at_two(tgt, out, agreed):
         calls.append(None)
-        matched, agreed = real(tgt, out, pairs, agreed)
+        matched, agreed = real(tgt, out, agreed)
         return (matched and len(calls) != 3), agreed
 
     monkeypatch.setattr(cosim, "_same_state", mismatch_at_two)
@@ -663,6 +657,50 @@ def test_a_program_translates_its_declarations_once(monkeypatch):
     assert len(emitted) == 1  # the fresh program's
 
 
+def test_a_second_check_of_a_program_compiles_no_template(monkeypatch):
+    # the program keeps the target's declaration index with its
+    # translation, so the method templates a check compiles serve the next
+    # check of the same program object
+    from feathergo import reduce
+
+    compiled, compile_body = [], reduce.compile_body
+    monkeypatch.setattr(reduce, "compile_body", lambda m: compiled.append(m) or compile_body(m))
+    for program in (load("gtfunc.fgg"), generate(BenchConfig("a", 8, 3))):
+        first = check_correspondence(program)
+        assert compiled
+        compiled.clear()
+        assert check_correspondence(program).to_json() == first.to_json()
+        assert compiled == []
+
+
+def test_threads_checking_one_program_share_one_target_decls():
+    # 8 threads check one new program object at once, switching as often as
+    # the interpreter allows: each reports what a check alone reports, and
+    # the program keeps one target Decls
+    want = check_correspondence(generate(BenchConfig("a", 6, 3))).to_json()
+    program = generate(BenchConfig("a", 6, 3))
+    start = threading.Barrier(8, timeout=60)
+    reports = [None] * 8
+
+    def check(k):
+        start.wait()
+        reports[k] = check_correspondence(program).to_json()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports == [want] * 8
+    assert Translator(program).target_decls() is program.__dict__["_target_decls"]
+
+
 # -- the memos one correspondence check carries ---------------------------------------
 
 
@@ -706,12 +744,19 @@ def _traced_correspondence(program, reference):
         mp.setattr(cosim, "target_normal_form", traced_target)
         mp.setattr(cosim, "source_normal_form", traced_source)
         if reference:
-            mp.setattr(cosim, "_same_state", lambda a, b, pairs, known: (a.term() == b.term(), 0))
+            mp.setattr(cosim, "_same_state", lambda a, b, known: (a.term() == b.term(), 0))
         report = check_correspondence(program)
     return report.to_json(), seen
 
 
-@pytest.mark.parametrize("make", [m for _, m in FGG_SOURCES], ids=[n for n, _ in FGG_SOURCES])
+# families at 3 iterations: a main of calls in sequence, whose frames the
+# check certifies
+SEQUENCE_SOURCES = [("%s2x3" % f, lambda f=f: generate(BenchConfig(f, 2, 3))) for f in "abcde"]
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in FGG_SOURCES + SEQUENCE_SOURCES], ids=[n for n, _ in FGG_SOURCES + SEQUENCE_SOURCES]
+)
 def test_carried_memos_match_a_from_scratch_run(make):
     # per step the same settled normal forms on both sides and the same
     # normalisation step counts, and the same report, as a run that carries
@@ -786,9 +831,10 @@ CHAIN = (
 )
 
 
-def _node_work_per_step(depth):
+def _node_work_per_step(program, max_steps):
     """Nodes translated, typed, settled, scanned for a redex and visited by
-    the comparison and the scans, per source step of the ``.Id()`` chain."""
+    the comparison and the scans, per source step of a check of
+    ``program``."""
     from feathergo import dicttrans, syntax, typecheck
 
     work = [0]
@@ -807,15 +853,31 @@ def _node_work_per_step(depth):
             mp.setattr(module, "fold", counting_fold)
         mp.setattr(cosim, "_dict_contract", counting(cosim._dict_contract))
         mp.setattr(cosim, "subexprs", counting(syntax.subexprs))
-        report = check_correspondence(parse_fgg(CHAIN % (".Id()" * depth)), max_steps=depth + 1)
-    assert report.ok and len(report.records) == depth
-    return work[0] / depth
+        mp.setattr(syntax, "subexprs", counting(syntax.subexprs))  # the comparison's, in ``same``
+        report = check_correspondence(program, max_steps=max_steps)
+    assert report.ok and report.records
+    return work[0] / len(report.records)
+
+
+def _chain_work_per_step(depth):
+    """``_node_work_per_step`` over the whole run of the ``.Id()`` chain."""
+    return _node_work_per_step(parse_fgg(CHAIN % (".Id()" * depth)), depth + 1)
 
 
 def test_work_per_step_does_not_grow_with_depth():
     # the checker follows the step, not the spine: per source step it does
     # about the same node work on a chain four times as deep
-    assert _node_work_per_step(400) <= 1.5 * _node_work_per_step(100)
+    assert _chain_work_per_step(400) <= 1.5 * _chain_work_per_step(100)
+
+
+@pytest.mark.parametrize("k", range(2, 7), ids=lambda k: "c%d" % k)
+def test_work_per_step_does_not_grow_with_sequence_length(k):
+    # a main of several calls in sequence: the checker certifies the
+    # frames of the sequence, so per source step it does about the same
+    # node work as on one call
+    one = _node_work_per_step(generate(BenchConfig("c", k, 1)), 300)
+    for iterations in (2, 4):
+        assert _node_work_per_step(generate(BenchConfig("c", k, iterations)), 300) <= 1.2 * one, iterations
 
 
 def test_macro_step_panics_on_a_failing_assert_after_the_ordinary_step():
@@ -931,6 +993,15 @@ def test_a_seq_frame_whose_rest_settles_to_another_type_is_not_certified():
     hole = MethodCall(IntLit(1), "Missing")
     nil = StructLit(TypeApp("Nil"), ())
     assert _settled_frame_matches(Seq(hole, TypeAssert(nil, TypeApp("Any"), origin="erase")), 0, (hole, nil)) is False
+
+
+def test_a_seq_frame_whose_rest_settles_to_its_own_type_is_certified():
+    # the shape of a family main's later calls, Runner{}.(Runner).DoIt():
+    # an erase assert to a struct over that struct's value settles to the
+    # value, and the sequence's type stays the same
+    hole = MethodCall(IntLit(1), "Missing")
+    nil = StructLit(TypeApp("Nil"), ())
+    assert _settled_frame_matches(Seq(hole, TypeAssert(nil, TypeApp("Nil"), origin="erase")), 0, (hole, nil)) is True
 
 
 def test_every_r_call_of_a_check_lands_by_its_refocus_path(monkeypatch):
