@@ -219,6 +219,31 @@ def test_tokenize_matches_reference_loop(source):
     # the one-pattern lexer against the character loop it replaced: the
     # same tokens with the same positions, or the same diagnostic
     assert _lexed(tokenize, source) == _lexed(reference_tokenize, source)
+    # each declaration's and main's recorded position is that of its `type`
+    # or `func` token, also with CRLF line ends and every line tab-indented;
+    # only edited inputs may fail to parse
+    for variant in (source, source.replace("\n", "\r\n"), "".join("\t" + ln for ln in source.splitlines(True))):
+        try:
+            program = parse_fgg(variant)
+        except ParseError:
+            assert source in _EDITED.values()
+            continue
+        assert [d.pos for d in program.decls] + [program.pos] == _declaration_token_positions(variant)
+
+
+def _declaration_token_positions(source: str) -> list:
+    """(line, col) of each top-level `type` or `func` token that starts a
+    declaration, by the reference lexer, with that of `func main` last."""
+    toks = reference_tokenize(source)
+    decls, main, depth = [], None, 0
+    for t, after in zip(toks, toks[1:]):
+        depth += (t.text == "{") - (t.text == "}")
+        if depth == 0 and t.text in ("type", "func"):
+            if t.text == "func" and after.text == "main":
+                main = (t.line, t.col)
+            else:
+                decls.append((t.line, t.col))
+    return decls + [main]
 
 
 def _character_classes() -> list:
