@@ -11,11 +11,19 @@ Dialects:
 Semicolons and newlines both terminate statements (newlines via Go-style
 automatic semicolon insertion); ``//`` comments are skipped; Greek letters
 are ordinary identifier characters.
+
+The lexer turns a source into lists of token kinds, texts and start offsets
+plus the offsets of its newlines; the parser reads the lists by index. A
+position is an offset until something reads it: a declaration's ``pos`` and
+a diagnostic take line and column from a bisect over the newline offsets.
+``tokenize`` gives the same tokens as ``Tok`` tuples, each with its line
+and column.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -101,32 +109,43 @@ _TOKEN = re.compile(r"[ \t\r]*(?:(\n)|//[^\n]*|([0-9]+)|([^\W\d]\w*)|(!=|[{}()\[
 _KIND = (None, None, "int", "ident", "punct")
 
 
-def _ends_stmt(toks: list) -> bool:
-    return bool(toks) and (toks[-1].kind in _ASI_AFTER_KIND or toks[-1].text in _ASI_AFTER_TEXT)
+def _lex(source: str):
+    """The kinds, texts and start offsets of the tokens of ``source``, the
+    last one ``eof``, and the offsets of its newlines."""
+    kinds, texts, starts, newlines = [], [], [], []
+    for m in _TOKEN.finditer(source + "\n"):  # the end of input ends a line too
+        k = m.lastindex
+        if k == 1:
+            i = m.start(1)
+            if texts and (kinds[-1] in _ASI_AFTER_KIND or texts[-1] in _ASI_AFTER_TEXT):
+                kinds.append("punct")
+                texts.append(";")
+                starts.append(i)
+            newlines.append(i)
+        elif k:
+            i = m.start(k)
+            text = m.group(k)
+            if k == 3 and not (text[0] == "_" or text[0].isalpha()) or k == 5:
+                raise ParseError([Diagnostic("unexpected character %r" % text[0], *_line_col(newlines, i))])
+            kinds.append("punct" if text in KEYWORDS else _KIND[k])
+            texts.append(text)
+            starts.append(i)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(source))
+    return kinds, texts, starts, newlines
+
+
+def _line_col(newlines: list, offset: int) -> tuple:
+    """The 1-based line and column of ``offset``, given the offsets of the
+    newlines before it or all of them."""
+    line = bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
 
 
 def tokenize(source: str) -> list:
-    toks: list = []
-    line, base = 1, -1  # the character at index i is in column i - base
-    for m in _TOKEN.finditer(source):
-        k = m.lastindex
-        if k is None:
-            continue
-        i = m.start(k)
-        if k == 1:
-            if _ends_stmt(toks):
-                toks.append(Tok("punct", ";", line, i - base))
-            line, base = line + 1, i
-            continue
-        text = m.group(k)
-        if k == 3 and not (text[0] == "_" or text[0].isalpha()) or k == 5:
-            raise ParseError([Diagnostic("unexpected character %r" % text[0], line, i - base)])
-        toks.append(Tok("punct" if text in KEYWORDS else _KIND[k], text, line, i - base))
-    col = len(source) - base
-    if _ends_stmt(toks):
-        toks.append(Tok("punct", ";", line, col))
-    toks.append(Tok("eof", "", line, col))
-    return toks
+    kinds, texts, starts, newlines = _lex(source)
+    return [Tok(k, t, *_line_col(newlines, i)) for k, t, i in zip(kinds, texts, starts)]
 
 
 def _close_ops(pending, level: int, e):
@@ -144,45 +163,43 @@ class _Parser:
             raise ValueError("unknown dialect %r" % lang)
         self.lang = lang
         self.generic = lang == "fgg"
-        self.toks = tokenize(source)
+        self.kinds, self.texts, self.starts, self.newlines = _lex(source)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Tok:
-        return self.toks[self.pos]
-
-    def next(self) -> Tok:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def next(self) -> str:
+        """The current token's text; moves past it (never past ``eof``,
+        which no caller consumes)."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
     def at(self, text: str) -> bool:
         # no identifier or integer has the text of punctuation or a keyword
-        return self.toks[self.pos].text == text
+        return self.texts[self.pos] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.pos] == text:
             self.next()
             return True
         return False
 
-    def expect(self, text: str) -> Tok:
-        t = self.peek()
-        if t.text == text:
-            return self.next()
-        self.fail("expected %r, found %r" % (text, t.text or "end of input"), t)
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail("expected %r, found %r" % (text, self.texts[self.pos] or "end of input"))
 
-    def ident(self, what: str = "identifier") -> Tok:
-        t = self.peek()
-        if t.kind == "ident":
-            return self.next()
-        self.fail("expected %s, found %r" % (what, t.text or "end of input"), t)
+    def ident(self, what: str = "identifier") -> str:
+        if self.kinds[self.pos] != "ident":
+            self.fail("expected %s, found %r" % (what, self.texts[self.pos] or "end of input"))
+        return self.next()
 
-    def fail(self, message: str, tok: Tok | None = None):
-        tok = tok or self.peek()
-        raise ParseError([Diagnostic(message, tok.line, tok.col)])
+    def where(self, i: int) -> tuple:
+        """The line and column of token ``i``."""
+        return _line_col(self.newlines, self.starts[i])
+
+    def fail(self, message: str, i: int | None = None):
+        """Report ``message`` at token ``i``, by default the current one."""
+        raise ParseError([Diagnostic(message, *self.where(self.pos if i is None else i))])
 
     def skip_semis(self) -> None:
         while self.accept(";"):
@@ -204,7 +221,7 @@ class _Parser:
         pending, name = [], None
         while True:
             if not listed:
-                name = self.ident("type name").text
+                name = self.ident("type name")
                 t = TypeParam(name) if name in scope else TypeApp(name)
             if listed or type(t) is TypeApp and self.at("["):
                 if not self.generic:
@@ -228,15 +245,13 @@ class _Parser:
 
     def parse_formal(self, outer: frozenset):
         """Parse ``[a Bound, ...]``; bounds see all names of this formal."""
-        if not self.at("["):
+        if not self.accept("["):
             return (), outer
-        save = self.pos
-        self.expect("[")
         names = []
         entries = []  # (name, typestart)
         if not self.at("]"):
             while True:
-                nm = self.ident("type parameter").text
+                nm = self.ident("type parameter")
                 names.append(nm)
                 entries.append((nm, self.pos))
                 self._skip_type()
@@ -257,15 +272,12 @@ class _Parser:
         if self.at("["):
             depth = 0
             while True:
-                t = self.next()
-                if t.kind == "eof":
+                if self.kinds[self.pos] == "eof":
                     self.fail("unbalanced brackets")
-                if t.text == "[":
-                    depth += 1
-                elif t.text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        return
+                text = self.next()
+                depth += (text == "[") - (text == "]")
+                if depth == 0:
+                    return
 
     # -- expressions ----------------------------------------------------------
 
@@ -277,30 +289,31 @@ class _Parser:
         ``(level, op, left)`` waiting for its right operand."""
         pending = []
         while True:
-            t = self.peek()
-            if t.text == "(":
+            i = self.pos
+            kind, text = self.kinds[i], self.texts[i]
+            if text == "(":
                 self.next()
                 pending.append([")", None, []])
                 continue
-            if t.kind == "int":
+            if kind == "int":
                 self.next()
                 try:
-                    e = IntLit(int(t.text))
+                    e = IntLit(int(text))
                 except ValueError:  # past the interpreter's limit on digits converted
-                    self.fail("integer literal too long (%d digits)" % len(t.text), t)
-            elif t.text == "true" or t.text == "false":
+                    self.fail("integer literal too long (%d digits)" % len(text), i)
+            elif text == "true" or text == "false":
                 self.next()
-                e = BoolLit(t.text == "true")
-            elif t.kind == "ident":
+                e = BoolLit(text == "true")
+            elif kind == "ident":
                 self.next()
                 if self.at("[") or self.at("{"):
                     args = self.parse_type(scope, True) if self.at("[") else ()
                     self.expect("{")
-                    e = self._open_args(pending, partial(StructLit, TypeApp(t.text, args)), "}")
+                    e = self._open_args(pending, partial(StructLit, TypeApp(text, args)), "}")
                 else:
-                    e = Var(t.text)
+                    e = Var(text)
             else:
-                self.fail("expected expression, found %r" % (t.text or "end of input"), t)
+                self.fail("expected expression, found %r" % (text or "end of input"))
             while e is not None:  # e is a primary: its suffixes, then what follows
                 if self.accept("."):
                     if self.accept("("):
@@ -308,7 +321,7 @@ class _Parser:
                         self.expect(")")
                         e = TypeAssert(e, typ)
                         continue
-                    name = self.ident("field or method name").text
+                    name = self.ident("field or method name")
                     if self.at("["):
                         targs = self.parse_type(scope, True)
                         self.expect("(")
@@ -319,13 +332,13 @@ class _Parser:
                         continue
                     e = self._open_args(pending, partial(MethodCall, e, name, targs), ")")
                     continue
-                t = self.peek()
-                level = _OP_LEVEL.get(t.text) if t.kind == "punct" else None
+                op = self.texts[self.pos]
+                level = _OP_LEVEL.get(op) if self.kinds[self.pos] == "punct" else None
                 if level is not None:
-                    if t.text == "!=":
+                    if op == "!=":
                         self.require_fg_ext("struct inequality")
                     self.next()
-                    pending.append((level, t.text, _close_ops(pending, level, e)))
+                    pending.append((level, op, _close_ops(pending, level, e)))
                     break
                 e = _close_ops(pending, 0, e)
                 if not pending:
@@ -355,8 +368,7 @@ class _Parser:
         pending = []
         while True:
             self.skip_semis()
-            t = self.peek()
-            if t.text == "if":
+            if self.at("if"):
                 self.require_extended("if")
                 self.next()
                 self.expect("(")
@@ -365,11 +377,10 @@ class _Parser:
                 self.expect("{")
                 pending.append(("then", cond))
                 continue
-            if t.text == "return":
-                self.next()
+            if self.accept("return"):
                 e = self.parse_expr(scope)
                 self.skip_semis()
-            elif t.text == "panic":
+            elif self.at("panic"):
                 self.require_fg_ext("panic")
                 self.next()
                 self.skip_semis()
@@ -407,9 +418,8 @@ class _Parser:
         exprs = []
         self.skip_semis()
         while not self.at("}"):
-            t = self.ident("'_'")
-            if t.text != "_":
-                self.fail("main statements have the form `_ = expression`", t)
+            if self.ident("'_'") != "_":
+                self.fail("main statements have the form `_ = expression`", self.pos - 1)
             self.expect("=")
             exprs.append(self.parse_expr(frozenset()))
             self.skip_semis()
@@ -430,7 +440,7 @@ class _Parser:
         params = []
         if not self.at(")"):
             while True:
-                pname = self.ident("parameter name").text
+                pname = self.ident("parameter name")
                 ptype = self.parse_type(scope)
                 params.append(Param(pname, ptype))
                 if not self.accept(","):
@@ -440,41 +450,38 @@ class _Parser:
         return MethodSig(tformal, tuple(params), ret), scope
 
     def parse_type_decl(self, pos: tuple):
-        name = self.ident("type name").text
+        name = self.ident("type name")
         if not self.generic and self.at("["):
             self.fail("type parameters require the fgg dialect")
         formal, scope = self.parse_formal(frozenset()) if self.generic else ((), frozenset())
-        t = self.peek()
-        if t.text == "struct":
-            self.next()
+        if self.accept("struct"):
             self.expect("{")
             self.skip_semis()
             fields = []
             while not self.at("}"):
-                fname = self.ident("field name").text
+                fname = self.ident("field name")
                 ftype = self.parse_type(scope)
                 fields.append(Param(fname, ftype))
                 self.skip_semis()
             self.expect("}")
             return StructDecl(name, formal, tuple(fields), pos=pos)
-        if t.text == "interface":
-            self.next()
+        if self.accept("interface"):
             self.expect("{")
             self.skip_semis()
             specs = []
             while not self.at("}"):
-                mname = self.ident("method name").text
+                mname = self.ident("method name")
                 sig, _ = self.parse_sig(scope)
                 specs.append(MethodSpec(mname, sig))
                 self.skip_semis()
             self.expect("}")
             return InterfaceDecl(name, formal, tuple(specs), pos=pos)
-        self.fail("expected 'struct' or 'interface'", t)
+        self.fail("expected 'struct' or 'interface'")
 
     def parse_method_decl(self, pos: tuple):
         self.expect("(")
-        recv_name = self.ident("receiver name").text
-        recv_type = self.ident("receiver type").text
+        recv_name = self.ident("receiver name")
+        recv_type = self.ident("receiver type")
         recv_params: tuple = ()
         if self.at("["):
             if not self.generic:
@@ -482,13 +489,13 @@ class _Parser:
             self.next()
             names = []
             if not self.at("]"):
-                names.append(self.ident("type parameter").text)
+                names.append(self.ident("type parameter"))
                 while self.accept(","):
-                    names.append(self.ident("type parameter").text)
+                    names.append(self.ident("type parameter"))
             self.expect("]")
             recv_params = tuple(names)
         self.expect(")")
-        mname = self.ident("method name").text
+        mname = self.ident("method name")
         sig, scope = self.parse_sig(frozenset(recv_params))
         self.expect("{")
         body = self.parse_body(scope)
@@ -499,38 +506,31 @@ class _Parser:
 
     def parse_program(self) -> Program:
         self.skip_semis()
-        t = self.peek()
-        if not (t.text == "package"):
-            self.fail("missing package main", t)
-        self.next()
-        t = self.ident("'main'")
-        if t.text != "main":
-            self.fail("missing package main", t)
+        if not self.accept("package"):
+            self.fail("missing package main")
+        if self.ident("'main'") != "main":
+            self.fail("missing package main", self.pos - 1)
         self.skip_semis()
 
         decls = []
         main = None
-        while not self.peek().kind == "eof":
-            t = self.peek()
-            pos = (t.line, t.col)
-            if t.text == "type":
-                self.next()
-                decls.append(self.parse_type_decl(pos))
-            elif t.text == "func":
-                self.next()
-                if self.peek().kind == "ident" and self.peek().text == "main":
-                    self.next()
+        while self.kinds[self.pos] != "eof":
+            start = self.pos
+            if self.accept("type"):
+                decls.append(self.parse_type_decl(self.where(start)))
+            elif self.accept("func"):
+                if self.accept("main"):
                     self.expect("(")
                     self.expect(")")
                     self.expect("{")
                     if main is not None:
-                        self.fail("duplicate main function", t)
-                    main, main_pos = self.parse_main_body(), pos
+                        self.fail("duplicate main function", start)
+                    main, main_pos = self.parse_main_body(), self.where(start)
                     self.expect("}")
                 else:
-                    decls.append(self.parse_method_decl(pos))
+                    decls.append(self.parse_method_decl(self.where(start)))
             else:
-                self.fail("expected a declaration, found %r" % (t.text or "end of input"), t)
+                self.fail("expected a declaration, found %r" % (self.texts[start] or "end of input"))
             self.skip_semis()
         if main is None:
             self.fail("missing main function")

@@ -1,8 +1,10 @@
+import collections
 import sys
 import unicodedata
 
 import pytest
 
+from feathergo import parser
 from feathergo.bench import BenchConfig, generate
 from feathergo.parser import ParseError, parse_fg, parse_fgg, tokenize
 from feathergo.syntax import (
@@ -229,6 +231,29 @@ def test_tokenize_matches_reference_loop(source):
             assert source in _EDITED.values()
             continue
         assert [d.pos for d in program.decls] + [program.pos] == _declaration_token_positions(variant)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [read("fgg_list.fgg"), pretty_print(generate(BenchConfig("c", 3, 1)))],
+    ids=["fgg_list.fgg", "c3"],
+)
+def test_parsing_builds_no_tok_and_resolves_only_declaration_positions(source, monkeypatch):
+    # the parser reads the lexer's lists by index and turns an offset into a
+    # line and column only where a declaration or main records its position
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(parser, "Tok", counted("Tok", parser.Tok))
+    monkeypatch.setattr(parser, "_line_col", counted("_line_col", getattr(parser, "_line_col", None)), raising=False)
+    program = parse_fgg(source)
+    assert calls == {"_line_col": len(program.decls) + 1}
 
 
 def _declaration_token_positions(source: str) -> list:
