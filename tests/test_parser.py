@@ -251,7 +251,7 @@ def test_parsing_builds_no_tok_and_resolves_only_declaration_positions(source, m
         return wrapper
 
     monkeypatch.setattr(parser, "Tok", counted("Tok", parser.Tok))
-    monkeypatch.setattr(parser, "_line_col", counted("_line_col", getattr(parser, "_line_col", None)), raising=False)
+    monkeypatch.setattr(parser, "_line_col", counted("_line_col", parser._line_col))
     program = parse_fgg(source)
     assert calls == {"_line_col": len(program.decls) + 1}
 
